@@ -51,7 +51,7 @@ void Run(int argc, char** argv) {
     // Horizon: oldest tick still represented in any sealed slot.
     TimeTick oldest = ticks;
     for (int level = 0; level < c.policy->num_levels(); ++level) {
-      const auto& slots = frame.RawSlots(level);
+      const TiltTimeFrame::SlotView slots = frame.RawSlots(level);
       if (!slots.empty()) oldest = std::min(oldest, slots.front().interval.tb);
     }
     const double horizon_days = static_cast<double>(ticks - oldest) /

@@ -240,8 +240,8 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
         << "indexed member set diverged for " << key.ToString();
     for (size_t i = 0; i < indexed.cells.size(); ++i) {
       RC_CHECK(indexed.cells[i].key == scanned.cells[i].key);
-      const auto& a = indexed.cells[i].frame->RawSlots(0);
-      const auto& b = scanned.cells[i].frame->RawSlots(0);
+      const TiltTimeFrame::SlotView a = indexed.cells[i].frame->RawSlots(0);
+      const TiltTimeFrame::SlotView b = scanned.cells[i].frame->RawSlots(0);
       RC_CHECK(a.size() == b.size());
       for (size_t s = 0; s < a.size(); ++s) {
         RC_CHECK(a[s].interval == b[s].interval &&

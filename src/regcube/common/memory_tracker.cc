@@ -6,17 +6,21 @@
 
 namespace regcube {
 
-void MemoryTracker::Add(const std::string& category, std::int64_t bytes) {
+void MemoryTracker::Add(std::string_view category, std::int64_t bytes) {
   RC_CHECK_GE(bytes, 0);
   std::lock_guard<std::mutex> lock(mu_);
-  Pool& pool = by_category_[category];
+  auto it = by_category_.find(category);
+  if (it == by_category_.end()) {
+    it = by_category_.emplace(std::string(category), Pool{}).first;
+  }
+  Pool& pool = it->second;
   pool.current += bytes;
   pool.peak = std::max(pool.peak, pool.current);
   current_ += bytes;
   peak_ = std::max(peak_, current_);
 }
 
-void MemoryTracker::Release(const std::string& category, std::int64_t bytes) {
+void MemoryTracker::Release(std::string_view category, std::int64_t bytes) {
   RC_CHECK_GE(bytes, 0);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_category_.find(category);
@@ -37,14 +41,14 @@ std::int64_t MemoryTracker::peak_bytes() const {
   return peak_;
 }
 
-std::int64_t MemoryTracker::category_bytes(const std::string& category) const {
+std::int64_t MemoryTracker::category_bytes(std::string_view category) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_category_.find(category);
   return it == by_category_.end() ? 0 : it->second.current;
 }
 
 std::int64_t MemoryTracker::category_peak_bytes(
-    const std::string& category) const {
+    std::string_view category) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_category_.find(category);
   return it == by_category_.end() ? 0 : it->second.peak;

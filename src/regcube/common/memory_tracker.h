@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace regcube {
@@ -19,7 +21,9 @@ namespace regcube {
 /// Components register byte counts under a category name; the tracker keeps
 /// both the current total and the high-water mark. All methods are
 /// thread-safe: the sharded engine's snapshot path accounts frozen-frame
-/// bytes from whichever thread holds the owning shard's lock.
+/// bytes from whichever thread holds the owning shard's lock. Categories
+/// are looked up by string_view, so a call allocates nothing before it
+/// takes the lock (only a category's first Add stores its name).
 class MemoryTracker {
  public:
   MemoryTracker() = default;
@@ -30,11 +34,11 @@ class MemoryTracker {
   MemoryTracker& operator=(const MemoryTracker&) = delete;
 
   /// Adds `bytes` under `category`.
-  void Add(const std::string& category, std::int64_t bytes);
+  void Add(std::string_view category, std::int64_t bytes);
 
   /// Subtracts `bytes` under `category`. The per-category total must not go
   /// negative (checked).
-  void Release(const std::string& category, std::int64_t bytes);
+  void Release(std::string_view category, std::int64_t bytes);
 
   /// Current total bytes across all categories.
   std::int64_t current_bytes() const;
@@ -43,11 +47,11 @@ class MemoryTracker {
   std::int64_t peak_bytes() const;
 
   /// Current bytes in one category (0 if never touched).
-  std::int64_t category_bytes(const std::string& category) const;
+  std::int64_t category_bytes(std::string_view category) const;
 
   /// Highest value one category has reached (0 if never touched) — the
   /// per-pool high-water mark the memory governor sizes budgets against.
-  std::int64_t category_peak_bytes(const std::string& category) const;
+  std::int64_t category_peak_bytes(std::string_view category) const;
 
   /// Snapshot of all categories, sorted by name.
   std::vector<std::pair<std::string, std::int64_t>> Snapshot() const;
@@ -72,7 +76,8 @@ class MemoryTracker {
     std::int64_t current = 0;
     std::int64_t peak = 0;
   };
-  std::map<std::string, Pool> by_category_;
+  // std::less<> enables find() by string_view without building a string.
+  std::map<std::string, Pool, std::less<>> by_category_;
   std::int64_t current_ = 0;
   std::int64_t peak_ = 0;
 };

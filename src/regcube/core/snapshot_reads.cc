@@ -83,7 +83,7 @@ Result<StreamCubeEngine::DeckSeries> SnapshotDeckOf(
       const CellKey o_key = lattice.ProjectMLayerKey(cell.key, o_id);
       std::uint64_t packed = 0;
       if (!codec->Pack(o_key, &packed)) break;
-      const auto& slots = cell.frame->RawSlots(level);
+      const TiltTimeFrame::SlotView slots = cell.frame->RawSlots(level);
       auto& dest = packed_deck[packed];
       if (dest.size() < slots.size()) dest.resize(slots.size());
       for (size_t i = 0; i < slots.size(); ++i) {
@@ -98,7 +98,7 @@ Result<StreamCubeEngine::DeckSeries> SnapshotDeckOf(
   for (; next < cells.size(); ++next) {
     const CellSnapshot& cell = cells[next];
     const CellKey o_key = lattice.ProjectMLayerKey(cell.key, o_id);
-    const auto& slots = cell.frame->RawSlots(level);
+    const TiltTimeFrame::SlotView slots = cell.frame->RawSlots(level);
     auto& dest = deck[o_key];
     if (dest.size() < slots.size()) dest.resize(slots.size());
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -192,7 +192,7 @@ Result<std::vector<Isb>> SnapshotCellSeriesOf(const SnapshotCells& cells,
   bool found = false;
   for (const CellSnapshot& cell : cells) {
     if (!matches(cell.key)) continue;
-    const auto& slots = cell.frame->RawSlots(level);
+    const TiltTimeFrame::SlotView slots = cell.frame->RawSlots(level);
     if (acc.size() < slots.size()) acc.resize(slots.size());
     for (size_t i = 0; i < slots.size(); ++i) {
       AccumulateStandardDim(acc[i], FitFromMoments(slots[i]));

@@ -284,7 +284,7 @@ Result<StreamCubeEngine::DeckSeries> StreamCubeEngine::ObservationDeck(
   for (auto& [key, state] : cells_) {
     const CellKey o_key = lattice_.ProjectMLayerKey(key, o_id);
     RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveAlignedFrame(key, state));
-    const auto& slots = frame->RawSlots(level);
+    const TiltTimeFrame::SlotView slots = frame->RawSlots(level);
     auto& dest = acc[o_key];
     if (dest.size() < slots.size()) dest.resize(slots.size());
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -366,7 +366,7 @@ Result<std::vector<Isb>> StreamCubeEngine::QueryCellSeries(
   for (auto& [m_key, state] : members) {
     RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame,
                         LiveAlignedFrame(*m_key, *state));
-    const auto& slots = frame->RawSlots(level);
+    const TiltTimeFrame::SlotView slots = frame->RawSlots(level);
     if (acc.size() < slots.size()) acc.resize(slots.size());
     for (size_t i = 0; i < slots.size(); ++i) {
       if (acc[i].interval.empty()) {
@@ -388,7 +388,9 @@ void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
   // Hand the registered bytes from the old tracker to the new one, so
   // detach / re-attach keeps every tracker balanced.
   if (tracker_ != nullptr) {
-    if (frozen_bytes_ > 0) tracker_->Release(kFrozenCategory, frozen_bytes_);
+    if (frozen_tracked_ > 0) {
+      tracker_->Release(kFrozenCategory, frozen_tracked_);
+    }
     if (member_index_tracked_ > 0) {
       tracker_->Release(kMemberIndexCategory, member_index_tracked_);
     }
@@ -408,6 +410,7 @@ void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
     }
   }
   tracker_ = tracker;
+  frozen_tracked_ = tracker != nullptr ? frozen_bytes_ : 0;
 }
 
 void StreamCubeEngine::set_frame_store(FrameStore* store, int shard_index) {
@@ -417,15 +420,21 @@ void StreamCubeEngine::set_frame_store(FrameStore* store, int shard_index) {
 
 void StreamCubeEngine::PublishFrozen(
     CellState& state, std::shared_ptr<const TiltTimeFrame> block) {
-  const std::int64_t new_bytes = block->MemoryBytes();
   const std::int64_t old_bytes =
       state.frozen != nullptr ? state.frozen->MemoryBytes() : 0;
-  frozen_bytes_ += new_bytes - old_bytes;
-  if (tracker_ != nullptr) {
-    if (state.frozen != nullptr) tracker_->Release(kFrozenCategory, old_bytes);
-    tracker_->Add(kFrozenCategory, new_bytes);
-  }
+  frozen_bytes_ += block->MemoryBytes() - old_bytes;
   state.frozen = std::move(block);
+}
+
+void StreamCubeEngine::PostFrozenBytes() {
+  if (tracker_ == nullptr) return;
+  const std::int64_t delta = frozen_bytes_ - frozen_tracked_;
+  if (delta > 0) {
+    tracker_->Add(kFrozenCategory, delta);
+  } else if (delta < 0) {
+    tracker_->Release(kFrozenCategory, -delta);
+  }
+  frozen_tracked_ = frozen_bytes_;
 }
 
 Result<std::shared_ptr<const TiltTimeFrame>> StreamCubeEngine::FrozenFor(
@@ -446,6 +455,7 @@ Result<std::shared_ptr<const TiltTimeFrame>> StreamCubeEngine::FrozenFor(
 
 Status StreamCubeEngine::RefreshPublishedRun(FrozenSlice* out,
                                              GatherStats* stats) {
+  FrozenPostGuard post{this};
   if (stats != nullptr) stats->cells += num_cells();
   if (published_run_ != nullptr && revision_ == export_revision_) {
     // No observable change since the run was built: hand it back as-is.
@@ -554,6 +564,7 @@ Status StreamCubeEngine::ExportMatchingCells(CuboidId cuboid,
                                              std::vector<CellSnapshot>* out,
                                              GatherStats* stats,
                                              PointLookup lookup) {
+  FrozenPostGuard post{this};
   if (lookup == PointLookup::kScan) {
     // The retained O(cells) oracle: project every key, export matches.
     for (auto& [m_key, state] : cells_) {
@@ -635,7 +646,6 @@ StreamCubeEngine::SpillSweep StreamCubeEngine::SpillColdFrames(
     if (state->frozen != nullptr) {
       const std::int64_t frozen = state->frozen->MemoryBytes();
       frozen_bytes_ -= frozen;
-      if (tracker_ != nullptr) tracker_->Release(kFrozenCategory, frozen);
       state->frozen = nullptr;
       state->frozen_revision = 0;
       sweep.bytes += frozen;
@@ -646,6 +656,7 @@ StreamCubeEngine::SpillSweep StreamCubeEngine::SpillColdFrames(
     ++sweep.cells;
     AccountCell(*state);
   }
+  PostFrozenBytes();
   return sweep;
 }
 
@@ -688,11 +699,11 @@ std::int64_t StreamCubeEngine::DropFrozenBlocks() {
     if (state.frozen == nullptr) continue;
     const std::int64_t bytes = state.frozen->MemoryBytes();
     frozen_bytes_ -= bytes;
-    if (tracker_ != nullptr) tracker_->Release(kFrozenCategory, bytes);
     state.frozen = nullptr;
     state.frozen_revision = 0;
     freed += bytes;
   }
+  PostFrozenBytes();
   return freed;
 }
 

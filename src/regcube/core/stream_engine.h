@@ -260,7 +260,8 @@ class StreamCubeEngine {
   std::int64_t MemoryBytes() const { return frame_bytes_; }
 
   /// Bytes retained by the cached frozen blocks (also accounted to the
-  /// memory tracker, if one is installed, under "snapshot.frozen_frames").
+  /// memory tracker, if one is installed, under "snapshot.frozen_frames",
+  /// posted once at the end of each call that freezes or drops blocks).
   std::int64_t FrozenBytes() const { return frozen_bytes_; }
 
   /// Installs analytic memory accounting for the frozen-block cache (any
@@ -394,10 +395,24 @@ class StreamCubeEngine {
   /// next export patches from.
   void MarkDirty(const CellKey& key, CellState& state);
 
-  /// Replaces a cell's frozen block, keeping frozen_bytes_ and the tracker
-  /// in sync.
+  /// Replaces a cell's frozen block and moves frozen_bytes_ by the
+  /// difference. The tracker is not touched here: the caller posts the
+  /// accumulated delta once through PostFrozenBytes.
   void PublishFrozen(CellState& state,
                      std::shared_ptr<const TiltTimeFrame> block);
+
+  /// Posts the gap between frozen_bytes_ and the bytes registered with the
+  /// tracker as one Add or Release. Every entry point that freezes or
+  /// drops blocks calls it once on exit, so a refresh of N dirty cells
+  /// takes the tracker's mutex once, not N times.
+  void PostFrozenBytes();
+
+  /// Calls PostFrozenBytes when it leaves scope: keeps "once on exit"
+  /// true for early error returns too.
+  struct FrozenPostGuard {
+    StreamCubeEngine* engine;
+    ~FrozenPostGuard() { engine->PostFrozenBytes(); }
+  };
 
   /// The cell's current frozen block, refreshed from the live frame if the
   /// cell changed since the last freeze (counted into `stats`). A spilled
@@ -431,6 +446,7 @@ class StreamCubeEngine {
   TimeTick now_;
   std::uint64_t revision_ = 0;
   std::int64_t frozen_bytes_ = 0;
+  std::int64_t frozen_tracked_ = 0;  // frozen bytes registered with tracker_
   std::int64_t frame_bytes_ = 0;  // resident cell bytes, kept by AccountCell
   MemoryTracker* tracker_ = nullptr;
 

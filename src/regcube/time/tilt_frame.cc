@@ -1,5 +1,10 @@
 #include "regcube/time/tilt_frame.h"
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <new>
+
 #include "regcube/common/logging.h"
 #include "regcube/common/str.h"
 #include "regcube/regression/aggregate.h"
@@ -11,33 +16,85 @@ TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
     : policy_(std::move(policy)), start_tick_(start_tick),
       next_tick_(start_tick) {
   RC_CHECK(policy_ != nullptr);
-  levels_.resize(static_cast<size_t>(policy_->num_levels()));
-  for (auto& level : levels_) {
-    level.pending_start = start_tick_;
+  num_levels_ = policy_->num_levels();
+  total_capacity_ = 0;
+  for (int li = 0; li < num_levels_; ++li) {
+    RC_CHECK_GT(policy_->level(li).capacity, 0);
+    total_capacity_ += policy_->level(li).capacity;
   }
+  // Zero-filled first, so padding too is initialized before any copy
+  // memcpys it; then the headers and ring slots are created in place.
+  block_ = std::make_unique<std::byte[]>(BlockBytes());
+  std::byte* at = block_.get();
+  std::int32_t offset = 0;
+  for (int li = 0; li < num_levels_; ++li, at += sizeof(LevelHeader)) {
+    LevelHeader* level = new (at) LevelHeader();
+    level->pending_start = start_tick_;
+    level->ring_offset = offset;
+    level->capacity = policy_->level(li).capacity;
+    offset += level->capacity;
+  }
+  std::uninitialized_value_construct_n(reinterpret_cast<MomentSums*>(at),
+                                       static_cast<size_t>(total_capacity_));
+}
+
+TiltTimeFrame::TiltTimeFrame(const TiltTimeFrame& other)
+    : policy_(other.policy_),
+      block_(
+          std::make_unique_for_overwrite<std::byte[]>(other.BlockBytes())),
+      start_tick_(other.start_tick_),
+      next_tick_(other.next_tick_),
+      num_levels_(other.num_levels_),
+      total_capacity_(other.total_capacity_) {
+  std::memcpy(block_.get(), other.block_.get(), BlockBytes());
+}
+
+TiltTimeFrame& TiltTimeFrame::operator=(const TiltTimeFrame& other) {
+  if (this == &other) return *this;
+  if (block_ == nullptr || BlockBytes() != other.BlockBytes()) {
+    block_ = std::make_unique_for_overwrite<std::byte[]>(other.BlockBytes());
+  }
+  policy_ = other.policy_;
+  start_tick_ = other.start_tick_;
+  next_tick_ = other.next_tick_;
+  num_levels_ = other.num_levels_;
+  total_capacity_ = other.total_capacity_;
+  std::memcpy(block_.get(), other.block_.get(), BlockBytes());
+  return *this;
 }
 
 void TiltTimeFrame::Accumulate(TimeTick t, double z) {
-  for (auto& level : levels_) {
-    level.pending.Add(t, z);
-    level.pending_active = true;
+  LevelHeader* levels = headers();
+  for (int li = 0; li < num_levels_; ++li) {
+    levels[li].pending.Add(t, z);
+    levels[li].pending_active = true;
+  }
+}
+
+void TiltTimeFrame::PushSlot(LevelHeader& level, const MomentSums& slot) {
+  MomentSums* slots = ring() + level.ring_offset;
+  if (level.size < level.capacity) {
+    std::int32_t tail = level.head + level.size;
+    if (tail >= level.capacity) tail -= level.capacity;
+    slots[tail] = slot;
+    ++level.size;
+  } else {
+    // Full: the newest slot overwrites the oldest, which is evicted.
+    slots[level.head] = slot;
+    if (++level.head == level.capacity) level.head = 0;
   }
 }
 
 void TiltTimeFrame::SealBoundaries(TimeTick t) {
-  for (int li = 0; li < policy_->num_levels(); ++li) {
+  for (int li = 0; li < num_levels_; ++li) {
     if (!policy_->IsUnitEnd(li, t)) continue;
-    LevelState& level = levels_[static_cast<size_t>(li)];
+    LevelHeader& level = headers()[li];
     MomentSums slot = level.pending;
     // The sealed unit covers its full interval; ticks without observations
     // contributed zero (additive stream semantics).
     slot.interval.tb = level.pending_start;
     slot.interval.te = t;
-    level.slots.push_back(slot);
-    const int capacity = policy_->level(li).capacity;
-    while (static_cast<int>(level.slots.size()) > capacity) {
-      level.slots.pop_front();
-    }
+    PushSlot(level, slot);
     level.pending = MomentSums();
     level.pending_active = false;
     level.pending_start = t + 1;
@@ -69,22 +126,23 @@ Status TiltTimeFrame::AdvanceTo(TimeTick t) {
 }
 
 std::vector<Isb> TiltTimeFrame::Slots(int level) const {
-  RC_CHECK(level >= 0 && level < policy_->num_levels());
-  const LevelState& state = levels_[static_cast<size_t>(level)];
+  const SlotView slots = RawSlots(level);
   std::vector<Isb> out;
-  out.reserve(state.slots.size());
-  for (const MomentSums& m : state.slots) out.push_back(FitFromMoments(m));
+  out.reserve(slots.size());
+  for (const MomentSums& m : slots) out.push_back(FitFromMoments(m));
   return out;
 }
 
-const std::deque<MomentSums>& TiltTimeFrame::RawSlots(int level) const {
-  RC_CHECK(level >= 0 && level < policy_->num_levels());
-  return levels_[static_cast<size_t>(level)].slots;
+TiltTimeFrame::SlotView TiltTimeFrame::RawSlots(int level) const {
+  RC_CHECK(level >= 0 && level < num_levels_);
+  const LevelHeader& state = headers()[level];
+  return SlotView(ring() + state.ring_offset, state.capacity, state.head,
+                  state.size);
 }
 
 Result<Isb> TiltTimeFrame::PendingSlot(int level) const {
-  RC_CHECK(level >= 0 && level < policy_->num_levels());
-  const LevelState& state = levels_[static_cast<size_t>(level)];
+  RC_CHECK(level >= 0 && level < num_levels_);
+  const LevelHeader& state = headers()[level];
   if (state.pending_start > next_tick_ ||
       (state.pending_start == next_tick_ && !state.pending_active)) {
     return Status::NotFound(
@@ -97,18 +155,17 @@ Result<Isb> TiltTimeFrame::PendingSlot(int level) const {
 }
 
 Result<Isb> TiltTimeFrame::RegressLastSlots(int level, int k) const {
-  RC_CHECK(level >= 0 && level < policy_->num_levels());
-  const LevelState& state = levels_[static_cast<size_t>(level)];
-  if (k < 1 || k > static_cast<int>(state.slots.size())) {
+  const SlotView slots = RawSlots(level);
+  if (k < 1 || k > static_cast<int>(slots.size())) {
     return Status::OutOfRange(
         StrPrintf("requested %d slots, level %d has %zu sealed", k, level,
-                  state.slots.size()));
+                  slots.size()));
   }
   std::vector<Isb> children;
   children.reserve(static_cast<size_t>(k));
-  for (size_t i = state.slots.size() - static_cast<size_t>(k);
-       i < state.slots.size(); ++i) {
-    children.push_back(FitFromMoments(state.slots[i]));
+  for (size_t i = slots.size() - static_cast<size_t>(k); i < slots.size();
+       ++i) {
+    children.push_back(FitFromMoments(slots[i]));
   }
   return AggregateTimeDim(children);
 }
@@ -116,15 +173,12 @@ Result<Isb> TiltTimeFrame::RegressLastSlots(int level, int k) const {
 Result<TimeSeries> TiltTimeFrame::FoldSlots(int level,
                                             std::int64_t units_per_bucket,
                                             FoldOp op) const {
-  RC_CHECK(level >= 0 && level < policy_->num_levels());
   return FoldSummaries(Slots(level), units_per_bucket, op);
 }
 
 std::int64_t TiltTimeFrame::RetainedSlots() const {
   std::int64_t total = 0;
-  for (const auto& level : levels_) {
-    total += static_cast<std::int64_t>(level.slots.size());
-  }
+  for (int li = 0; li < num_levels_; ++li) total += headers()[li].size;
   return total;
 }
 
@@ -133,16 +187,15 @@ std::int64_t TiltTimeFrame::TicksSeen() const {
 }
 
 std::int64_t TiltTimeFrame::MemoryBytes() const {
-  std::int64_t bytes = static_cast<std::int64_t>(sizeof(TiltTimeFrame));
-  for (const auto& level : levels_) {
-    bytes += static_cast<std::int64_t>(level.slots.size() *
-                                       sizeof(MomentSums));
-  }
-  return bytes;
+  // Analytic: the frame header plus the sealed slots it retains. Ring
+  // capacity not yet filled and the level headers are not charged, the
+  // same accounting the formula has always used.
+  return static_cast<std::int64_t>(sizeof(TiltTimeFrame)) +
+         RetainedSlots() * static_cast<std::int64_t>(sizeof(MomentSums));
 }
 
 Status TiltTimeFrame::MergeStandardDim(const TiltTimeFrame& other) {
-  if (policy_->num_levels() != other.policy_->num_levels() ||
+  if (num_levels_ != other.num_levels_ ||
       policy_->name() != other.policy_->name()) {
     return Status::InvalidArgument("tilt policies differ");
   }
@@ -154,25 +207,37 @@ Status TiltTimeFrame::MergeStandardDim(const TiltTimeFrame& other) {
         static_cast<long long>(other.start_tick_),
         static_cast<long long>(other.next_tick_)));
   }
-  for (size_t li = 0; li < levels_.size(); ++li) {
-    LevelState& mine = levels_[li];
-    const LevelState& theirs = other.levels_[li];
-    if (mine.slots.size() != theirs.slots.size()) {
+  // Validate every level before folding any, so a mismatch deep in the
+  // frame leaves *this untouched.
+  for (int li = 0; li < num_levels_; ++li) {
+    const SlotView mine = RawSlots(li);
+    const SlotView theirs = other.RawSlots(li);
+    if (mine.size() != theirs.size()) {
       return Status::InvalidArgument(
-          StrPrintf("level %zu slot counts differ: %zu vs %zu", li,
-                    mine.slots.size(), theirs.slots.size()));
+          StrPrintf("level %d slot counts differ: %zu vs %zu", li,
+                    mine.size(), theirs.size()));
     }
-    for (size_t s = 0; s < mine.slots.size(); ++s) {
-      if (!(mine.slots[s].interval == theirs.slots[s].interval)) {
+    for (size_t s = 0; s < mine.size(); ++s) {
+      if (!(mine[s].interval == theirs[s].interval)) {
         return Status::InvalidArgument(
-            StrPrintf("level %zu slot %zu intervals differ", li, s));
+            StrPrintf("level %d slot %zu intervals differ", li, s));
       }
-      mine.slots[s].sum_z += theirs.slots[s].sum_z;
-      mine.slots[s].sum_tz += theirs.slots[s].sum_tz;
     }
-    mine.pending.sum_z += theirs.pending.sum_z;
-    mine.pending.sum_tz += theirs.pending.sum_tz;
-    mine.pending_active = mine.pending_active || theirs.pending_active;
+  }
+  for (int li = 0; li < num_levels_; ++li) {
+    LevelHeader& mine = headers()[li];
+    const LevelHeader& theirs_header = other.headers()[li];
+    const SlotView theirs = other.RawSlots(li);
+    MomentSums* slots = ring() + mine.ring_offset;
+    std::int32_t at = mine.head;
+    for (size_t s = 0; s < theirs.size(); ++s) {
+      slots[at].sum_z += theirs[s].sum_z;
+      slots[at].sum_tz += theirs[s].sum_tz;
+      if (++at == mine.capacity) at = 0;
+    }
+    mine.pending.sum_z += theirs_header.pending.sum_z;
+    mine.pending.sum_tz += theirs_header.pending.sum_tz;
+    mine.pending_active = mine.pending_active || theirs_header.pending_active;
   }
   return Status::OK();
 }
@@ -181,10 +246,12 @@ TiltFrameState TiltTimeFrame::Snapshot() const {
   TiltFrameState state;
   state.start_tick = start_tick_;
   state.next_tick = next_tick_;
-  state.levels.reserve(levels_.size());
-  for (const LevelState& level : levels_) {
+  state.levels.reserve(static_cast<size_t>(num_levels_));
+  for (int li = 0; li < num_levels_; ++li) {
+    const LevelHeader& level = headers()[li];
+    const SlotView slots = RawSlots(li);
     TiltFrameState::Level out;
-    out.slots.assign(level.slots.begin(), level.slots.end());
+    out.slots.assign(slots.begin(), slots.end());
     out.pending = level.pending;
     out.pending_active = level.pending_active;
     out.pending_start = level.pending_start;
@@ -208,14 +275,17 @@ Result<TiltTimeFrame> TiltTimeFrame::FromSnapshot(
   frame.next_tick_ = state.next_tick;
   for (size_t li = 0; li < state.levels.size(); ++li) {
     const TiltFrameState::Level& in = state.levels[li];
-    const int capacity = frame.policy_->level(static_cast<int>(li)).capacity;
-    if (static_cast<int>(in.slots.size()) > capacity) {
+    LevelHeader& out = frame.headers()[li];
+    if (in.slots.size() > static_cast<size_t>(out.capacity)) {
       return Status::InvalidArgument(StrPrintf(
           "snapshot level %zu holds %zu slots, capacity is %d", li,
-          in.slots.size(), capacity));
+          in.slots.size(), out.capacity));
     }
-    LevelState& out = frame.levels_[li];
-    out.slots.assign(in.slots.begin(), in.slots.end());
+    // Restored rings start unrotated: the oldest slot at ring index 0.
+    std::copy(in.slots.begin(), in.slots.end(),
+              frame.ring() + out.ring_offset);
+    out.head = 0;
+    out.size = static_cast<std::int32_t>(in.slots.size());
     out.pending = in.pending;
     out.pending_active = in.pending_active;
     out.pending_start = in.pending_start;
@@ -227,11 +297,11 @@ std::string TiltTimeFrame::ToString() const {
   std::string out = StrPrintf("TiltTimeFrame(policy=%s, next_tick=%lld)\n",
                               policy_->name().c_str(),
                               static_cast<long long>(next_tick_));
-  for (int li = 0; li < policy_->num_levels(); ++li) {
-    const LevelState& level = levels_[static_cast<size_t>(li)];
-    out += StrPrintf("  %-10s %zu/%d slots\n",
-                     policy_->level(li).name.c_str(), level.slots.size(),
-                     policy_->level(li).capacity);
+  for (int li = 0; li < num_levels_; ++li) {
+    const LevelHeader& level = headers()[li];
+    out += StrPrintf("  %-10s %d/%d slots\n",
+                     policy_->level(li).name.c_str(), level.size,
+                     level.capacity);
   }
   return out;
 }

@@ -1,4 +1,6 @@
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -124,6 +126,39 @@ TEST(MemoryTrackerDeathTest, ReleaseUnderflowAborts) {
   MemoryTracker tracker;
   tracker.Add("x", 5);
   EXPECT_DEATH(tracker.Release("x", 10), "underflow");
+}
+
+TEST(MemoryTrackerTest, StringViewAndStringCallersShareOnePool) {
+  // A name longer than the small-string buffer, reached through every
+  // spelling callers use: literal, std::string, and string_view.
+  MemoryTracker tracker;
+  const std::string owned = "snapshot.frozen_frames";
+  const std::string_view view = owned;
+  tracker.Add("snapshot.frozen_frames", 100);
+  tracker.Add(owned, 20);
+  tracker.Add(view.substr(0), 3);
+  EXPECT_EQ(tracker.category_bytes(view), 123);
+  EXPECT_EQ(tracker.category_bytes(owned), 123);
+  tracker.Release(view, 23);
+  tracker.Release(owned, 50);
+  EXPECT_EQ(tracker.category_bytes("snapshot.frozen_frames"), 50);
+  EXPECT_EQ(tracker.category_peak_bytes(view), 123);
+  EXPECT_EQ(tracker.current_bytes(), 50);
+  ASSERT_EQ(tracker.Snapshot().size(), 1u);
+  EXPECT_EQ(tracker.Snapshot()[0].first, owned);
+  // A view into a longer buffer matches only its own characters.
+  const std::string longer = "snapshot.frozen_frames.extra";
+  EXPECT_EQ(tracker.category_bytes(std::string_view(longer).substr(0, 22)),
+            50);
+  EXPECT_EQ(tracker.category_bytes(longer), 0);
+}
+
+TEST(MemoryTrackerDeathTest, ReleaseOfUnknownCategoryAborts) {
+  MemoryTracker tracker;
+  tracker.Add("known", 5);
+  EXPECT_DEATH(tracker.Release(std::string_view("never.added"), 1),
+               "unknown category");
+  EXPECT_EQ(tracker.category_bytes("never.added"), 0);
 }
 
 TEST(Pcg32Test, DeterministicForSeed) {

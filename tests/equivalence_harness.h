@@ -171,8 +171,8 @@ inline void ExpectCellRunsIdentical(const SnapshotCells& a,
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].key, b[i].key) << "row " << i;
     for (int level = 0; level < num_levels; ++level) {
-      const auto& a_slots = a[i].frame->RawSlots(level);
-      const auto& b_slots = b[i].frame->RawSlots(level);
+      const TiltTimeFrame::SlotView a_slots = a[i].frame->RawSlots(level);
+      const TiltTimeFrame::SlotView b_slots = b[i].frame->RawSlots(level);
       ASSERT_EQ(a_slots.size(), b_slots.size())
           << "cell " << a[i].key.ToString() << " level " << level;
       for (size_t s = 0; s < a_slots.size(); ++s) {

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "gtest/gtest.h"
+#include "regcube/common/memory_tracker.h"
 #include "regcube/gen/stream_generator.h"
 #include "test_util.h"
 
@@ -342,6 +343,65 @@ TEST(StreamEngineTest, MemoryBytesBoundedByTiltFrames) {
   EXPECT_GT(bytes, 0);
   // 20 cells, 16 slots max each: comfortably under a megabyte.
   EXPECT_LT(bytes, 1 << 20);
+}
+
+TEST(StreamEngineTest, FrozenBytesPostedPerCallAndBalancedAcrossTrackers) {
+  WorkloadSpec spec = EngineSpec(20, 32);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  StreamCubeEngine::Options options;
+  options.tilt_policy = SmallPolicy();
+  StreamCubeEngine engine(*schema, options);
+  constexpr char kFrozen[] = "snapshot.frozen_frames";
+
+  MemoryTracker first;
+  engine.set_memory_tracker(&first);
+  const auto stream = gen.GenerateStream();
+  ASSERT_TRUE(engine.IngestBatch(stream).ok());
+  ASSERT_TRUE(engine.SealThrough(15).ok());
+  StreamCubeEngine::FrozenSlice run;
+  ASSERT_TRUE(engine.RefreshPublishedRun(&run, nullptr).ok());
+  ASSERT_GT(engine.FrozenBytes(), 0);
+  EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
+
+  // A seal re-freezes every cell on the next refresh; the tracker follows.
+  ASSERT_TRUE(engine.SealThrough(31).ok());
+  ASSERT_TRUE(engine.RefreshPublishedRun(&run, nullptr).ok());
+  EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
+
+  // A member gather re-freezes only the members it exports.
+  ASSERT_TRUE(engine.SealThrough(47).ok());
+  const CuboidLattice& lattice = engine.lattice();
+  const CellKey o_key =
+      lattice.ProjectMLayerKey(gen.cells()[0].key, lattice.o_layer_id());
+  std::vector<CellSnapshot> members;
+  ASSERT_TRUE(engine
+                  .ExportMatchingCells(lattice.o_layer_id(), o_key, &members,
+                                       nullptr)
+                  .ok());
+  ASSERT_FALSE(members.empty());
+  EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
+
+  // Moving trackers hands the bytes over; detaching returns them.
+  MemoryTracker second;
+  engine.set_memory_tracker(&second);
+  EXPECT_EQ(first.category_bytes(kFrozen), 0);
+  EXPECT_EQ(second.category_bytes(kFrozen), engine.FrozenBytes());
+  EXPECT_GT(engine.DropFrozenBlocks(), 0);
+  EXPECT_EQ(engine.FrozenBytes(), 0);
+  EXPECT_EQ(second.category_bytes(kFrozen), 0);
+  ASSERT_TRUE(engine.RefreshPublishedRun(&run, nullptr).ok());
+  ASSERT_GT(engine.FrozenBytes(), 0);
+  engine.set_memory_tracker(nullptr);
+  EXPECT_EQ(second.category_bytes(kFrozen), 0);
+  // Changes made while detached are registered in full on re-attach.
+  ASSERT_TRUE(engine.SealThrough(63).ok());
+  ASSERT_TRUE(engine.RefreshPublishedRun(&run, nullptr).ok());
+  engine.set_memory_tracker(&first);
+  EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
+  engine.DropFrozenBlocks();
+  EXPECT_EQ(first.category_bytes(kFrozen), 0);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include "regcube/time/tilt_frame.h"
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "regcube/common/pcg_random.h"
+#include "regcube/regression/aggregate.h"
 #include "regcube/regression/linear_fit.h"
 #include "regcube/time/calendar.h"
 #include "test_util.h"
@@ -13,6 +17,31 @@ namespace {
 
 using testing_util::ExpectIsbNear;
 using testing_util::MustFit;
+
+void ExpectMomentsIdentical(const MomentSums& want, const MomentSums& got) {
+  EXPECT_EQ(want.interval, got.interval);
+  EXPECT_EQ(want.sum_z, got.sum_z);
+  EXPECT_EQ(want.sum_tz, got.sum_tz);
+}
+
+/// Bitwise equality of two captured frame states.
+void ExpectStatesIdentical(const TiltFrameState& want,
+                           const TiltFrameState& got) {
+  EXPECT_EQ(want.start_tick, got.start_tick);
+  EXPECT_EQ(want.next_tick, got.next_tick);
+  ASSERT_EQ(want.levels.size(), got.levels.size());
+  for (size_t li = 0; li < want.levels.size(); ++li) {
+    const TiltFrameState::Level& w = want.levels[li];
+    const TiltFrameState::Level& g = got.levels[li];
+    ASSERT_EQ(w.slots.size(), g.slots.size()) << "level " << li;
+    for (size_t s = 0; s < w.slots.size(); ++s) {
+      ExpectMomentsIdentical(w.slots[s], g.slots[s]);
+    }
+    ExpectMomentsIdentical(w.pending, g.pending);
+    EXPECT_EQ(w.pending_active, g.pending_active) << "level " << li;
+    EXPECT_EQ(w.pending_start, g.pending_start) << "level " << li;
+  }
+}
 
 std::shared_ptr<const TiltPolicy> QuarterHourDayPolicy() {
   // Ticks are quarters: hour = 4 ticks, day = 96 ticks.
@@ -175,7 +204,38 @@ TEST(TiltFrameTest, MergeRejectsMisalignedFrames) {
   TiltTimeFrame a(policy, 0), b(policy, 0);
   ASSERT_TRUE(a.Add(5, 1.0).ok());
   ASSERT_TRUE(b.Add(3, 1.0).ok());
+  const TiltFrameState before = a.Snapshot();
   EXPECT_FALSE(a.MergeStandardDim(b).ok());
+  ExpectStatesIdentical(before, a.Snapshot());
+
+  // A mismatch only in a later level: both policies are "uniform" with
+  // the same level count, and level 0 agrees slot for slot, but level 1
+  // retains 2 vs 3 hours. Validation runs before any fold, so level 0 of
+  // `c` must not have been merged either.
+  auto two_hours = std::shared_ptr<const TiltPolicy>(
+      MakeUniformTiltPolicy({{"quarter", 4}, {"hour", 2}}, {1, 4}));
+  auto three_hours = std::shared_ptr<const TiltPolicy>(
+      MakeUniformTiltPolicy({{"quarter", 4}, {"hour", 3}}, {1, 4}));
+  TiltTimeFrame c(two_hours, 0), d(three_hours, 0);
+  for (TimeTick t = 0; t < 16; ++t) {
+    ASSERT_TRUE(c.Add(t, 1.0 + static_cast<double>(t)).ok());
+    ASSERT_TRUE(d.Add(t, 2.0).ok());
+  }
+  ASSERT_TRUE(c.AdvanceTo(16).ok());
+  ASSERT_TRUE(d.AdvanceTo(16).ok());
+  ASSERT_EQ(c.RawSlots(0).size(), d.RawSlots(0).size());
+  const TiltFrameState c_before = c.Snapshot();
+  const Status merged = c.MergeStandardDim(d);
+  EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
+  ExpectStatesIdentical(c_before, c.Snapshot());
+
+  // Same counts everywhere, one interval off in the last level.
+  TiltFrameState shifted = c_before;
+  shifted.levels[1].slots.back().interval.tb += 1;
+  auto e = TiltTimeFrame::FromSnapshot(two_hours, shifted);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_EQ(c.MergeStandardDim(*e).code(), StatusCode::kInvalidArgument);
+  ExpectStatesIdentical(c_before, c.Snapshot());
 }
 
 TEST(TiltFrameTest, FoldSlotsSumsUnits) {
@@ -212,6 +272,246 @@ TEST(TiltFrameTest, MemoryGrowsThenPlateaus) {
   const std::int64_t later = frame.MemoryBytes();
   EXPECT_GT(late, early);
   EXPECT_EQ(late, later);  // bounded by capacities
+}
+
+/// Reference model of the frame: the straightforward layout, one
+/// std::deque of sealed slots per level, evicting with pop_front. The
+/// block layout must be observationally identical to it.
+class DequeFrame {
+ public:
+  DequeFrame(std::shared_ptr<const TiltPolicy> policy, TimeTick start)
+      : policy_(std::move(policy)), next_tick_(start) {
+    levels_.resize(static_cast<size_t>(policy_->num_levels()));
+    for (Level& level : levels_) level.pending_start = start;
+  }
+
+  /// True once every level has sealed more than 3x its capacity.
+  bool WrappedThreeTimes() const {
+    for (int li = 0; li < policy_->num_levels(); ++li) {
+      if (levels_[static_cast<size_t>(li)].seals <=
+          3 * static_cast<std::int64_t>(policy_->level(li).capacity)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void Add(TimeTick t, double z) {
+    AdvanceTo(t);
+    for (Level& level : levels_) {
+      level.pending.Add(t, z);
+      level.pending_active = true;
+    }
+  }
+
+  void AdvanceTo(TimeTick t) {
+    for (; next_tick_ < t; ++next_tick_) {
+      for (int li = 0; li < policy_->num_levels(); ++li) {
+        if (!policy_->IsUnitEnd(li, next_tick_)) continue;
+        Level& level = levels_[static_cast<size_t>(li)];
+        MomentSums slot = level.pending;
+        slot.interval.tb = level.pending_start;
+        slot.interval.te = next_tick_;
+        level.slots.push_back(slot);
+        ++level.seals;
+        while (static_cast<int>(level.slots.size()) >
+               policy_->level(li).capacity) {
+          level.slots.pop_front();
+        }
+        level.pending = MomentSums();
+        level.pending_active = false;
+        level.pending_start = next_tick_ + 1;
+      }
+    }
+  }
+
+  const std::deque<MomentSums>& slots(int level) const {
+    return levels_[static_cast<size_t>(level)].slots;
+  }
+
+  std::int64_t RetainedSlots() const {
+    std::int64_t total = 0;
+    for (const Level& level : levels_) {
+      total += static_cast<std::int64_t>(level.slots.size());
+    }
+    return total;
+  }
+
+  /// Pre: 1 <= k <= slots(level).size().
+  Isb RegressLastSlots(int level, int k) const {
+    const auto& s = slots(level);
+    std::vector<Isb> children;
+    for (size_t i = s.size() - static_cast<size_t>(k); i < s.size(); ++i) {
+      children.push_back(FitFromMoments(s[i]));
+    }
+    return *AggregateTimeDim(children);
+  }
+
+ private:
+  struct Level {
+    std::deque<MomentSums> slots;
+    MomentSums pending;
+    bool pending_active = false;
+    TimeTick pending_start = 0;
+    std::int64_t seals = 0;  // slots ever sealed, evicted ones included
+  };
+  std::shared_ptr<const TiltPolicy> policy_;
+  std::vector<Level> levels_;
+  TimeTick next_tick_;
+};
+
+void ExpectMatchesModel(const DequeFrame& model, const TiltTimeFrame& frame,
+                        Pcg32& rng) {
+  const int num_levels = frame.policy().num_levels();
+  for (int li = 0; li < num_levels; ++li) {
+    const auto& want = model.slots(li);
+    const TiltTimeFrame::SlotView got = frame.RawSlots(li);
+    ASSERT_EQ(want.size(), got.size()) << "level " << li;
+    EXPECT_EQ(want.empty(), got.empty());
+    for (size_t s = 0; s < want.size(); ++s) {
+      ExpectMomentsIdentical(want[s], got[s]);
+    }
+    // Iteration walks the same oldest-first order as indexing.
+    size_t s = 0;
+    for (const MomentSums& m : got) ExpectMomentsIdentical(want[s++], m);
+    EXPECT_EQ(s, want.size());
+    if (!want.empty()) {
+      ExpectMomentsIdentical(want.front(), got.front());
+      const int k = 1 + static_cast<int>(rng.Uniform(
+                            static_cast<std::uint32_t>(want.size())));
+      auto reg = frame.RegressLastSlots(li, k);
+      ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+      const Isb expected = model.RegressLastSlots(li, k);
+      EXPECT_EQ(expected.interval, reg->interval);
+      EXPECT_EQ(expected.base, reg->base);
+      EXPECT_EQ(expected.slope, reg->slope);
+    }
+  }
+  EXPECT_EQ(frame.RetainedSlots(), model.RetainedSlots());
+  EXPECT_EQ(frame.MemoryBytes(),
+            static_cast<std::int64_t>(sizeof(TiltTimeFrame)) +
+                model.RetainedSlots() *
+                    static_cast<std::int64_t>(sizeof(MomentSums)));
+}
+
+/// Drives a frame and the deque model through the same seeded stream of
+/// Adds and clock jumps until every level has sealed more than 3x its
+/// capacity (so every ring has wrapped several times), checking the two
+/// agree along the way and that a Snapshot/FromSnapshot round trip of the
+/// wrapped frame restores it exactly and continues in lockstep.
+void RunModelCheck(std::shared_ptr<const TiltPolicy> policy,
+                   std::uint64_t seed, TimeTick max_gap) {
+  Pcg32 rng(seed);
+  TiltTimeFrame frame(policy, 0);
+  DequeFrame model(policy, 0);
+  const int coarsest = policy->num_levels() - 1;
+  TimeTick t = 0;
+  int steps = 0;
+  while (!model.WrappedThreeTimes()) {
+    if (rng.Uniform(4) == 0) {
+      t += 1 + static_cast<TimeTick>(
+                   rng.Uniform(static_cast<std::uint32_t>(max_gap)));
+      ASSERT_TRUE(frame.AdvanceTo(t).ok());
+      model.AdvanceTo(t);
+    } else {
+      t += static_cast<TimeTick>(rng.Uniform(2));
+      const double z = rng.NextGaussian() * 3.0 + 1.0;
+      ASSERT_TRUE(frame.Add(t, z).ok());
+      model.Add(t, z);
+    }
+    if (++steps % 64 == 0) {
+      ExpectMatchesModel(model, frame, rng);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+  ExpectMatchesModel(model, frame, rng);
+  for (int li = 0; li <= coarsest; ++li) {
+    EXPECT_EQ(static_cast<int>(frame.RawSlots(li).size()),
+              policy->level(li).capacity)
+        << "level " << li << " should be full after wrapping";
+  }
+
+  const TiltFrameState state = frame.Snapshot();
+  for (int li = 0; li <= coarsest; ++li) {
+    const auto& want = model.slots(li);
+    ASSERT_EQ(state.levels[static_cast<size_t>(li)].slots.size(),
+              want.size());
+    for (size_t s = 0; s < want.size(); ++s) {
+      ExpectMomentsIdentical(want[s],
+                             state.levels[static_cast<size_t>(li)].slots[s]);
+    }
+  }
+  auto restored = TiltTimeFrame::FromSnapshot(policy, state);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectStatesIdentical(state, restored->Snapshot());
+  ExpectMatchesModel(model, *restored, rng);
+  // The restored (unrotated) ring and the wrapped original keep agreeing
+  // with the model as they seal on.
+  const TimeTick end = t + 4 * static_cast<TimeTick>(
+                                   policy->NominalUnitTicks(coarsest));
+  for (TimeTick u = t; u < end;
+       u += 1 + static_cast<TimeTick>(rng.Uniform(3))) {
+    const double z = rng.NextGaussian();
+    ASSERT_TRUE(frame.Add(u, z).ok());
+    ASSERT_TRUE(restored->Add(u, z).ok());
+    model.Add(u, z);
+  }
+  ExpectMatchesModel(model, frame, rng);
+  ExpectMatchesModel(model, *restored, rng);
+  ExpectStatesIdentical(frame.Snapshot(), restored->Snapshot());
+}
+
+TEST(TiltFrameLayoutTest, RingMatchesDequeModelOnUniformPolicy) {
+  auto policy = std::shared_ptr<const TiltPolicy>(
+      MakeUniformTiltPolicy({{"tick", 8}, {"octet", 8}}, {1, 8}));
+  RunModelCheck(policy, 12, 20);
+}
+
+TEST(TiltFrameLayoutTest, RingMatchesDequeModelOnCalendarPolicy) {
+  auto policy = std::shared_ptr<const TiltPolicy>(
+      MakeNaturalCalendarTiltPolicy());
+  // Clock jumps of up to ~2 days keep the 3+ years this takes to a few
+  // thousand steps while still sealing every level densely.
+  RunModelCheck(policy, 34, 2 * QuarterHourCalendar::kTicksPerDay);
+}
+
+TEST(TiltFrameLayoutTest, CopyIsIndependentOfOriginal) {
+  auto policy = QuarterHourDayPolicy();
+  TiltTimeFrame original(policy, 0);
+  Pcg32 rng(5);
+  // Wrap the quarter and hour rings, leave every level a pending unit.
+  for (TimeTick t = 0; t < 4 * 30 + 2; ++t) {
+    ASSERT_TRUE(original.Add(t, rng.NextGaussian()).ok());
+  }
+  const TiltFrameState before = original.Snapshot();
+
+  TiltTimeFrame copy(original);
+  ExpectStatesIdentical(before, copy.Snapshot());
+  TiltTimeFrame assigned(QuarterHourDayPolicy(), 7);
+  assigned = original;
+  ExpectStatesIdentical(before, assigned.Snapshot());
+  TiltTimeFrame other_shape(
+      std::shared_ptr<const TiltPolicy>(
+          MakeUniformTiltPolicy({{"tick", 2}}, {1})),
+      0);
+  other_shape = original;  // different block size: reallocated
+  ExpectStatesIdentical(before, other_shape.Snapshot());
+
+  for (TiltTimeFrame* mutated : {&copy, &assigned, &other_shape}) {
+    for (TimeTick t = 4 * 30 + 2; t < 4 * 40; ++t) {
+      ASSERT_TRUE(mutated->Add(t, 100.0).ok());
+    }
+    ASSERT_TRUE(mutated->AdvanceTo(96 * 3).ok());
+    EXPECT_NE(mutated->next_tick(), original.next_tick());
+  }
+  ExpectStatesIdentical(before, original.Snapshot());
+
+  // And the other way round: mutating the original leaves a copy alone.
+  TiltTimeFrame frozen(original);
+  const TiltFrameState frozen_before = frozen.Snapshot();
+  ASSERT_TRUE(original.Add(96 * 2, 1.0).ok());
+  ASSERT_TRUE(original.MergeStandardDim(original).ok());
+  ExpectStatesIdentical(frozen_before, frozen.Snapshot());
 }
 
 }  // namespace
