@@ -6,6 +6,31 @@
 
 namespace regcube {
 
+namespace {
+// The cached snapshot's merged run, reported as the run's own entry
+// footprint (its frame blocks are shared with the shards' frozen caches
+// and counted there). The shards register their published runs under the
+// same category.
+constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
+
+std::int64_t RunBytes(const std::shared_ptr<const CubeSnapshot>& snapshot) {
+  return snapshot != nullptr
+             ? snapshot->num_cells() *
+                   static_cast<std::int64_t>(sizeof(CellSnapshot))
+             : 0;
+}
+}  // namespace
+
+std::int64_t Engine::SnapshotCache::ReplaceLocked(
+    std::shared_ptr<const CubeSnapshot> next, MemoryTracker* tracker) {
+  const std::int64_t released = RunBytes(snapshot);
+  const std::int64_t added = RunBytes(next);
+  if (released > 0) tracker->Release(kGatherCacheCategory, released);
+  if (added > 0) tracker->Add(kGatherCacheCategory, added);
+  snapshot = std::move(next);
+  return released;
+}
+
 Engine::Engine(std::shared_ptr<const CubeSchema> schema,
                ExceptionPolicy policy, StreamCubeEngine::Options options,
                int num_shards, int read_threads, IngestConfig ingest)
@@ -69,16 +94,17 @@ std::shared_ptr<const CubeSnapshot> Engine::TakeSnapshot() {
     // entry could never match again and every read would re-gather).
     if (cache_->snapshot == nullptr ||
         cache_->snapshot->revision() < fresh->revision()) {
-      cache_->snapshot = fresh;
+      cache_->ReplaceLocked(fresh, tracker_.get());
     }
   }
   return fresh;
 }
 
 Result<RegressionCube> Engine::ComputeCube(int level, int k) {
-  // Rides the maintained cube memo (bit-identical to the from-scratch
-  // snapshot computation); the by-value contract costs one deep copy.
-  return sharded_->ComputeCube(level, k);
+  // Cubes the cached snapshot's run, riding the maintained cube memo
+  // (bit-identical to the from-scratch snapshot computation); the
+  // by-value contract costs one deep copy.
+  return sharded_->ComputeCube(TakeSnapshot()->gathered_, level, k);
 }
 
 Result<QueryResult> Engine::Query(const QuerySpec& spec) {
@@ -106,18 +132,21 @@ Result<QueryResult> Engine::Query(const QuerySpec& spec) {
     case QueryKind::kDrillDown:
     case QueryKind::kSupporters:
     case QueryKind::kTopExceptions: {
-      // Cube-side kinds ride the engine's maintained cube: between writes
-      // the memo answers in O(1), and after churn only the changed cells
-      // are folded in — repeated drilling never re-runs H-cubing. (A
-      // user-held CubeSnapshot still memoizes its own from-scratch cube;
-      // both are bit-identical over the same window.) Popular-path cubes
-      // are not incrementally maintainable, so those engines keep the
-      // snapshot's per-revision cube memo instead.
+      // Cube-side kinds ride the engine's maintained cube over the cached
+      // snapshot's run: between writes the memo answers in O(1), and after
+      // churn only the changed cells are folded in — repeated drilling
+      // never re-runs H-cubing or re-merges the run. (A user-held
+      // CubeSnapshot still memoizes its own from-scratch cube; both are
+      // bit-identical over the same window.) Popular-path cubes are not
+      // incrementally maintainable, so those engines keep the snapshot's
+      // per-revision cube memo instead.
+      auto snapshot = TakeSnapshot();
       if (sharded_->options().algorithm !=
           StreamCubeEngine::Algorithm::kMoCubing) {
-        return TakeSnapshot()->Query(spec);
+        return snapshot->Query(spec);
       }
-      auto cube = sharded_->ComputeCubeShared(spec.level, spec.k);
+      auto cube =
+          sharded_->ComputeCubeShared(snapshot->gathered_, spec.level, spec.k);
       if (!cube.ok()) return cube.status();
       return regcube::Query(**cube, policy_, spec);
     }
@@ -146,9 +175,9 @@ std::vector<std::pair<std::string, std::int64_t>> Engine::MemoryReport()
     report.emplace_back("compaction.failures", spill.compaction_failures);
   }
   // Frozen blocks the cached snapshot pins alive. Shared with (and mostly
-  // double-counted by) the engine-side gather caches while those still
-  // hold them, but after an eviction this residual is the only record that
-  // the bytes are still resident.
+  // double-counted by) the shards' frozen caches while those still hold
+  // them, but after an eviction this residual is the only record that the
+  // bytes are still resident.
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
     if (cache_->snapshot != nullptr) {
@@ -170,25 +199,25 @@ regcube::SpillStats Engine::SpillStats() const {
 Status Engine::InitStorage(const MemoryBudgetConfig& budget) {
   RC_RETURN_IF_ERROR(sharded_->ConfigureStorage(budget));
   if (MemoryGovernor* governor = sharded_->governor()) {
-    // Rung 19, between the cube memo (10) and the engine-side gather
-    // caches (21): the api snapshot cache pins a whole gathered cell set
-    // (and its memoized cube), so dropping it both frees the snapshot's
-    // own memo and releases the frozen blocks the engine-side rung is
-    // about to drop from being pinned alive.
+    // Rung 19, between the cube memo (10) and the shard publications
+    // (21): the api snapshot cache pins the one merged run (and its
+    // memoized cube), so dropping it both frees the run and the
+    // snapshot's own memo and releases the frozen blocks the engine-side
+    // rung is about to drop from being pinned alive.
     SnapshotCache* cache = cache_.get();
+    MemoryTracker* tracker = tracker_.get();
     governor->AddRung(19, "snapshot.cache",
-                      [cache](std::int64_t /*excess*/) -> std::int64_t {
+                      [cache, tracker](std::int64_t /*excess*/) {
                         std::lock_guard<std::mutex> lock(cache->mu);
-                        cache->snapshot.reset();
-                        return 0;  // freed bytes show up via the tracker
+                        return cache->ReplaceLocked(nullptr, tracker);
                       });
     // The cached snapshot's pinned frames join the budget probe: after
     // the engine-side caches evict, the tracker no longer sees those
     // bytes, but they are still resident as long as the snapshot lives —
     // without this the governor would declare victory while RAM stays
-    // over budget. (While the engine caches also hold the blocks the
-    // bytes are double-counted; that only makes enforcement earlier,
-    // never later, and rung 19 zeroes the probe.)
+    // over budget. (While the shards also hold the blocks the bytes are
+    // double-counted; that only makes enforcement earlier, never later,
+    // and rung 19 zeroes the probe.)
     governor->AddUsageProbe([cache]() -> std::int64_t {
       std::lock_guard<std::mutex> lock(cache->mu);
       return cache->snapshot != nullptr ? cache->snapshot->PinnedFrameBytes()

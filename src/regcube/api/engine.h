@@ -84,15 +84,16 @@ class Engine {
   /// member-only fast path: keys are projected under the shard locks and
   /// only the m-layer cells that roll up into the queried cell are copied
   /// — copy cost O(matching members), never a full snapshot. Every other kind is
-  /// served from the revision-cached snapshot; cube kinds materialize (and
-  /// memoize, inside the snapshot) the cube over the spec's (level, k)
-  /// window first, so repeated drilling into one window pays for cubing
-  /// once.
+  /// served from the revision-cached snapshot; cube kinds read the
+  /// maintained cube over that snapshot's run (popular-path engines: the
+  /// cube memoized inside the snapshot), so repeated drilling into one
+  /// window merges the run once and pays for cubing once.
   Result<QueryResult> Query(const QuerySpec& spec);
 
   /// Recomputes the partially materialized cube over the most recent `k`
-  /// sealed slots of tilt `level` — for callers that persist or hand the
-  /// cube elsewhere. Query() is the right door for reading it.
+  /// sealed slots of tilt `level`, from the revision-cached snapshot's run
+  /// — for callers that persist or hand the cube elsewhere. Query() is the
+  /// right door for reading it.
   Result<RegressionCube> ComputeCube(int level, int k);
 
   TimeTick now() const { return sharded_->now(); }
@@ -148,11 +149,18 @@ class Engine {
   Status InitStorage(const MemoryBudgetConfig& budget);
 
   /// Snapshot memoized by engine revision; replaced (never mutated) when
-  /// a write has moved the revision. Heap-allocated so Engine stays
-  /// movable despite the mutex.
+  /// a write has moved the revision. The engine's only merged-run cache:
+  /// Query's cube kinds and ComputeCube cube its run too. Heap-allocated
+  /// so Engine stays movable despite the mutex.
   struct SnapshotCache {
     std::mutex mu;
     std::shared_ptr<const CubeSnapshot> snapshot;
+
+    /// Pre: `mu` held. Swaps `next` in (null evicts), moves the run's
+    /// entry bytes under "snapshot.gather_cache" in `tracker`, and returns
+    /// the bytes the previous snapshot's run had registered.
+    std::int64_t ReplaceLocked(std::shared_ptr<const CubeSnapshot> next,
+                               MemoryTracker* tracker);
   };
 
   std::shared_ptr<const CubeSchema> schema_;
@@ -235,10 +243,10 @@ class EngineBuilder {
 
   /// Global memory budget in bytes shared by every shard (default 0 =
   /// unbounded). When retained bytes exceed it, the engine walks a typed
-  /// eviction ladder after ingest batches: drop the cube memo, drop the
-  /// snapshot/gather caches and frozen blocks, then — with a spill dir —
-  /// spill cold tilt frames to disk. Queries stay bit-identical; spilled
-  /// frames fault back in transparently.
+  /// eviction ladder after ingest batches: drop the cube memo, the cached
+  /// snapshot, the shard publications and frozen blocks, then — with a
+  /// spill dir — spill cold tilt frames to disk. Queries stay
+  /// bit-identical; spilled frames fault back in transparently.
   EngineBuilder& SetMemoryBudget(std::int64_t budget_bytes);
 
   /// Directory cold frames spill to (default unset = no cold tier; the

@@ -12,54 +12,51 @@ CubeSnapshot::CubeSnapshot(std::shared_ptr<const CubeSchema> schema,
       policy_(std::move(policy)),
       options_(std::move(options)),
       pool_(std::move(pool)),
-      cells_(std::move(gathered.cells)),
-      clock_(gathered.clock),
-      revision_(gathered.revision),
-      status_(std::move(gathered.status)),
-      stats_(gathered.stats) {
-  for (const CellSnapshot& cell : *cells_) {
+      gathered_(std::move(gathered)) {
+  for (const CellSnapshot& cell : *gathered_.cells) {
     pinned_frame_bytes_ += cell.frame->MemoryBytes();
   }
 }
 
 Result<std::vector<MLayerTuple>> CubeSnapshot::Window(int level, int k) const {
-  RC_RETURN_IF_ERROR(status_);
-  return SnapshotWindowOf(*cells_, level, k);
+  RC_RETURN_IF_ERROR(gathered_.status);
+  return SnapshotWindowOf(*gathered_.cells, level, k);
 }
 
 Result<RegressionCube> CubeSnapshot::ComputeCube(int level, int k) const {
-  RC_RETURN_IF_ERROR(status_);
-  return SnapshotCubeOf(schema_, *cells_, options_, level, k, pool_.get());
+  RC_RETURN_IF_ERROR(gathered_.status);
+  return SnapshotCubeOf(schema_, *gathered_.cells, options_, level, k,
+                        pool_.get());
 }
 
 Result<CubeSnapshot::DeckSeries> CubeSnapshot::ObservationDeck(
     int level) const {
-  RC_RETURN_IF_ERROR(status_);
-  return SnapshotDeckOf(*cells_, lattice_, options_.tilt_policy->num_levels(),
-                        level);
+  RC_RETURN_IF_ERROR(gathered_.status);
+  return SnapshotDeckOf(*gathered_.cells, lattice_,
+                        options_.tilt_policy->num_levels(), level);
 }
 
 Result<std::vector<CubeSnapshot::TrendChange>>
 CubeSnapshot::DetectTrendChanges(int level, double threshold) const {
-  RC_RETURN_IF_ERROR(status_);
-  return SnapshotTrendChangesOf(*cells_, lattice_,
+  RC_RETURN_IF_ERROR(gathered_.status);
+  return SnapshotTrendChangesOf(*gathered_.cells, lattice_,
                                 options_.tilt_policy->num_levels(), level,
                                 threshold);
 }
 
 Result<Isb> CubeSnapshot::QueryCell(CuboidId cuboid, const CellKey& key,
                                     int level, int k) const {
-  RC_RETURN_IF_ERROR(status_);
+  RC_RETURN_IF_ERROR(gathered_.status);
   RC_RETURN_IF_ERROR(ValidatePointQueryTarget(
       lattice_, cuboid, level, options_.tilt_policy->num_levels()));
-  return SnapshotCellOf(*cells_, lattice_, cuboid, key, level, k);
+  return SnapshotCellOf(*gathered_.cells, lattice_, cuboid, key, level, k);
 }
 
 Result<std::vector<Isb>> CubeSnapshot::QueryCellSeries(CuboidId cuboid,
                                                        const CellKey& key,
                                                        int level) const {
-  RC_RETURN_IF_ERROR(status_);
-  return SnapshotCellSeriesOf(*cells_, lattice_,
+  RC_RETURN_IF_ERROR(gathered_.status);
+  return SnapshotCellSeriesOf(*gathered_.cells, lattice_,
                               options_.tilt_policy->num_levels(), cuboid, key,
                               level);
 }

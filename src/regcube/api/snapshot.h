@@ -15,7 +15,7 @@ namespace regcube {
 
 /// An immutable, self-contained frozen view of the engine's m-layer —
 /// the read side of the public API. Taking one (Engine::TakeSnapshot)
-/// loads each shard's atomically published run: under steady async ingest
+/// merges each shard's published run: under steady async ingest
 /// the shard-owner threads republish inside every absorb, so the take
 /// touches no shard mutex at all; only a shard whose publication is stale
 /// (sync-mode writes, or a seal since the last publish) pays a brief
@@ -88,33 +88,33 @@ class CubeSnapshot {
                                            int level) const;
 
   /// Engine revision this snapshot froze; the staleness handle.
-  std::uint64_t revision() const { return revision_; }
+  std::uint64_t revision() const { return gathered_.revision; }
 
   /// Non-OK when the gather behind this snapshot failed (a spilled cell
   /// could not be faulted in — typed Unavailable from the cold tier). A
   /// failed snapshot holds no cells and every query on it returns this
   /// status; the engine never caches one, so the next TakeSnapshot
   /// retries the gather.
-  const Status& status() const { return status_; }
+  const Status& status() const { return gathered_.status; }
 
   /// What the underlying gather paid for this snapshot: frames
   /// materialized vs shared, and — with a cold tier configured — how many
   /// spilled frames had to be faulted back in (`fault_ins` /
   /// `fault_in_bytes`). The observability hook the spill tests and benches
   /// read to prove a snapshot's provenance.
-  const GatherStats& gather_stats() const { return stats_; }
+  const GatherStats& gather_stats() const { return gathered_.stats; }
 
   /// The tick every frozen frame is aligned to.
-  TimeTick now() const { return clock_; }
+  TimeTick now() const { return gathered_.clock; }
 
   /// Distinct m-layer cells frozen.
   std::int64_t num_cells() const {
-    return static_cast<std::int64_t>(cells_->size());
+    return static_cast<std::int64_t>(gathered_.cells->size());
   }
 
   /// Bytes of frozen frame blocks this snapshot keeps alive. The blocks
-  /// are refcount-shared with the engine's gather caches, so while the
-  /// engine holds them too they are already accounted there — but a live
+  /// are refcount-shared with the shards' frozen caches, so while the
+  /// shards hold them too they are already accounted there — but a live
   /// snapshot pins them past any engine-side eviction, and the memory
   /// report surfaces that residual as "snapshot.pinned_frames".
   std::int64_t PinnedFrameBytes() const { return pinned_frame_bytes_; }
@@ -149,14 +149,10 @@ class CubeSnapshot {
   ExceptionPolicy policy_;
   StreamCubeEngine::Options options_;  // algorithm/policy/tilt for cubing
   std::shared_ptr<ThreadPool> pool_;
-  // Canonical key order, aligned to clock_; shared with the engine's
-  // gather caches (taking a snapshot is a refcount copy of the run).
-  std::shared_ptr<const SnapshotCells> cells_;
-  TimeTick clock_ = 0;
-  std::uint64_t revision_ = 0;
-  Status status_;  // the gather's outcome; non-OK poisons every query
+  // The gather this snapshot froze: cells in canonical key order, aligned
+  // to its clock, at its revision; a non-OK status poisons every query.
+  ShardedStreamEngine::GatheredCells gathered_;
   std::int64_t pinned_frame_bytes_ = 0;  // Σ frozen frame MemoryBytes()
-  GatherStats stats_;  // what the gather behind this snapshot paid
   mutable CubeMemo memo_;  // logically immutable: a memo of the derived cube
 };
 

@@ -162,12 +162,12 @@ class IncrementalCubeCache {
   int level_ = 0;
   int k_ = 0;
   std::uint64_t revision_ = 0;
-  // The run the memo reflects; shared with the engine's gather cache, so
-  // holding it costs pointers. Frame-pointer equality against the next run
-  // is what makes the diff O(changed cells).
+  // The run the memo reflects; shared with the snapshot it was gathered
+  // for, so holding it costs pointers. Frame-pointer equality against the
+  // next run is what makes the diff O(changed cells).
   std::shared_ptr<const SnapshotCells> run_;
-  // The memoized window in canonical order — the retraction base (old
-  // per-cell measures) and the build input for the lazy tree.
+  // The memoized window in canonical order — the diff base (old per-cell
+  // measures) and the build input for the lazy tree.
   std::vector<MLayerTuple> window_;
   // Lazy patch machinery: the window's H-tree and per-cuboid member
   // indexes, built on the first patch after a rebuild and reused until the

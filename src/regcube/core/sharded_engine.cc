@@ -11,12 +11,11 @@
 namespace regcube {
 
 namespace {
-// The whole-engine merged gather run, reported through MemoryTracker as
-// the run's own entry footprint. Most frame blocks it points at are
-// shared with the per-cell frozen cache and counted there
-// ("snapshot.frozen_frames"); blocks re-materialized by clock alignment
-// live only in the run (and any snapshots holding it) and are not
-// individually tracked — the accounting is analytic, not exhaustive.
+// The per-shard published runs, reported through MemoryTracker as each
+// run's own entry footprint. The frame blocks they point at are shared
+// with the per-cell frozen cache and counted there
+// ("snapshot.frozen_frames"). The api facade registers its cached merged
+// run under the same category.
 constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
 
 // The per-shard ingest queues' preallocated ring slots (async mode only).
@@ -27,6 +26,15 @@ constexpr char kIngestQueueCategory[] = "ingest.queue";
 
 std::int64_t SliceBytes(const SnapshotCells& cells) {
   return static_cast<std::int64_t>(cells.size() * sizeof(CellSnapshot));
+}
+
+/// Moves `bytes` of `category` from one tracker (either may be null) to
+/// the other — the hand-over every set_memory_tracker performs.
+void MoveTracked(MemoryTracker* from, MemoryTracker* to,
+                 std::string_view category, std::int64_t bytes) {
+  if (bytes <= 0) return;
+  if (from != nullptr) from->Release(category, bytes);
+  if (to != nullptr) to->Add(category, bytes);
 }
 
 // Re-entrancy guard for the export.dirty ladder rung: set while the rung
@@ -157,43 +165,53 @@ void ShardedStreamEngine::BumpClock(TimeTick t) {
 }
 
 void ShardedStreamEngine::set_memory_tracker(MemoryTracker* tracker) {
+  // Every shard locked, so no publish posts to the old tracker after its
+  // bytes moved: detach / re-attach keeps every tracker balanced.
+  auto locks = LockAll();
+  std::int64_t published = 0;
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
     shard->engine.set_memory_tracker(tracker);
+    published += shard->published_bytes;
   }
-  // Move the cached merged run's and the ingest queues' registrations
-  // between trackers, so detach / re-attach keeps every tracker balanced.
-  std::lock_guard<std::mutex> lock(gather_mu_);
-  const std::int64_t queue_bytes = IngestQueueBytes();
-  if (queue_bytes > 0) {
-    if (tracker_ != nullptr) {
-      tracker_->Release(kIngestQueueCategory, queue_bytes);
-    }
-    if (tracker != nullptr) tracker->Add(kIngestQueueCategory, queue_bytes);
-  }
-  if (gather_valid_) {
-    const std::int64_t bytes = SliceBytes(*gather_cache_.cells);
-    if (tracker_ != nullptr && bytes > 0) {
-      tracker_->Release(kGatherCacheCategory, bytes);
-    }
-    if (tracker != nullptr && bytes > 0) {
-      tracker->Add(kGatherCacheCategory, bytes);
-    }
-  }
+  MoveTracked(tracker_, tracker, kGatherCacheCategory, published);
+  MoveTracked(tracker_, tracker, kIngestQueueCategory, IngestQueueBytes());
   tracker_ = tracker;
+  // The memo's lock is taken after the shard locks drop: a memo patch
+  // holds it while probing the shards' member indexes.
+  locks.clear();
   if (cube_memo_ != nullptr) cube_memo_->set_memory_tracker(tracker);
 }
 
 Status ShardedStreamEngine::PublishLocked(Shard& shard, GatherStats* stats) {
+  // Writers hold shard.mu, so `published` is read here without pub_mu.
   StreamCubeEngine::FrozenSlice run;
-  RC_RETURN_IF_ERROR(shard.engine.RefreshPublishedRun(&run, stats));
+  RC_RETURN_IF_ERROR(shard.engine.RefreshPublishedRun(
+      shard.published != nullptr ? shard.published->cells : nullptr, &run,
+      stats));
   auto pub = std::make_shared<ShardPublication>();
   pub->cells = std::move(run);
   pub->now = shard.engine.now();
   pub->revision = shard.engine.revision();
-  shard.published.store(std::move(pub), std::memory_order_release);
+  InstallPublicationLocked(shard, std::move(pub));
   shard.version.store(shard.engine.revision(), std::memory_order_release);
   return Status::OK();
+}
+
+std::int64_t ShardedStreamEngine::InstallPublicationLocked(
+    Shard& shard, std::shared_ptr<const ShardPublication> next) {
+  const std::int64_t bytes = next != nullptr ? SliceBytes(*next->cells) : 0;
+  const std::int64_t previous = shard.published_bytes;
+  if (tracker_ != nullptr && bytes > previous) {
+    tracker_->Add(kGatherCacheCategory, bytes - previous);
+  } else if (tracker_ != nullptr && bytes < previous) {
+    tracker_->Release(kGatherCacheCategory, previous - bytes);
+  }
+  shard.published_bytes = bytes;
+  {
+    std::lock_guard<std::mutex> lock(shard.pub_mu);
+    shard.published.swap(next);
+  }
+  return previous;  // `next` now holds the retired generation
 }
 
 std::shared_ptr<const ShardedStreamEngine::ShardPublication>
@@ -202,10 +220,14 @@ ShardedStreamEngine::PublicationFor(size_t i, GatherStats* stats,
   Shard& shard = *shards_[i];
   // Fast path: the published generation reflects every completed write
   // (its revision matches the mirror, and both stores happened inside the
-  // mutex before the write completed), so it can be served without ever
-  // touching the mutex. A mismatch in either direction just means "take
+  // shard mutex before the write completed), so it can be served without
+  // touching that mutex. A mismatch in either direction just means "take
   // the slow path" — a torn view can never be served fresh.
-  auto pub = shard.published.load(std::memory_order_acquire);
+  std::shared_ptr<const ShardPublication> pub;
+  {
+    std::lock_guard<std::mutex> lock(shard.pub_mu);
+    pub = shard.published;
+  }
   if (pub != nullptr &&
       pub->revision == shard.version.load(std::memory_order_acquire)) {
     if (stats != nullptr) {
@@ -222,7 +244,7 @@ ShardedStreamEngine::PublicationFor(size_t i, GatherStats* stats,
     *status = std::move(s);
     return nullptr;
   }
-  return shard.published.load(std::memory_order_acquire);
+  return shard.published;
 }
 
 void ShardedStreamEngine::MirrorVersionsLocked() {
@@ -528,44 +550,10 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
     GatherMode mode) {
   if (mode == GatherMode::kFull) return GatherFull();
 
-  // Phase 0 — whole-engine cache: every read method at one revision shares
-  // one gather, so SnapshotWindow + ObservationDeck + DetectTrendChanges
-  // back to back pay for a single pass (the hit is a refcount copy).
-  {
-    const std::uint64_t rev = revision_.load(std::memory_order_acquire);
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_ && gather_cache_.revision == rev) {
-      GatheredCells cached = gather_cache_;  // shares the merged run
-      cached.stats = GatherStats{};
-      cached.stats.cells = static_cast<std::int64_t>(cached.cells->size());
-      cached.stats.shards_reused = num_shards();
-      return cached;
-    }
-  }
-
-  // One merged-run rebuild at a time: concurrent builders would duplicate
-  // the splice work and race to install the result. The shards themselves
-  // are read through their published pointers (no shard lock on the
-  // steady-state path), so this is pure thundering-herd protection.
-  std::lock_guard<std::mutex> work(gather_work_mu_);
-
   GatheredCells out;
   out.revision = revision_.load(std::memory_order_acquire);
 
-  // Re-check the cache: the previous holder of the work lock probably
-  // built exactly the run we came for.
-  {
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_ && gather_cache_.revision == out.revision) {
-      GatheredCells cached = gather_cache_;
-      cached.stats = GatherStats{};
-      cached.stats.cells = static_cast<std::int64_t>(cached.cells->size());
-      cached.stats.shards_reused = num_shards();
-      return cached;
-    }
-  }
-
-  // Phase 1 — publications: load each shard's last published generation.
+  // Phase 1 — publications: copy each shard's last published generation.
   // A fresh publication (the steady-state async case: the owner thread
   // republished inside its absorb) is served without touching the shard
   // mutex at all; only a stale shard pays a locked republish, and that
@@ -585,10 +573,10 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
   }
 
   // A failed republish (fault-in error on a spilled cell) poisons the
-  // whole run: return the typed error without touching the cache. Nothing
-  // was lost — the failing shard kept its dirty list and retained run, so
-  // the retry repeats exactly the failed work; fresh shards still serve
-  // their publications for free.
+  // whole run: return the typed error. Nothing was lost — the failing
+  // shard kept its dirty list and its publication, so the retry repeats
+  // exactly the failed work; fresh shards still serve their publications
+  // for free.
   for (size_t i = 0; i < n; ++i) {
     if (pubs[i] == nullptr) {
       out.status = std::move(statuses[i]);
@@ -628,26 +616,9 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
   for (const GatherStats& s : stats) out.stats.Merge(s);
   out.stats.cells = static_cast<std::int64_t>(out.cells->size());
 
-  // Install as the new cache entry. Builders are serialized, so this is
-  // strictly newer than whatever is cached; a racing writer may already
-  // have moved the revision again, in which case the next gather rebuilds
-  // from the (then fresher) publications.
-  {
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (tracker_ != nullptr) {
-      if (gather_valid_) {
-        tracker_->Release(kGatherCacheCategory,
-                          SliceBytes(*gather_cache_.cells));
-      }
-      tracker_->Add(kGatherCacheCategory, SliceBytes(*out.cells));
-    }
-    gather_cache_ = out;  // refcount copy of the shared run
-    gather_valid_ = true;
-  }
   // The publish refresh above is the moment cells turn clean (spillable):
-  // writes
-  // and slot-sealing seals re-dirty them, so post-write enforcement can
-  // find nothing to spill in a hot-everywhere stream. Enforcing here —
+  // writes and slot-sealing seals re-dirty them, so post-write enforcement
+  // can find nothing to spill in a hot-everywhere stream. Enforcing here —
   // after the dirty lists drained, outside every shard lock — is what
   // lets a budgeted engine actually converge under ingest/read churn.
   MaybeEnforceBudget();
@@ -828,25 +799,34 @@ Result<std::vector<MLayerTuple>> ShardedStreamEngine::SnapshotWindow(int level,
 }
 
 Result<RegressionCube> ShardedStreamEngine::ComputeCube(int level, int k) {
+  return ComputeCube(GatherAlignedCells(), level, k);
+}
+
+Result<RegressionCube> ShardedStreamEngine::ComputeCube(
+    const GatheredCells& gathered, int level, int k) {
+  RC_RETURN_IF_ERROR(gathered.status);
   // The by-value export door must not evict a live memo of a different
   // window (a caller alternating a (level, k) export with cube-kind
   // drilling would otherwise force a full rebuild on every call): when
   // the windows disagree, compute from scratch and leave the memo alone.
   if (cube_memo_ == nullptr ||
       cube_memo_->WouldEvictDifferentWindow(level, k)) {
-    GatheredCells gathered = GatherAlignedCells();
-    RC_RETURN_IF_ERROR(gathered.status);
     return SnapshotCubeOf(schema_, *gathered.cells, options_, level, k,
                           pool_.get());
   }
-  auto shared = ComputeCubeShared(level, k);
+  auto shared = ComputeCubeShared(gathered, level, k);
   if (!shared.ok()) return shared.status();
   return (*shared)->Clone();
 }
 
 Result<std::shared_ptr<const RegressionCube>>
 ShardedStreamEngine::ComputeCubeShared(int level, int k) {
-  GatheredCells gathered = GatherAlignedCells();
+  return ComputeCubeShared(GatherAlignedCells(), level, k);
+}
+
+Result<std::shared_ptr<const RegressionCube>>
+ShardedStreamEngine::ComputeCubeShared(const GatheredCells& gathered,
+                                       int level, int k) {
   RC_RETURN_IF_ERROR(gathered.status);
   if (cube_memo_ == nullptr) {
     auto cube = SnapshotCubeOf(schema_, *gathered.cells, options_, level, k,
@@ -875,7 +855,7 @@ Result<RegressionCube> ShardedStreamEngine::ComputeCubeAllLocks(int level,
   Status aligned = AlignLocked();
   // The all-locks read force-seals lagging shards (the behavior the
   // snapshot path retired); that mutation must move the global revision or
-  // the gather caches would serve pre-seal state as current.
+  // revision-keyed caches would serve pre-seal state as current.
   if (SumShardRevisionsLocked() != before) {
     revision_.fetch_add(1, std::memory_order_release);
   }
@@ -1018,7 +998,7 @@ Status ShardedStreamEngine::ConfigureStorage(const MemoryBudgetConfig& config) {
         config.budget_bytes, [this] { return UsageBytes(); });
     // The typed eviction ladder, cheapest-to-rebuild first. The api layer
     // registers its snapshot cache at priority 19, between the memo and
-    // the core gather caches.
+    // the shard publications.
     governor_->AddRung(10, "cube.memo",
                        [this](std::int64_t) { return DropCubeMemoRung(); });
     governor_->AddRung(21, "gather.caches", [this](std::int64_t) {
@@ -1081,15 +1061,20 @@ void ShardedStreamEngine::set_fault_injector(FaultInjector* injector) {
 }
 
 std::int64_t ShardedStreamEngine::ExportDirtyRung(std::int64_t excess) {
-  // Deliberately NOT a gather: rung 21 just dropped the cached run, so a
-  // gather here would be a full export that faults every spilled cell
+  // Deliberately NOT a gather: rung 21 just retired the publications, so
+  // a gather here would be a full export that faults every spilled cell
   // back in — undoing rung 30's work while claiming to help. Cleaning
   // the dirty queues touches only resident cells and costs no I/O.
   ScopedFlag in_rung(tl_in_budget_rung);
   std::int64_t cleaned = 0;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    cleaned += shard->engine.CleanDirtyCells();
+    const std::int64_t shard_cleaned = shard->engine.CleanDirtyCells();
+    // The skipped patches are lost, so the publication can no longer be
+    // the base of the next refresh: retire it (the next read re-exports
+    // in full).
+    if (shard_cleaned > 0) InstallPublicationLocked(*shard, nullptr);
+    cleaned += shard_cleaned;
   }
   if (cleaned == 0) return 0;  // nothing was dirty; rung 30 said it all
   // The newly-clean cells are spillable; sweep them out now rather than
@@ -1111,31 +1096,13 @@ std::int64_t ShardedStreamEngine::DropCubeMemoRung() {
 }
 
 std::int64_t ShardedStreamEngine::DropGatherCachesRung() {
+  // Retire each shard's publication along with its frozen blocks: a block
+  // is only truly freed once no run shares it. Readers that arrive before
+  // the next publish pay one locked full refreeze (the eviction trade).
   std::int64_t freed = 0;
-  {
-    // Dropping the cached run is safe against an in-flight delta gather:
-    // the builder snapshotted its base earlier and installs its result
-    // unconditionally (re-registering tracker bytes), so the only effect
-    // here is that the *next* gather starts from a full export.
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_) {
-      const std::int64_t bytes = SliceBytes(*gather_cache_.cells);
-      if (tracker_ != nullptr && bytes > 0) {
-        tracker_->Release(kGatherCacheCategory, bytes);
-      }
-      freed += bytes;
-      gather_cache_ = GatheredCells{};  // drops the run's shared_ptr
-      gather_valid_ = false;
-    }
-  }
-  // Retire each shard's published generation too: the per-cell frozen
-  // blocks are only truly freed once no retained run shares them — which
-  // the drops above and below arrange. Readers that arrive before the
-  // next publish pay one locked full refreeze (the eviction trade).
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->published.store(nullptr, std::memory_order_release);
-    freed += shard->engine.DropPublishedRun();
+    freed += InstallPublicationLocked(*shard, nullptr);
     freed += shard->engine.DropFrozenBlocks();
   }
   return freed;
@@ -1317,6 +1284,10 @@ Status ShardedStreamEngine::RestoreFrom(const std::string& dir) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->engine.RestoreClock(manifest->clock);
+    // Restored cells are not on the dirty list, so a run published before
+    // the restore (even an empty one) cannot be patched into the restored
+    // state: retire it, and the next read exports in full.
+    InstallPublicationLocked(*shard, nullptr);
     shard->version.store(shard->engine.revision(), std::memory_order_release);
   }
   revision_.fetch_add(1, std::memory_order_release);

@@ -48,19 +48,22 @@ struct MemoryBudgetConfig {
 /// every shard and drives all of them to one global clock.
 ///
 /// Reads are snapshot-based, O(changed cells), and — on the steady-state
-/// path — mutex-free: each shard keeps an atomically published generation
-/// (ShardPublication: an immutable sorted run of frozen frames plus the
-/// revision it reflects). In async mode the shard-owner thread absorbs a
-/// drained batch into the engine, refreshes the run (only dirty cells are
-/// re-frozen), and swaps the new generation in with a single
-/// acquire/release pointer publish; GatherAlignedCells / TakeSnapshot /
-/// point-query gathers load the last published generation and never touch
-/// the shard mutex unless the generation is stale (then a slow path takes
-/// the lock and republishes — which is also how sync-mode writes become
-/// visible). The mutex shrinks to structural edits: absorb/ingest, seal
-/// and epoch roll (SealThrough / ComputeCubeAllLocks force-align), and
-/// compaction re-pointing. A whole-engine cache keyed by the global
-/// revision keeps repeat reads at one revision down to a refcount copy.
+/// path — mutex-free: each shard publishes a generation (ShardPublication:
+/// an immutable sorted run of frozen frames plus the revision it
+/// reflects). The publication is the shard's only run — it is also the
+/// base the next refresh patches — so one owner keeps it, accounts it and
+/// retires it. In async mode the shard-owner thread absorbs a drained
+/// batch into the engine, refreshes the run (only dirty cells are
+/// re-frozen), and swaps the new generation in; GatherAlignedCells /
+/// TakeSnapshot / point-query gathers copy the last published pointer
+/// (under a per-shard pointer mutex held for that copy alone) and never
+/// touch the shard mutex unless the generation is stale (then a slow path
+/// takes the lock and republishes — which is also how sync-mode writes
+/// become visible). The shard mutex shrinks to structural edits:
+/// absorb/ingest, seal and epoch roll (SealThrough / ComputeCubeAllLocks
+/// force-align), and compaction re-pointing. Every gather folds the
+/// publications afresh — the engine keeps no merged run; the facade's
+/// revision-keyed snapshot is the one merged-run cache.
 /// Alignment to the global clock happens on copies outside every lock; a
 /// block is re-materialized only when the clock crossed a tilt-unit
 /// boundary since it froze (otherwise advancing is observationally a
@@ -159,31 +162,31 @@ class ShardedStreamEngine {
 
   // ---- read side (gather briefly under per-shard locks, then lock-free) -
 
-  /// The gather-under-lock phase shared by every full read: frozen views
-  /// of all cells, aligned to one clock, in canonical key order. Each
-  /// shard's lock is held only while its cells are exported; alignment and
-  /// merging happen outside. The run is behind a shared_ptr so cache hits
-  /// and snapshot installs are refcount copies, never cell-by-cell copies.
-  /// The result is immutable and self-contained — the api layer wraps it
-  /// as a CubeSnapshot.
+  /// The gather phase shared by every full read: frozen views of all
+  /// cells, aligned to one clock, in canonical key order. Each shard's
+  /// lock is held only while a stale shard republishes; alignment and
+  /// merging happen outside. The run is behind a shared_ptr so snapshot
+  /// installs are refcount copies, never cell-by-cell copies. The result
+  /// is immutable and self-contained — the api layer wraps it as a
+  /// CubeSnapshot.
   struct GatheredCells {
     std::shared_ptr<const SnapshotCells> cells;  // canonical order, aligned
     TimeTick clock = 0;          // tick the cells are aligned to
     std::uint64_t revision = 0;  // engine revision when gathering began
     GatherStats stats;           // what this gather paid
     /// Non-OK when a shard's publish failed (a spilled cell could not be
-    /// faulted in). `cells` is then empty-but-valid, nothing was cached,
-    /// and no shard lost state — the failing shard kept its dirty list
-    /// and its previous generation, and a shard that did republish
-    /// retains its run — so a retry gathers exactly the same data.
+    /// faulted in). `cells` is then empty-but-valid and no shard lost
+    /// state — the failing shard kept its dirty list and its previous
+    /// generation, and a shard that did republish keeps its new one — so
+    /// a retry gathers exactly the same data.
     Status status;
   };
 
   /// kDelta shares frozen blocks for unchanged cells and serves clean
-  /// shards (or a clean engine) from the caches — O(changed cells).
-  /// kFull deep-copies every frame and bypasses every cache — the
-  /// O(all cells) pre-redesign baseline, bit-identical to kDelta, kept
-  /// for benches and equivalence tests.
+  /// shards from their publications — O(changed cells) frame work plus
+  /// an O(cells) pointer merge. kFull deep-copies every frame and
+  /// bypasses every cache — the O(all cells) pre-redesign baseline,
+  /// bit-identical to kDelta, kept for benches and equivalence tests.
   enum class GatherMode { kDelta, kFull };
   GatheredCells GatherAlignedCells(GatherMode mode = GatherMode::kDelta);
 
@@ -225,6 +228,11 @@ class ShardedStreamEngine {
   /// lock-free — concurrent ingest keeps flowing.
   Result<RegressionCube> ComputeCube(int level, int k);
 
+  /// Same, over a run the caller already gathered (the facade passes its
+  /// cached snapshot's cells, so a drill merges the run once).
+  Result<RegressionCube> ComputeCube(const GatheredCells& gathered, int level,
+                                     int k);
+
   /// The maintained cube (m/o H-cubing only): cached keyed by engine
   /// revision, and on a later query only the delta gather's changed cells
   /// are folded into it — each changed leaf updated in the memoized
@@ -237,6 +245,10 @@ class ShardedStreamEngine {
   /// here. The returned cube is immutable and safe to hold across writes.
   Result<std::shared_ptr<const RegressionCube>> ComputeCubeShared(int level,
                                                                   int k);
+
+  /// The maintained cube over a run the caller already gathered.
+  Result<std::shared_ptr<const RegressionCube>> ComputeCubeShared(
+      const GatheredCells& gathered, int level, int k);
 
   /// Maintenance counters of the incremental cube memo (zeroes for
   /// popular-path engines, which have no memo).
@@ -299,9 +311,11 @@ class ShardedStreamEngine {
     return revision_.load(std::memory_order_acquire);
   }
 
-  /// Installs analytic memory accounting for the frozen-block and gather
-  /// caches ("snapshot.frozen_frames" / "snapshot.gather_cache"). Not
-  /// owned; must outlive the engine. Install before concurrent use.
+  /// Installs analytic memory accounting for the frozen blocks and the
+  /// per-shard publications ("snapshot.frozen_frames" /
+  /// "snapshot.gather_cache"), moving every registered byte from the
+  /// previous tracker. Not owned; must outlive the engine. Install before
+  /// concurrent use.
   void set_memory_tracker(MemoryTracker* tracker);
 
   // ---- the memory-governed storage tier ---------------------------------
@@ -309,11 +323,11 @@ class ShardedStreamEngine {
   /// Builds the cold tier and/or governor per `config`: opens the frame
   /// store (when a spill dir is configured), attaches it to every shard,
   /// and stands up the MemoryGovernor with the core eviction ladder —
-  /// cube memo (priority 10), gather caches + frozen blocks (21), cold
-  /// spill (30); the api layer adds its snapshot cache at 19. Call once,
-  /// after set_memory_tracker and before concurrent use. Enforcement then
-  /// runs after every sync ingest and on the owner threads' post-batch
-  /// hook in async mode.
+  /// cube memo (priority 10), shard publications + frozen blocks (21),
+  /// cold spill (30); the api layer adds its snapshot cache at 19. Call
+  /// once, after set_memory_tracker and before concurrent use. Enforcement
+  /// then runs after every sync ingest and on the owner threads'
+  /// post-batch hook in async mode.
   Status ConfigureStorage(const MemoryBudgetConfig& config);
 
   /// The governor, or null when no budget is configured — the api layer
@@ -376,13 +390,13 @@ class ShardedStreamEngine {
   const Options& options() const { return options_; }
 
  private:
-  /// One atomically published generation of a shard's cells: an immutable
-  /// sorted run of frozen frames plus the shard clock and engine revision
-  /// it reflects. The owner (or a slow-path reader under the shard mutex)
-  /// builds a successor and swaps it in with a single release store;
-  /// readers load it with acquire and never touch the mutex on the fast
-  /// path. Retired generations stay alive as long as some reader holds
-  /// them — their frames are freed by the last shared_ptr drop.
+  /// One published generation of a shard's cells: an immutable sorted run
+  /// of frozen frames plus the shard clock and engine revision it
+  /// reflects. The owner (or a slow-path reader under the shard mutex)
+  /// builds a successor from it and swaps it in; readers copy the pointer
+  /// and never touch the shard mutex on the fast path. Retired generations
+  /// stay alive as long as some reader holds them — their frames are freed
+  /// by the last shared_ptr drop.
   struct ShardPublication {
     StreamCubeEngine::FrozenSlice cells;  // canonical order, this shard
     TimeTick now = 0;            // shard clock when published
@@ -391,17 +405,23 @@ class ShardedStreamEngine {
 
   struct Shard {
     mutable std::mutex mu;
-    // The engine holds the per-shard delta state: per-cell frozen blocks,
-    // the dirty list, and the retained published run its publications
-    // share.
+    // The engine holds the per-shard delta state: per-cell frozen blocks
+    // and the dirty list the next refresh patches over `published`.
     StreamCubeEngine engine;
     // Mirror of engine.revision(), stored with release inside the mutex
-    // at every mutation site. A reader whose loaded publication carries
+    // at every mutation site. A reader whose copied publication carries
     // `revision == version` knows no write completed since the publish —
     // the lock-free freshness check behind the mutex-free gather path.
     std::atomic<std::uint64_t> version{0};
-    // The last published generation. Null until the first publish.
-    std::atomic<std::shared_ptr<const ShardPublication>> published{};
+    // The last published generation (null until the first publish, and
+    // after a retire). Written under both `mu` and `pub_mu`, so it can be
+    // read under either; `pub_mu` guards nothing else and is held only
+    // for a pointer copy or swap.
+    std::mutex pub_mu;
+    std::shared_ptr<const ShardPublication> published;
+    // The publication's entry bytes registered under
+    // "snapshot.gather_cache" (guarded by `mu`).
+    std::int64_t published_bytes = 0;
 
     explicit Shard(std::shared_ptr<const CubeSchema> schema, Options options)
         : engine(std::move(schema), std::move(options)) {}
@@ -435,11 +455,19 @@ class ShardedStreamEngine {
   ShardWriter::AbsorbResult AbsorbDrained(
       size_t i, const std::vector<StreamTuple>& batch);
 
-  /// Pre: shard.mu held. Refreshes the engine's published run and stores
-  /// a new generation (and the version mirror). On a fault-in failure the
-  /// old generation stays published (stale → readers take the slow path
-  /// and retry the refresh) and the error is returned.
+  /// Pre: shard.mu held. Refreshes the shard's run from its current
+  /// publication and stores a new generation (and the version mirror).
+  /// The one place a shard's run is built and accounted. On a fault-in
+  /// failure the old generation stays published (stale → readers take the
+  /// slow path and retry the refresh) and the error is returned.
   Status PublishLocked(Shard& shard, GatherStats* stats);
+
+  /// Pre: shard.mu held. Swaps `next` in as the shard's publication (null
+  /// retires it, so the next refresh is a full export), moves its entry
+  /// bytes in the tracker, and returns the bytes the previous generation
+  /// had registered. The retired generation is dropped outside pub_mu.
+  std::int64_t InstallPublicationLocked(
+      Shard& shard, std::shared_ptr<const ShardPublication> next);
 
   /// The shard's current publication, fresh as of this call: lock-free
   /// when the published generation's revision matches the version mirror,
@@ -484,18 +512,6 @@ class ShardedStreamEngine {
   /// The copy-everything gather (GatherMode::kFull): per-shard full
   /// exports, sorted, merged, aligned per cell. Bypasses every cache.
   GatheredCells GatherFull();
-
-  // Whole-engine gather cache: every full read at one revision shares one
-  // gather (SnapshotWindow, ObservationDeck, DetectTrendChanges, the
-  // facade's TakeSnapshot all route here). A miss rebuilds the merged run
-  // from the per-shard publications (mutex-free for every shard whose
-  // generation is fresh). gather_work_mu_ serializes the rebuilds — pure
-  // thundering-herd protection now that publications retain their runs;
-  // correctness no longer depends on it.
-  std::mutex gather_mu_;
-  std::mutex gather_work_mu_;
-  bool gather_valid_ = false;
-  GatheredCells gather_cache_;
 
   // The maintained cube (see ComputeCubeShared). Null for popular-path
   // engines — their cubes are not patchable, so they stay from-scratch.

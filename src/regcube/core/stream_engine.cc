@@ -20,10 +20,6 @@ constexpr char kFrozenCategory[] = "snapshot.frozen_frames";
 constexpr char kMemberIndexCategory[] = "index.members";
 // Resident per-cell state (keys, map overhead, live tilt frames).
 constexpr char kTiltFramesCategory[] = "stream.tilt_frames";
-// The retained published run's entry vector (the frame blocks it points
-// at are shared with the frozen cache and counted there). Same category
-// as the sharded engine's merged run — both are gather-cache state.
-constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
 // Estimated unordered_map node overhead per cell, matching the historical
 // MemoryBytes formula.
 constexpr std::int64_t kMapEntryOverhead = 16;
@@ -395,9 +391,6 @@ void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
       tracker_->Release(kMemberIndexCategory, member_index_tracked_);
     }
     if (frame_bytes_ > 0) tracker_->Release(kTiltFramesCategory, frame_bytes_);
-    if (published_run_bytes_ > 0) {
-      tracker_->Release(kGatherCacheCategory, published_run_bytes_);
-    }
   }
   if (tracker != nullptr) {
     if (frozen_bytes_ > 0) tracker->Add(kFrozenCategory, frozen_bytes_);
@@ -405,9 +398,6 @@ void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
       tracker->Add(kMemberIndexCategory, member_index_tracked_);
     }
     if (frame_bytes_ > 0) tracker->Add(kTiltFramesCategory, frame_bytes_);
-    if (published_run_bytes_ > 0) {
-      tracker->Add(kGatherCacheCategory, published_run_bytes_);
-    }
   }
   tracker_ = tracker;
   frozen_tracked_ = tracker != nullptr ? frozen_bytes_ : 0;
@@ -453,94 +443,60 @@ Result<std::shared_ptr<const TiltTimeFrame>> StreamCubeEngine::FrozenFor(
   return state.frozen;
 }
 
-Status StreamCubeEngine::RefreshPublishedRun(FrozenSlice* out,
+Status StreamCubeEngine::RefreshPublishedRun(const FrozenSlice& base,
+                                             FrozenSlice* out,
                                              GatherStats* stats) {
   FrozenPostGuard post{this};
   if (stats != nullptr) stats->cells += num_cells();
-  if (published_run_ != nullptr && revision_ == export_revision_) {
-    // No observable change since the run was built: hand it back as-is.
+  if (base != nullptr && dirty_cells_.empty()) {
+    // Nothing observable changed since the base was built: hand it back.
     if (stats != nullptr) ++stats->shards_reused;
-    *out = published_run_;
+    *out = base;
     return Status::OK();
   }
-  if (published_run_ == nullptr) {
-    // No retained run (first refresh, or the run was dropped by a ladder
-    // rung / CleanDirtyCells): full sorted export.
-    auto full = std::make_shared<std::vector<CellSnapshot>>();
-    full->reserve(cells_.size());
+  auto next = std::make_shared<std::vector<CellSnapshot>>();
+  if (base == nullptr) {
+    // No base (first refresh, or the caller retired its run): full sorted
+    // export.
+    next->reserve(cells_.size());
     for (auto& [key, state] : cells_) {
       auto frozen = FrozenFor(state, stats);
       if (!frozen.ok()) return frozen.status();
-      full->push_back({key, *std::move(frozen)});
+      next->push_back({key, *std::move(frozen)});
     }
-    std::sort(full->begin(), full->end(), CellSnapshotCanonicalLess);
-    published_run_ = std::move(full);
+    std::sort(next->begin(), next->end(), CellSnapshotCanonicalLess);
   } else {
     // Patch refresh: re-freeze only the dirty cells, then splice them over
-    // a pointer-copy of the previous run in one tandem merge — O(changed
-    // cells) frame work, O(cells) pointer moves. (The only revision bump
-    // that skips the dirty list is RestoreCell, which requires an empty —
-    // and therefore runless — engine, so an empty dirty list here really
-    // does mean only no-op changes.)
+    // a pointer-copy of the base in one tandem merge — O(changed cells)
+    // frame work, O(cells) pointer moves.
     std::vector<CellSnapshot> patches;
     patches.reserve(dirty_cells_.size());
     for (auto& [key, state] : dirty_cells_) {
       auto frozen = FrozenFor(*state, stats);
-      if (!frozen.ok()) {
-        // Leave the dirty list, the run, and the export revision
-        // untouched: the next refresh retries exactly this work.
-        return frozen.status();
-      }
+      // Leave the dirty list untouched: the next refresh retries exactly
+      // this work.
+      if (!frozen.ok()) return frozen.status();
       patches.push_back({key, *std::move(frozen)});
     }
     std::sort(patches.begin(), patches.end(), CellSnapshotCanonicalLess);
-    auto next = std::make_shared<std::vector<CellSnapshot>>();
-    next->reserve(published_run_->size() + patches.size());
-    auto base_it = published_run_->begin();
+    next->reserve(base->size() + patches.size());
+    auto base_it = base->begin();
     for (CellSnapshot& patch : patches) {
-      while (base_it != published_run_->end() &&
+      while (base_it != base->end() &&
              CanonicalKeyLess(base_it->key, patch.key)) {
         next->push_back(*base_it++);
       }
-      if (base_it != published_run_->end() && base_it->key == patch.key) {
+      if (base_it != base->end() && base_it->key == patch.key) {
         ++base_it;  // replaced by the patch
       }
       next->push_back(std::move(patch));
     }
-    next->insert(next->end(), base_it, published_run_->end());
-    published_run_ = std::move(next);
+    next->insert(next->end(), base_it, base->end());
   }
   for (auto& entry : dirty_cells_) entry.second->queued = false;
   dirty_cells_.clear();
-  export_revision_ = revision_;
-  AccountPublishedRun();
-  *out = published_run_;
+  *out = std::move(next);
   return Status::OK();
-}
-
-std::int64_t StreamCubeEngine::DropPublishedRun() {
-  if (published_run_ == nullptr) return 0;
-  const std::int64_t freed = published_run_bytes_;
-  published_run_ = nullptr;
-  AccountPublishedRun();
-  return freed;
-}
-
-void StreamCubeEngine::AccountPublishedRun() {
-  const std::int64_t bytes =
-      published_run_ != nullptr
-          ? static_cast<std::int64_t>(published_run_->size() *
-                                      sizeof(CellSnapshot))
-          : 0;
-  const std::int64_t delta = bytes - published_run_bytes_;
-  if (delta != 0 && tracker_ != nullptr) {
-    if (delta > 0) {
-      tracker_->Add(kGatherCacheCategory, delta);
-    } else {
-      tracker_->Release(kGatherCacheCategory, -delta);
-    }
-  }
-  published_run_bytes_ = bytes;
 }
 
 Status StreamCubeEngine::ExportCellsFull(std::vector<CellSnapshot>* out,
@@ -666,12 +622,6 @@ std::int64_t StreamCubeEngine::CleanDirtyCells() {
       static_cast<std::int64_t>(dirty_cells_.size());
   for (auto& entry : dirty_cells_) entry.second->queued = false;
   dirty_cells_.clear();
-  // Nobody exported the skipped patches, so the retained run must not
-  // pass for fresh at this revision: drop it, and the next refresh
-  // re-exports in full — correctness is preserved, only the delta
-  // shortcut is forfeited.
-  export_revision_ = revision_;
-  DropPublishedRun();
   return cleaned;
 }
 
@@ -721,8 +671,8 @@ Status StreamCubeEngine::RestoreCell(const CellKey& key, const BlockRef& ref) {
   auto it = cells_.emplace(key, CellState(nullptr)).first;
   CellState& state = it->second;
   state.spill = ref;
-  // Creation is observable; the cell is NOT dirty-queued — a restored
-  // engine has no gather base, so its first export is a full one and picks
+  // Creation is observable; the cell is NOT dirty-queued — the caller
+  // retires its published run, so the next export is a full one and picks
   // the cell up there (faulting it in from the checkpoint mapping).
   state.last_modified = ++revision_;
   const auto id = static_cast<MemberIndex::MemberId>(cells_by_id_.size());

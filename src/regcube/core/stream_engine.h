@@ -181,31 +181,28 @@ class StreamCubeEngine {
   // ---- the publish half of the snapshot read path -----------------------
 
   /// An immutable canonical-key-ordered run of frozen cells, shared
-  /// between the engine's retained published run, the per-shard published
-  /// generation, the sharded gather cache, and any snapshots holding them.
+  /// between the per-shard publication that owns it and any snapshots or
+  /// merged runs holding it.
   using FrozenSlice = std::shared_ptr<const std::vector<CellSnapshot>>;
 
-  /// Brings this engine's retained published run up to date and hands it
-  /// back. The run is a full sorted export of every cell; the engine keeps
-  /// it across calls, so a refresh after writes pays only for the cells on
-  /// the dirty list (each re-frozen, then spliced over a pointer-copy of
-  /// the previous run) and a refresh with no intervening writes returns
-  /// the same run unchanged (counted as shards_reused). Frames are frozen
-  /// at their own clock; callers align to a global clock outside the lock
-  /// (sharing survives the alignment when no tilt-unit boundary was
-  /// crossed, see TiltPolicy::AnyUnitEndIn) and must align *copies*: the
-  /// returned run is immutable and shared.
+  /// Builds the run that succeeds `base` — a full sorted export of every
+  /// cell — and hands it back. The engine keeps no run of its own: `base`
+  /// is the caller's current publication (the run the previous refresh
+  /// returned), or null for a full export. With a base, only the cells on
+  /// the dirty list are re-frozen and spliced over a pointer-copy of it;
+  /// with an empty dirty list the base itself is handed back (counted as
+  /// shards_reused). A caller that consumes the dirty list elsewhere
+  /// (CleanDirtyCells) or adds cells outside it (RestoreCell) must pass
+  /// null next. Frames are frozen at their own clock; callers align to a
+  /// global clock outside the lock (sharing survives the alignment when
+  /// no tilt-unit boundary was crossed, see TiltPolicy::AnyUnitEndIn) and
+  /// must align *copies*: the returned run is immutable and shared.
   ///
   /// On a fault-in failure (typed Unavailable from the store) nothing is
-  /// consumed: the dirty list, the retained run, and the export revision
-  /// all stay put, so the next refresh retries exactly the same work.
-  Status RefreshPublishedRun(FrozenSlice* out, GatherStats* stats);
-
-  /// Releases the retained published run (re-built in full by the next
-  /// refresh) and returns the bytes its entry vector retained. Readers
-  /// holding the old run keep it alive — retiring a generation frees its
-  /// frames only once the last holder drops it.
-  std::int64_t DropPublishedRun();
+  /// consumed: the dirty list stays put, so the next refresh from the same
+  /// base retries exactly the same work.
+  Status RefreshPublishedRun(const FrozenSlice& base, FrozenSlice* out,
+                             GatherStats* stats);
 
   /// Same contract, but deep-copies every frame unconditionally and leaves
   /// the frozen cache untouched — the O(all-cells) baseline the delta path
@@ -294,21 +291,20 @@ class StreamCubeEngine {
   SpillSweep SpillColdFrames(std::int64_t target_bytes);
 
   /// Turns every dirty-queued cell clean without exporting anything: the
-  /// queue is dropped, the export revision advances, and the retained
-  /// published run is released (it would otherwise pass for fresh while
-  /// missing the skipped patches), so the next refresh re-exports in
-  /// full. Dirty cells are resident by construction, so this touches no
-  /// spilled cell — unlike a gather, which would fault the whole cold tier
-  /// back in. The governor's all-dirty escape hatch: after this,
-  /// SpillColdFrames has candidates again. Returns the cells cleaned.
+  /// queue is dropped, so a run built before this call no longer has its
+  /// patches on record — the caller must retire it and refresh from null
+  /// (a full export) next. Dirty cells are resident by construction, so
+  /// this touches no spilled cell — unlike a gather, which would fault the
+  /// whole cold tier back in. The governor's all-dirty escape hatch: after
+  /// this, SpillColdFrames has candidates again. Returns the cells cleaned.
   std::int64_t CleanDirtyCells();
 
   /// Applies a compaction's relocation map to this engine's spilled cells:
   /// every BlockRef that names a rewritten block is re-pointed at its copy
   /// in the new segment. Must run under the same lock that guards this
   /// engine's locked reads (the sharded engine holds the shard mutex
-  /// across CompactShardSegment + this call). The published run needs no
-  /// re-pointing: it carries materialized frames, not refs, so readers on
+  /// across CompactShardSegment + this call). Published runs need no
+  /// re-pointing: they carry materialized frames, not refs, so readers on
   /// the mutex-free publish path never see a retired segment.
   void RepointSpilledBlocks(
       const std::vector<FrameStore::Relocation>& relocations);
@@ -327,8 +323,9 @@ class StreamCubeEngine {
   /// Installs one checkpointed cell as lazily-spilled state: the key is
   /// registered (indexes, revision) but the frame stays in the mapped file
   /// until first touched. The warm-restart door — OpenFrom's first query
-  /// is served by fault-ins from the checkpoint mapping. Pre: a frame
-  /// store is attached; the key must be new.
+  /// is served by fault-ins from the checkpoint mapping. The cell is not
+  /// dirty-queued, so the caller must retire any run published before the
+  /// restore. Pre: a frame store is attached; the key must be new.
   Status RestoreCell(const CellKey& key, const BlockRef& ref);
 
   /// Moves the clock forward to `t` (no-op if already past) without
@@ -458,22 +455,13 @@ class StreamCubeEngine {
   std::int64_t spill_io_errors_ = 0;
   std::int64_t spill_retries_ = 0;
 
-  /// Re-registers the retained published run's entry bytes with the
-  /// tracker after the run changed (under "snapshot.gather_cache"; the
-  /// frame blocks it shares are counted by the frozen cache).
-  void AccountPublishedRun();
-
-  // Delta-export bookkeeping: published_run_ is the retained full sorted
-  // run RefreshPublishedRun hands out, export_revision_ the revision it
-  // reflects; dirty_cells_ lists each cell modified since — exactly what
-  // the next refresh must patch. The `queued` flag keeps every cell on
-  // the list at most once, so the list is bounded by num_cells()
-  // regardless of how writes interleave with refreshes or member gathers.
-  // CellState pointers are stable (node-based map) and cells are never
-  // erased, so the raw pointer is safe for the engine's lifetime.
-  FrozenSlice published_run_;
-  std::int64_t published_run_bytes_ = 0;
-  std::uint64_t export_revision_ = 0;
+  // Delta-export bookkeeping: dirty_cells_ lists each cell modified since
+  // the dirty list was last consumed — exactly what the next refresh must
+  // patch over its base run. The `queued` flag keeps every cell on the
+  // list at most once, so the list is bounded by num_cells() regardless
+  // of how writes interleave with refreshes or member gathers. CellState
+  // pointers are stable (node-based map) and cells are never erased, so
+  // the raw pointer is safe for the engine's lifetime.
   std::vector<std::pair<CellKey, CellState*>> dirty_cells_;
 
   // The ingest-maintained per-cuboid roll-up index (see MemberIndex):

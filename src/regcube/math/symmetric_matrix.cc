@@ -24,12 +24,6 @@ SymmetricMatrix& SymmetricMatrix::operator+=(const SymmetricMatrix& other) {
   return *this;
 }
 
-SymmetricMatrix& SymmetricMatrix::operator-=(const SymmetricMatrix& other) {
-  RC_CHECK_EQ(n_, other.n_);
-  for (std::size_t k = 0; k < data_.size(); ++k) data_[k] -= other.data_[k];
-  return *this;
-}
-
 void SymmetricMatrix::AddOuterProduct(const std::vector<double>& x,
                                       double weight) {
   RC_CHECK_EQ(x.size(), n_);

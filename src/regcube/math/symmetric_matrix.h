@@ -37,7 +37,6 @@ class SymmetricMatrix {
 
   /// Adds `other` element-wise. Sizes must match (checked).
   SymmetricMatrix& operator+=(const SymmetricMatrix& other);
-  SymmetricMatrix& operator-=(const SymmetricMatrix& other);
 
   /// Adds the rank-1 update w * x x' (only the lower triangle is touched).
   void AddOuterProduct(const std::vector<double>& x, double weight = 1.0);

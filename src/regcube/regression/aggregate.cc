@@ -34,13 +34,6 @@ void AccumulateStandardDim(Isb& acc, const Isb& child) {
   acc.slope += child.slope;
 }
 
-void RetractStandardDim(Isb& acc, const Isb& child) {
-  RC_DCHECK(acc.interval == child.interval)
-      << "standard-dim retract interval mismatch";
-  acc.base -= child.base;
-  acc.slope -= child.slope;
-}
-
 namespace {
 
 Status ValidateTimeChildren(const std::vector<Isb>& children,

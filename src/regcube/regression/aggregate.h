@@ -24,19 +24,6 @@ Result<Isb> AggregateStandardDim(const std::vector<Isb>& children);
 /// the cubing layers guarantee alignment structurally.
 void AccumulateStandardDim(Isb& acc, const Isb& child);
 
-/// Algebraic inverse of AccumulateStandardDim: removes `child`'s
-/// contribution from `acc` (same interval, CHECKed). Because the ISB of an
-/// aggregate is the component-wise sum of its descendants (Theorem 3.2),
-/// retraction is lossless in exact arithmetic — the compose/decompose pair
-/// behind update-don't-rebuild maintenance of derived aggregates.
-///
-/// Floating-point caveat: (S + x) - x reproduces S's *bits* only when no
-/// rounding occurred, so consumers whose bar is bitwise identity to a
-/// recomputed sum (the incremental cube's patch path) re-aggregate touched
-/// cells in kernel order instead; retraction serves callers whose bar is
-/// algebraic equality.
-void RetractStandardDim(Isb& acc, const Isb& child);
-
 /// Theorem 3.3 — aggregation on the time dimension.
 ///
 /// The descendants' intervals must form an ordered contiguous partition of

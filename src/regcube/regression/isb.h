@@ -72,15 +72,6 @@ struct MomentSums {
     sum_tz += static_cast<double>(t) * z;
   }
 
-  /// Removes one previously added observation (inverse of Add; the
-  /// interval is left untouched — moment retraction corrects a value, it
-  /// does not shrink the window). Lossless in exact arithmetic; see the
-  /// RetractStandardDim caveat on floating-point bit reproduction.
-  void Remove(TimeTick t, double z) {
-    sum_z -= z;
-    sum_tz -= static_cast<double>(t) * z;
-  }
-
   /// Merges statistics of a disjoint interval (caller guarantees
   /// disjointness; the interval is extended to the convex hull).
   void MergeDisjoint(const MomentSums& other);

@@ -73,57 +73,6 @@ Status NcrMeasure::MergeSameDesign(const NcrMeasure& other,
   return Status::OK();
 }
 
-Status NcrMeasure::RetractDisjoint(const NcrMeasure& other) {
-  if (num_features() != other.num_features()) {
-    return Status::InvalidArgument(
-        StrPrintf("feature arity mismatch: %zu vs %zu", num_features(),
-                  other.num_features()));
-  }
-  if (other.n_ > n_) {
-    return Status::InvalidArgument(
-        StrPrintf("cannot retract %lld observations from %lld",
-                  static_cast<long long>(other.n_),
-                  static_cast<long long>(n_)));
-  }
-  xtx_ -= other.xtx_;
-  for (std::size_t i = 0; i < xty_.size(); ++i) xty_[i] -= other.xty_[i];
-  yty_ -= other.yty_;
-  n_ -= other.n_;
-  return Status::OK();
-}
-
-Status NcrMeasure::RetractSameDesign(const NcrMeasure& other,
-                                     double design_tolerance) {
-  if (num_features() != other.num_features()) {
-    return Status::InvalidArgument(
-        StrPrintf("feature arity mismatch: %zu vs %zu", num_features(),
-                  other.num_features()));
-  }
-  if (n_ != other.n_) {
-    return Status::InvalidArgument(
-        StrPrintf("same-design retract requires equal observation counts "
-                  "(%lld vs %lld)",
-                  static_cast<long long>(n_),
-                  static_cast<long long>(other.n_)));
-  }
-  double diff = xtx_.MaxAbsDiff(other.xtx_);
-  double scale = 1.0;
-  for (std::size_t i = 0; i < num_features(); ++i) {
-    scale = std::max(scale, std::fabs(xtx_(i, i)));
-  }
-  if (diff > design_tolerance * scale) {
-    return Status::InvalidArgument(StrPrintf(
-        "designs differ (max |ΔX'X| = %.3g, tolerance %.3g): same-design "
-        "retract is only valid for identical design points",
-        diff, design_tolerance * scale));
-  }
-  for (std::size_t i = 0; i < xty_.size(); ++i) xty_[i] -= other.xty_[i];
-  // The cross terms a same-design merge destroyed stay destroyed.
-  rss_valid_ = false;
-  yty_ = 0.0;
-  return Status::OK();
-}
-
 Result<NcrFit> NcrMeasure::Solve() const {
   if (n_ < static_cast<std::int64_t>(num_features())) {
     return Status::FailedPrecondition(

@@ -61,21 +61,6 @@ class NcrMeasure {
   Status MergeSameDesign(const NcrMeasure& other,
                          double design_tolerance = 1e-9);
 
-  /// Algebraic inverse of MergeDisjoint: removes `other`'s observation set
-  /// (which must be a subset of this measure's; only the arity is
-  /// checkable, plus that the retracted count fits). Everything subtracts —
-  /// n, M, v, q — so the model parameters of the remainder are recovered
-  /// exactly in exact arithmetic. RSS validity is inherited (it cannot be
-  /// restored by retraction once a same-design merge destroyed it).
-  Status RetractDisjoint(const NcrMeasure& other);
-
-  /// Algebraic inverse of MergeSameDesign: subtracts `other`'s summed
-  /// responses from a cell that previously absorbed them. Validates the
-  /// equal-design precondition exactly like the merge. RSS stays
-  /// unavailable — retraction cannot resurrect the cross terms.
-  Status RetractSameDesign(const NcrMeasure& other,
-                           double design_tolerance = 1e-9);
-
   /// Solves the normal equations. Fails (FailedPrecondition) if fewer
   /// observations than features or the design is collinear.
   Result<NcrFit> Solve() const;

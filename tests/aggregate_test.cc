@@ -56,44 +56,6 @@ TEST(StandardDimTest, AccumulateMatchesBatch) {
   ExpectIsbNear(*batch, acc);
 }
 
-TEST(StandardDimTest, RetractInvertsAccumulate) {
-  // Power-of-two values add without rounding, so retraction must restore
-  // the exact bits — the lossless compose/decompose pair behind
-  // update-don't-rebuild maintenance.
-  Isb a{{0, 9}, 1.5, 0.25};
-  Isb b{{0, 9}, 2.25, -0.5};
-  Isb c{{0, 9}, -0.75, 0.125};
-  Isb acc;
-  AccumulateStandardDim(acc, a);
-  AccumulateStandardDim(acc, b);
-  AccumulateStandardDim(acc, c);
-  RetractStandardDim(acc, b);
-  Isb without_b;
-  AccumulateStandardDim(without_b, a);
-  AccumulateStandardDim(without_b, c);
-  EXPECT_EQ(acc, without_b);
-  RetractStandardDim(acc, a);
-  RetractStandardDim(acc, c);
-  EXPECT_EQ(acc.base, 0.0);
-  EXPECT_EQ(acc.slope, 0.0);
-}
-
-TEST(StandardDimTest, RetractIsAlgebraicInverseOnRandomValues) {
-  // General doubles: (S + x) - x is within one rounding step of S — the
-  // algebraic-equality contract the API documents (bitwise callers
-  // re-aggregate in order instead).
-  Pcg32 rng(77);
-  for (int trial = 0; trial < 50; ++trial) {
-    Isb s{{0, 19}, rng.NextGaussian() * 10.0, rng.NextGaussian()};
-    Isb x{{0, 19}, rng.NextGaussian() * 10.0, rng.NextGaussian()};
-    Isb acc = s;
-    AccumulateStandardDim(acc, x);
-    RetractStandardDim(acc, x);
-    EXPECT_NEAR(acc.base, s.base, 1e-12 * (1.0 + std::abs(s.base)));
-    EXPECT_NEAR(acc.slope, s.slope, 1e-12 * (1.0 + std::abs(s.slope)));
-  }
-}
-
 class StandardDimPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StandardDimPropertyTest, AggregateOfIsbsEqualsFitOfSummedSeries) {

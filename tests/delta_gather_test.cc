@@ -1,12 +1,13 @@
 // O(changed-cells) gather contracts: the delta gather (frozen blocks shared
-// for clean cells, patch exports folded into the cached run) must stay
+// for clean cells, dirty cells patched into each shard's publication) must stay
 // bit-identical to a from-scratch full gather and to ComputeCubeAllLocks
 // under randomized ingest interleaved with snapshots, for shard counts
 // {1, 2, 8}; seals that change nothing must not move the revision; point
 // queries routed through the member-only gather must match a full-snapshot
 // scan and keep the legacy error contract; concurrent churn + TakeSnapshot
 // must be race-free (this test runs in the TSan CI job); and the frozen /
-// gather-cache bytes must show up in the facade's memory tracker.
+// gather-cache bytes must show up in the facade's memory tracker and move
+// with the sharded engine's tracker.
 //
 // The randomized churn and the oracle comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
@@ -384,6 +385,51 @@ TEST(DeltaGatherTest, FrozenAndGatherBytesAreTracked) {
   }
   EXPECT_GT(tilt_bytes, 0);
   EXPECT_EQ(tilt_bytes, engine.MemoryBytes());
+}
+
+TEST(DeltaGatherTest, PublicationBytesFollowTheTracker) {
+  // The shard publications are the only per-shard runs, registered under
+  // "snapshot.gather_cache" by the sharded engine itself. Moving trackers
+  // hands those bytes over; a detached tracker drops back to zero.
+  constexpr char kRuns[] = "snapshot.gather_cache";
+  constexpr char kFrozen[] = "snapshot.frozen_frames";
+  const auto run_bytes = [](std::int64_t cells) {
+    return cells * static_cast<std::int64_t>(sizeof(CellSnapshot));
+  };
+  WorkloadSpec spec = ChurnSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 4);
+  MemoryTracker a;
+  MemoryTracker b;
+  engine.set_memory_tracker(&a);
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  EXPECT_EQ(a.category_bytes(kRuns), 0) << "nothing published yet";
+
+  ASSERT_TRUE(engine.GatherAlignedCells().status.ok());  // publishes
+  EXPECT_EQ(a.category_bytes(kRuns), run_bytes(engine.num_cells()));
+  EXPECT_EQ(a.category_bytes(kFrozen), engine.FrozenBytes());
+
+  engine.set_memory_tracker(&b);
+  EXPECT_EQ(a.category_bytes(kRuns), 0);
+  EXPECT_EQ(a.category_bytes(kFrozen), 0);
+  EXPECT_EQ(b.category_bytes(kRuns), run_bytes(engine.num_cells()));
+
+  engine.set_memory_tracker(nullptr);
+  EXPECT_EQ(b.category_bytes(kRuns), 0);
+  EXPECT_EQ(b.current_bytes(), 0);
+
+  // A publish while detached (one new cell) is registered in full on
+  // re-attach.
+  ASSERT_TRUE(
+      engine.Ingest({UnusedMLayerKey(gen), spec.series_length, 1.0}).ok());
+  ASSERT_TRUE(engine.GatherAlignedCells().status.ok());
+  engine.set_memory_tracker(&a);
+  EXPECT_EQ(a.category_bytes(kRuns), run_bytes(engine.num_cells()));
+  EXPECT_EQ(a.category_bytes(kFrozen), engine.FrozenBytes());
+  EXPECT_EQ(b.current_bytes(), 0);
 }
 
 }  // namespace

@@ -340,15 +340,21 @@ void RunAllDirtyConvergence(int num_shards) {
   Engine engine = std::move(built).value();
   ASSERT_TRUE(engine.IngestBatch(stream).ok());
 
+  // One snapshot first, so every shard has a published run when the
+  // ladder starts cleaning dirty sets behind it.
+  ASSERT_TRUE(engine.TakeSnapshot()->status().ok());
+
   // Randomized write-only churn: no snapshot ever cleans the dirty set.
+  // Every write is kept for the oracle replay below.
+  std::vector<StreamTuple> writes;
   Pcg32 rng(613, 5);
   for (int round = 0; round < 10; ++round) {
-    const std::uint32_t writes = 20 + rng.Uniform(40);
-    for (std::uint32_t j = 0; j < writes; ++j) {
+    const std::uint32_t count = 20 + rng.Uniform(40);
+    for (std::uint32_t j = 0; j < count; ++j) {
       const auto& cell = gen.cells()[static_cast<size_t>(
           rng.Uniform(static_cast<std::uint32_t>(gen.cells().size())))];
-      ASSERT_TRUE(
-          engine.Ingest({cell.key, spec.series_length + round, 0.5}).ok());
+      writes.push_back({cell.key, spec.series_length + round, 0.5});
+      ASSERT_TRUE(engine.Ingest(writes.back()).ok());
     }
   }
 
@@ -359,9 +365,8 @@ void RunAllDirtyConvergence(int num_shards) {
   constexpr int kMaxCycles = 6;
   std::int64_t frame_bytes = -1;
   for (int cycle = 0; cycle < kMaxCycles; ++cycle) {
-    ASSERT_TRUE(
-        engine.Ingest({gen.cells()[0].key, spec.series_length + 10, 0.25})
-            .ok());
+    writes.push_back({gen.cells()[0].key, spec.series_length + 10, 0.25});
+    ASSERT_TRUE(engine.Ingest(writes.back()).ok());
     frame_bytes = -1;
     for (const auto& [name, bytes] : engine.MemoryReport()) {
       if (name == "stream.tilt_frames") frame_bytes = bytes;
@@ -387,11 +392,21 @@ void RunAllDirtyConvergence(int num_shards) {
       << "garbage " << compacted.garbage_bytes << " live "
       << compacted.live_bytes;
 
-  // And the survivor still answers every cell.
+  // And the survivor still answers every cell, bit-identical to the
+  // unbounded oracle fed the same writes.
   auto snap = engine.TakeSnapshot();
   ASSERT_TRUE(snap->status().ok()) << snap->status().ToString();
-  ASSERT_TRUE(snap->Window(0, 4).ok());
   EXPECT_EQ(snap->num_cells(), static_cast<std::int64_t>(gen.cells().size()));
+  ASSERT_TRUE(oracle->IngestBatch(writes).ok());
+  auto got = snap->Window(0, 4);
+  auto want = oracle->TakeSnapshot()->Window(0, 4);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ((*got)[i].key, (*want)[i].key);
+    EXPECT_EQ((*got)[i].measure, (*want)[i].measure);
+  }
 }
 
 TEST(GovernorConvergenceTest, AllDirtyChurnConvergesOneShard) {
@@ -517,6 +532,39 @@ TEST(CheckpointTest, CheckpointOfSpilledEngineIsComplete) {
     EXPECT_EQ((*want)[i].key, (*got)[i].key);
     EXPECT_EQ((*want)[i].measure, (*got)[i].measure);
   }
+}
+
+TEST(CheckpointTest, RestoreAfterAnEmptyGatherServesEveryRestoredCell) {
+  // A gather on the still-empty engine publishes an empty run per shard.
+  // Restored cells never enter the dirty list, so unless the restore
+  // retires those publications, the next gather patches the empty run with
+  // an empty dirty list and serves zero cells.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/60, /*ticks=*/12,
+                                    /*seed=*/19);
+  StreamGenerator gen(spec);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  const int num_levels = ChurnEngineOptions().tilt_policy->num_levels();
+
+  ShardedStreamEngine writer(*schema, ChurnEngineOptions(), 2);
+  ASSERT_TRUE(writer.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(writer.SealThrough(spec.series_length - 1).ok());
+  const std::string dir = FreshDir("checkpoint_after_empty_gather");
+  ASSERT_TRUE(writer.CheckpointTo(dir).ok());
+
+  ShardedStreamEngine restored(*schema, ChurnEngineOptions(), 2);
+  auto empty = restored.GatherAlignedCells();
+  ASSERT_TRUE(empty.status.ok());
+  EXPECT_TRUE(empty.cells->empty());
+  ASSERT_TRUE(restored.RestoreFrom(dir).ok());
+  ASSERT_EQ(restored.num_cells(), writer.num_cells());
+
+  auto got = restored.GatherAlignedCells();
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(static_cast<std::int64_t>(got.cells->size()), writer.num_cells());
+  ExpectGathersIdentical(got, writer.GatherAlignedCells(), num_levels);
+  auto window = restored.SnapshotWindow(0, 2);
+  EXPECT_TRUE(window.ok()) << window.status().ToString();
 }
 
 // ----------------------------------------------------- concurrent spill

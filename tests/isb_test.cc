@@ -84,22 +84,6 @@ TEST(MomentSumsTest, AddAccumulates) {
   EXPECT_DOUBLE_EQ(m.sum_tz, 8.0);
 }
 
-TEST(MomentSumsTest, RemoveInvertsAdd) {
-  MomentSums m;
-  m.interval = {0, 3};
-  m.Add(0, 1.5);
-  m.Add(1, 2.25);
-  m.Add(2, -0.5);
-  m.Remove(1, 2.25);  // power-of-two values: exact inverse
-  MomentSums expected;
-  expected.interval = {0, 3};
-  expected.Add(0, 1.5);
-  expected.Add(2, -0.5);
-  EXPECT_EQ(m.sum_z, expected.sum_z);
-  EXPECT_EQ(m.sum_tz, expected.sum_tz);
-  EXPECT_EQ(m.interval, expected.interval);  // retraction keeps the window
-}
-
 TEST(MomentSumsTest, MergeDisjointExtendsHull) {
   MomentSums a;
   a.interval = {0, 4};

@@ -174,72 +174,7 @@ TEST_P(NcrMergeTest, SameDesignMergeEqualsFitOfSummedResponses) {
   }
 }
 
-TEST_P(NcrMergeTest, RetractDisjointRecoversTheRemainder) {
-  // The inverse of the Theorem 3.3 analogue: merge B in, retract B out,
-  // and the model (and RSS) of A alone comes back.
-  Pcg32 rng(static_cast<std::uint64_t>(GetParam()) + 120);
-  auto basis = MakePolynomialTimeBasis(2);
-
-  TimeSeries a = RandomSeries(rng, 0, 12 + rng.Uniform(8));
-  TimeSeries b = RandomSeries(rng, a.interval().te + 1, 12 + rng.Uniform(8));
-  NcrMeasure ma = NcrFromTimeSeries(*basis, a);
-  NcrMeasure mb = NcrFromTimeSeries(*basis, b);
-  NcrMeasure merged = ma;
-  ASSERT_TRUE(merged.MergeDisjoint(mb).ok());
-  ASSERT_TRUE(merged.RetractDisjoint(mb).ok());
-
-  EXPECT_EQ(merged.count(), ma.count());
-  auto back = merged.Solve();
-  auto original = ma.Solve();
-  ASSERT_TRUE(back.ok());
-  ASSERT_TRUE(original.ok());
-  for (size_t i = 0; i < back->theta.size(); ++i) {
-    EXPECT_NEAR(back->theta[i], original->theta[i], 1e-7);
-  }
-  EXPECT_TRUE(back->rss_available);
-  EXPECT_NEAR(back->rss, original->rss, 1e-5);
-}
-
-TEST_P(NcrMergeTest, RetractSameDesignRecoversTheRemainderModel) {
-  // The inverse of the Theorem 3.2 analogue: responses subtract back out;
-  // the model parameters return, RSS stays gone.
-  Pcg32 rng(static_cast<std::uint64_t>(GetParam()) + 150);
-  auto basis = MakeLinearTimeBasis();
-
-  TimeSeries a = RandomSeries(rng, 3, 18);
-  TimeSeries b = RandomSeries(rng, 3, 18);
-  NcrMeasure ma = NcrFromTimeSeries(*basis, a);
-  NcrMeasure mb = NcrFromTimeSeries(*basis, b);
-  NcrMeasure merged = ma;
-  ASSERT_TRUE(merged.MergeSameDesign(mb).ok());
-  ASSERT_TRUE(merged.RetractSameDesign(mb).ok());
-  EXPECT_FALSE(merged.rss_valid());
-
-  auto back = merged.Solve();
-  auto original = ma.Solve();
-  ASSERT_TRUE(back.ok());
-  ASSERT_TRUE(original.ok());
-  EXPECT_FALSE(back->rss_available);
-  for (size_t i = 0; i < back->theta.size(); ++i) {
-    EXPECT_NEAR(back->theta[i], original->theta[i], 1e-7);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(RandomMerges, NcrMergeTest, ::testing::Range(0, 15));
-
-TEST(NcrTest, RetractRejectsArityAndCountMismatches) {
-  NcrMeasure two(2);
-  NcrMeasure three(3);
-  EXPECT_FALSE(two.RetractDisjoint(three).ok());
-  EXPECT_FALSE(two.RetractSameDesign(three).ok());
-
-  auto basis = MakeLinearTimeBasis();
-  NcrMeasure small = NcrFromTimeSeries(*basis, TimeSeries(0, {1.0, 2.0}));
-  NcrMeasure big =
-      NcrFromTimeSeries(*basis, TimeSeries(0, {1.0, 2.0, 3.0, 4.0}));
-  EXPECT_FALSE(small.RetractDisjoint(big).ok());   // more than it holds
-  EXPECT_FALSE(small.RetractSameDesign(big).ok());  // unequal counts
-}
 
 TEST(NcrTest, SameDesignMergeRejectsDifferentDesigns) {
   auto basis = MakeLinearTimeBasis();

@@ -360,14 +360,16 @@ TEST(StreamEngineTest, FrozenBytesPostedPerCallAndBalancedAcrossTrackers) {
   const auto stream = gen.GenerateStream();
   ASSERT_TRUE(engine.IngestBatch(stream).ok());
   ASSERT_TRUE(engine.SealThrough(15).ok());
+  // The engine keeps no run: the caller passes its last run as the base
+  // (null for a full export).
   StreamCubeEngine::FrozenSlice run;
-  ASSERT_TRUE(engine.RefreshPublishedRun(&run, nullptr).ok());
+  ASSERT_TRUE(engine.RefreshPublishedRun(nullptr, &run, nullptr).ok());
   ASSERT_GT(engine.FrozenBytes(), 0);
   EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
 
   // A seal re-freezes every cell on the next refresh; the tracker follows.
   ASSERT_TRUE(engine.SealThrough(31).ok());
-  ASSERT_TRUE(engine.RefreshPublishedRun(&run, nullptr).ok());
+  ASSERT_TRUE(engine.RefreshPublishedRun(run, &run, nullptr).ok());
   EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
 
   // A member gather re-freezes only the members it exports.
@@ -391,13 +393,13 @@ TEST(StreamEngineTest, FrozenBytesPostedPerCallAndBalancedAcrossTrackers) {
   EXPECT_GT(engine.DropFrozenBlocks(), 0);
   EXPECT_EQ(engine.FrozenBytes(), 0);
   EXPECT_EQ(second.category_bytes(kFrozen), 0);
-  ASSERT_TRUE(engine.RefreshPublishedRun(&run, nullptr).ok());
+  ASSERT_TRUE(engine.RefreshPublishedRun(run, &run, nullptr).ok());
   ASSERT_GT(engine.FrozenBytes(), 0);
   engine.set_memory_tracker(nullptr);
   EXPECT_EQ(second.category_bytes(kFrozen), 0);
   // Changes made while detached are registered in full on re-attach.
   ASSERT_TRUE(engine.SealThrough(63).ok());
-  ASSERT_TRUE(engine.RefreshPublishedRun(&run, nullptr).ok());
+  ASSERT_TRUE(engine.RefreshPublishedRun(run, &run, nullptr).ok());
   engine.set_memory_tracker(&first);
   EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
   engine.DropFrozenBlocks();
