@@ -13,7 +13,13 @@
 // RC_CHECKed bit-identical every round — the incremental cube is a
 // maintenance strategy, not a numerics change.
 //
-// Phase 2 (legacy replay): the original E8 comparison — one long-lived
+// Phase 2 (epoch rolls): the steady state of a long stream. One tick per
+// level-0 slot and every round seals a new one, so every cell's window
+// moves each round; the memo recomputes in place over its stored tree and
+// member rows instead of re-running H-cubing. Bit-identity is RC_CHECKed
+// every round, and every round must be a roll.
+//
+// Phase 3 (legacy replay): the original E8 comparison — one long-lived
 // engine absorbing batches vs a from-scratch engine re-ingesting the full
 // history per batch.
 //
@@ -187,7 +193,108 @@ void RunMaintained(int argc, char** argv, bench::JsonWriter& json) {
   }
 }
 
-/// Phase 2: the original E8 replay comparison, kept as the paper's framing.
+/// Phase 2: epoch rolls — the §4.5 steady state. A fixed population, one
+/// tick per level-0 slot: every round ingests one tick for every cell and
+/// seals it, so every cell's window moves. The maintained cube rolls in
+/// place (leaf rewrite + refold + a sweep of every cuboid's member rows);
+/// the from-scratch path re-runs H-cubing over the rolled window.
+void RunRoll(int argc, char** argv, bench::JsonWriter& json) {
+  const std::int64_t num_cells = bench::ArgInt(argc, argv, "cells", 100'000);
+  const int rounds = static_cast<int>(bench::ArgInt(argc, argv, "rounds", 5));
+  const int shards = static_cast<int>(bench::ArgInt(argc, argv, "shards", 8));
+  const int level = 0, k = 4;
+
+  WorkloadSpec spec;
+  spec.num_dims = 3;
+  spec.num_levels = 2;
+  spec.fanout = 10;
+  spec.num_tuples = num_cells;
+  // Ticks 0..7 fill the window, one more warms the memo, then one per
+  // round: the generator's own series for every tick.
+  constexpr TimeTick kSeedTicks = 8;
+  spec.series_length = kSeedTicks + 1 + rounds;
+  spec.seed = 31;
+
+  bench::PrintHeader(StrPrintf(
+      "Epoch rolls: maintained vs from-scratch H-cubing (%lld cells, %d "
+      "shards, %d rounds, every round seals a new level-0 slot)",
+      static_cast<long long>(num_cells), shards, rounds));
+
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  RC_CHECK(schema.ok());
+  StreamCubeEngine::Options options;
+  options.tilt_policy =
+      MakeUniformTiltPolicy({{"tick", 8}, {"octet", 8}}, {1, 8});
+  options.policy = ExceptionPolicy(0.05);
+  auto pool = std::make_shared<ThreadPool>();
+  ShardedStreamEngine engine(*schema, options, shards, pool);
+  StreamGenerator gen(spec);
+  // Tick-major: tick t's tuples are the t-th slice of num_cells.
+  const std::vector<StreamTuple> stream = gen.GenerateStream();
+  const auto per_tick = static_cast<size_t>(num_cells);
+  auto seal_next = [&](TimeTick tick) {
+    const auto begin = stream.begin() + static_cast<std::ptrdiff_t>(
+                                            static_cast<size_t>(tick) * per_tick);
+    IngestReport report = engine.IngestBatch(
+        std::vector<StreamTuple>(begin, begin + static_cast<std::ptrdiff_t>(per_tick)));
+    RC_CHECK(report.ok()) << report.status.ToString();
+    RC_CHECK(engine.SealThrough(tick).ok());
+  };
+  TimeTick tick = 0;
+  while (tick < kSeedTicks) seal_next(tick++);
+  RC_CHECK(engine.ComputeCubeShared(level, k).ok());
+  // Warm: the first roll after a rebuild builds the stored tree and every
+  // cuboid's member rows — once per rebuild, not per roll.
+  seal_next(tick++);
+  RC_CHECK(engine.ComputeCubeShared(level, k).ok());
+
+  double incr_s = 0.0, scratch_s = 0.0;
+  const auto stats_before = engine.cube_memo_stats();
+  for (int round = 0; round < rounds; ++round) {
+    seal_next(tick++);
+    // Both sides cube the same gathered run, so the timings isolate cube
+    // maintenance vs recomputation.
+    const auto run = engine.GatherAlignedCells();
+
+    Stopwatch incr_timer;
+    auto maintained = engine.ComputeCubeShared(run, level, k);
+    RC_CHECK(maintained.ok()) << maintained.status().ToString();
+    incr_s += incr_timer.ElapsedSeconds();
+
+    Stopwatch scratch_timer;
+    auto scratch =
+        SnapshotCubeOf(*schema, *run.cells, options, level, k, pool.get());
+    RC_CHECK(scratch.ok()) << scratch.status().ToString();
+    scratch_s += scratch_timer.ElapsedSeconds();
+
+    CheckCubesIdentical(*scratch, **maintained);
+  }
+  const auto stats = engine.cube_memo_stats();
+  const std::int64_t rolls = stats.rolls - stats_before.rolls;
+  RC_CHECK(rolls == rounds) << "a seal did not roll the memo";
+  RC_CHECK(stats.rebuilds == stats_before.rebuilds) << "a roll rebuilt";
+  const double speedup = incr_s > 0 ? scratch_s / incr_s : 0.0;
+  const std::int64_t memo_bytes = engine.CubeMemoBytes();
+
+  bench::PrintRow({"rolls", "incremental(s)", "from-scratch(s)", "speedup",
+                   "memo MB"});
+  bench::PrintRow({StrPrintf("%lld", static_cast<long long>(rolls)),
+                   StrPrintf("%.4f", incr_s), StrPrintf("%.4f", scratch_s),
+                   StrPrintf("%.2fx", speedup),
+                   StrPrintf("%.1f", bench::ToMb(memo_bytes))});
+  json.Row({{"phase", "\"roll\""},
+            {"cells", StrPrintf("%lld", static_cast<long long>(num_cells))},
+            {"rounds", StrPrintf("%d", rounds)},
+            {"shards", StrPrintf("%d", shards)},
+            {"incremental_s", StrPrintf("%.6f", incr_s)},
+            {"scratch_s", StrPrintf("%.6f", scratch_s)},
+            {"speedup", StrPrintf("%.3f", speedup)},
+            {"rolls", StrPrintf("%lld", static_cast<long long>(rolls))},
+            {"memo_bytes",
+             StrPrintf("%lld", static_cast<long long>(memo_bytes))}});
+}
+
+/// Phase 3: the original E8 replay comparison, kept as the paper's framing.
 void RunReplay(int argc, char** argv, bench::JsonWriter& json) {
   WorkloadSpec spec;
   spec.num_dims = 3;
@@ -281,7 +388,9 @@ void RunReplay(int argc, char** argv, bench::JsonWriter& json) {
 
 void Run(int argc, char** argv) {
   bench::JsonWriter json("online_incremental");
+  json.SetArgs(argc, argv);
   RunMaintained(argc, argv, json);
+  RunRoll(argc, argv, json);
   RunReplay(argc, argv, json);
   json.Write();
 }

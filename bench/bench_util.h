@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -46,13 +47,38 @@ inline void PrintRow(const std::vector<std::string>& cells) {
   std::printf("\n");
 }
 
+/// The checkout's `git describe --always --dirty`, read at run time (so
+/// an uncommitted tree says so), or "unknown" outside a git checkout.
+inline std::string GitDescribe() {
+  std::string out;
+  if (std::FILE* pipe = popen("git describe --always --dirty 2>/dev/null",
+                              "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+    pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
 /// Machine-readable bench output: accumulates rows of numeric (or string)
 /// fields and writes them as BENCH_<name>.json next to the binary's cwd,
 /// so CI can track the perf trajectory across commits. The human-readable
-/// table stays on stdout; this is the parseable twin.
+/// table stays on stdout; this is the parseable twin. Every file carries
+/// a provenance block: arguments, commit, build type, compiler, cores.
 class JsonWriter {
  public:
   explicit JsonWriter(std::string name) : name_(std::move(name)) {}
+
+  /// Records the bench's key=value arguments for the provenance block.
+  void SetArgs(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      if (!args_.empty()) args_ += ' ';
+      args_ += argv[i];
+    }
+  }
 
   /// Adds one row; values must already be valid JSON literals
   /// (StrPrintf("%d", ...), "%.6f", or a quoted string).
@@ -65,7 +91,18 @@ class JsonWriter {
     const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     RC_CHECK(f != nullptr) << "cannot write " << path;
-    std::fprintf(f, "{\"bench\": \"%s\", \"rows\": [", name_.c_str());
+#ifdef NDEBUG
+    const char* build_type = "Release";
+#else
+    const char* build_type = "Debug";
+#endif
+    std::fprintf(f,
+                 "{\"bench\": \"%s\", \"provenance\": {\"args\": \"%s\", "
+                 "\"commit\": \"%s\", \"build_type\": \"%s\", "
+                 "\"compiler\": \"%s\", \"nproc\": %u},\n \"rows\": [",
+                 name_.c_str(), args_.c_str(), GitDescribe().c_str(),
+                 build_type, __VERSION__,
+                 std::thread::hardware_concurrency());
     for (size_t r = 0; r < rows_.size(); ++r) {
       std::fprintf(f, r == 0 ? "\n  {" : ",\n  {");
       for (size_t i = 0; i < rows_[r].size(); ++i) {
@@ -81,6 +118,7 @@ class JsonWriter {
 
  private:
   std::string name_;
+  std::string args_;
   std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
 };
 

@@ -16,6 +16,18 @@ namespace {
 // and the materialized cube itself — the space the O(delta) maintenance
 // trades for not re-running H-cubing per snapshot.
 constexpr char kMemoCategory[] = "cube.memo";
+
+/// Every cuboid the memo recomputes: all but the m-layer, whose cells are
+/// the window itself.
+std::vector<CuboidId> MaintainedCuboids(const CuboidLattice& lattice) {
+  std::vector<CuboidId> cuboids;
+  cuboids.reserve(static_cast<size_t>(lattice.num_cuboids()));
+  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+    if (c != lattice.m_layer_id()) cuboids.push_back(c);
+  }
+  return cuboids;
+}
+
 }  // namespace
 
 IncrementalCubeCache::IncrementalCubeCache(
@@ -36,8 +48,12 @@ IncrementalCubeCache::~IncrementalCubeCache() {
 }
 
 void IncrementalCubeCache::AccountLocked() {
-  std::int64_t bytes = tree_bytes_ + index_bytes_;
-  bytes += static_cast<std::int64_t>(window_.size() * sizeof(MLayerTuple));
+  std::int64_t bytes =
+      static_cast<std::int64_t>(window_.size() * sizeof(MLayerTuple));
+  if (tree_.has_value()) bytes += tree_->MemoryBytes();
+  for (const auto& index : indexes_) {
+    if (index.has_value()) bytes += index->MemoryBytes();
+  }
   if (cube_ != nullptr) {
     bytes += CellMapMemoryBytes(cube_->m_layer()) +
              CellMapMemoryBytes(cube_->o_layer()) +
@@ -61,8 +77,7 @@ void IncrementalCubeCache::set_memory_tracker(MemoryTracker* tracker) {
   tracker_ = tracker;
 }
 
-void IncrementalCubeCache::Invalidate() {
-  std::lock_guard<std::mutex> lock(mu_);
+void IncrementalCubeCache::ResetLocked() {
   valid_ = false;
   run_.reset();
   window_.clear();
@@ -70,12 +85,14 @@ void IncrementalCubeCache::Invalidate() {
   tree_.reset();
   indexes_.clear();
   index_full_.clear();
-  index_bytes_by_cuboid_.clear();
   index_seed_budget_.clear();
   prefix_depth_.clear();
-  tree_bytes_ = 0;
-  index_bytes_ = 0;
   cube_.reset();
+}
+
+void IncrementalCubeCache::Invalidate() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ResetLocked();
   AccountLocked();
 }
 
@@ -96,80 +113,98 @@ std::int64_t IncrementalCubeCache::MemoryBytes() const {
 
 IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
     const SnapshotCells& run, int level, int k,
-    std::vector<ChangedCell>* changed) {
+    std::vector<ChangedCell>* changed, std::vector<Isb>* rolled) {
   // The memoized run and the new one are both in canonical key order, so
   // equal populations walk in lockstep; any key divergence is a structural
-  // change (a cell appeared) and forces a rebuild — patching could not
-  // reproduce a freshly built tree's chain order bit for bit.
+  // change (a cell appeared) and forces a rebuild — neither a patch nor a
+  // roll could reproduce a freshly built tree's chain order bit for bit.
   const SnapshotCells& base = *run_;
   if (base.size() != run.size()) return DiffVerdict::kRebuild;
   const TimeInterval& window_interval = window_.front().measure.interval;
   for (size_t i = 0; i < run.size(); ++i) {
     if (!(base[i].key == run[i].key)) return DiffVerdict::kRebuild;
+    const bool shared = base[i].frame.get() == run[i].frame.get();
+    if (!rolled->empty()) {
+      // Rolling: every cell must have moved to the new interval. A shared
+      // frame still regresses to the old one, and a mixed window is the
+      // from-scratch kernel's error to report.
+      if (shared) return DiffVerdict::kRebuild;
+      auto isb = run[i].frame->RegressLastSlots(level, k);
+      if (!isb.ok() || !(isb->interval == rolled->front().interval)) {
+        return DiffVerdict::kRebuild;
+      }
+      rolled->push_back(*isb);
+      continue;
+    }
     // A cell whose frozen block is shared with the memoized run cannot
     // have changed any slot — skip without touching the frame.
-    if (base[i].frame.get() == run[i].frame.get()) continue;
+    if (shared) continue;
     auto isb = run[i].frame->RegressLastSlots(level, k);
     // A failing regression (or any other anomaly) falls back to the
     // from-scratch kernel, which reproduces the exact legacy error.
     if (!isb.ok()) return DiffVerdict::kRebuild;
-    // The window moved for everyone when its slot interval moved (a new
-    // slot sealed at this level): that is an epoch roll, not a patch.
-    if (!(isb->interval == window_interval)) return DiffVerdict::kRebuild;
+    if (!(isb->interval == window_interval)) {
+      // The window moved (a new slot sealed at this level): an epoch roll,
+      // valid only if it moves every cell — the cells walked so far all
+      // stayed on the old interval.
+      if (i != 0) return DiffVerdict::kRebuild;
+      rolled->reserve(run.size());
+      rolled->push_back(*isb);
+      continue;
+    }
     if (*isb == window_[i].measure) continue;  // open-slot churn only
     changed->push_back(ChangedCell{&run[i].key, *isb, i});
   }
+  if (!rolled->empty()) return DiffVerdict::kRoll;
   return changed->empty() ? DiffVerdict::kClean : DiffVerdict::kPatch;
 }
 
-Status IncrementalCubeCache::ApplyPatchLocked(
-    const std::vector<ChangedCell>& changed, ThreadPool* pool) {
-  // Lazily build the patch machinery: the H-tree over the memoized window.
+Status IncrementalCubeCache::EnsureTreeLocked() {
+  if (tree_.has_value()) return Status::OK();
   // Built from the same canonical tuple sequence a fresh cubing run would
   // use, so its structure, chains and hash layouts are identical to the
   // tree the from-scratch kernel would build — the property every
   // bit-identity argument below rests on.
-  if (!tree_.has_value()) {
-    HTree::Options tree_options;
-    tree_options.attribute_order = CardinalityAscendingOrder(*schema_);
-    // Stored subtree measures make every chain node's contribution an O(1)
-    // read during cell re-aggregation. The build-time fold is bitwise
-    // equal to the lazy subtree walk of the from-scratch (m/o) tree, so
-    // the oracle relationship is unchanged; the patch below keeps the
-    // stored measures current along the dirty paths only.
-    tree_options.store_nonleaf_measures = true;
-    auto built = HTree::Build(*schema_, window_, std::move(tree_options));
-    if (!built.ok()) return built.status();
-    tree_ = std::move(built).value();
-    tree_bytes_ = tree_->MemoryBytes();
-    indexes_.assign(static_cast<size_t>(lattice_.num_cuboids()),
-                    std::nullopt);
-    index_full_.assign(static_cast<size_t>(lattice_.num_cuboids()), 0);
-    index_bytes_by_cuboid_.assign(static_cast<size_t>(lattice_.num_cuboids()),
-                                  0);
-    index_seed_budget_.assign(static_cast<size_t>(lattice_.num_cuboids()),
-                              -1);
-    index_bytes_ = 0;
-    // Tree-prefix cuboids (the deepest introduced level per dimension over
-    // each attribute-order prefix, when that spec lies in the lattice) get
-    // the node-is-cell shortcut below.
-    prefix_depth_.assign(static_cast<size_t>(lattice_.num_cuboids()), -1);
-    const LayerSpec& o = schema_->o_layer();
-    const LayerSpec& m = schema_->m_layer();
-    LayerSpec deepest(static_cast<size_t>(schema_->num_dims()), 0);
-    for (int pos = 0; pos < tree_->num_attributes(); ++pos) {
-      const Attribute& a = tree_->attribute(pos);
-      auto& level = deepest[static_cast<size_t>(a.dim)];
-      level = std::max(level, a.level);
-      bool in_lattice = true;
-      for (size_t d = 0; d < deepest.size(); ++d) {
-        in_lattice = in_lattice && deepest[d] >= o[d] && deepest[d] <= m[d];
-      }
-      if (in_lattice) {
-        prefix_depth_[static_cast<size_t>(lattice_.id(deepest))] = pos + 1;
-      }
+  HTree::Options tree_options;
+  tree_options.attribute_order = CardinalityAscendingOrder(*schema_);
+  // Stored subtree measures make every chain node's contribution an O(1)
+  // read during cell re-aggregation. The build-time fold is bitwise equal
+  // to the lazy subtree walk of the from-scratch (m/o) tree, so the oracle
+  // relationship is unchanged; patches keep the stored measures current
+  // along the dirty paths, rolls refold them all.
+  tree_options.store_nonleaf_measures = true;
+  auto built = HTree::Build(*schema_, window_, std::move(tree_options));
+  if (!built.ok()) return built.status();
+  tree_ = std::move(built).value();
+  const auto num_cuboids = static_cast<size_t>(lattice_.num_cuboids());
+  indexes_.assign(num_cuboids, std::nullopt);
+  index_full_.assign(num_cuboids, 0);
+  index_seed_budget_.assign(num_cuboids, -1);
+  // Tree-prefix cuboids (the deepest introduced level per dimension over
+  // each attribute-order prefix, when that spec lies in the lattice) get
+  // the node-is-cell shortcut on the patch path.
+  prefix_depth_.assign(num_cuboids, -1);
+  const LayerSpec& o = schema_->o_layer();
+  const LayerSpec& m = schema_->m_layer();
+  LayerSpec deepest(static_cast<size_t>(schema_->num_dims()), 0);
+  for (int pos = 0; pos < tree_->num_attributes(); ++pos) {
+    const Attribute& a = tree_->attribute(pos);
+    auto& level = deepest[static_cast<size_t>(a.dim)];
+    level = std::max(level, a.level);
+    bool in_lattice = true;
+    for (size_t d = 0; d < deepest.size(); ++d) {
+      in_lattice = in_lattice && deepest[d] >= o[d] && deepest[d] <= m[d];
+    }
+    if (in_lattice) {
+      prefix_depth_[static_cast<size_t>(lattice_.id(deepest))] = pos + 1;
     }
   }
+  return Status::OK();
+}
+
+Status IncrementalCubeCache::ApplyPatchLocked(
+    const std::vector<ChangedCell>& changed, ThreadPool* pool) {
+  RC_RETURN_IF_ERROR(EnsureTreeLocked());
 
   // Fold the new leaf measures into the tree and the memoized window, then
   // refresh the stored aggregates along the dirty paths (shared ancestors
@@ -189,13 +224,8 @@ Status IncrementalCubeCache::ApplyPatchLocked(
   // its member index in kernel order. Cuboids are independent, so the work
   // partitions across the pool exactly like from-scratch per-cuboid
   // H-cubing.
-  std::vector<CuboidId> cuboids;
-  cuboids.reserve(static_cast<size_t>(lattice_.num_cuboids()));
-  for (CuboidId c = 0; c < lattice_.num_cuboids(); ++c) {
-    if (c != lattice_.m_layer_id()) cuboids.push_back(c);
-  }
+  const std::vector<CuboidId> cuboids = MaintainedCuboids(lattice_);
   std::vector<PatchedCells> recomputed(cuboids.size());
-  std::vector<std::int64_t> built_index_bytes(cuboids.size(), 0);
   auto patch_one = [&](std::int64_t i) {
     const CuboidId cuboid = cuboids[static_cast<size_t>(i)];
     const int depth = prefix_depth_[static_cast<size_t>(cuboid)];
@@ -229,12 +259,11 @@ Status IncrementalCubeCache::ApplyPatchLocked(
     // memoized tree (a member newer than the window) falls back too.
     auto& index = indexes_[static_cast<size_t>(cuboid)];
     if (!index.has_value()) index.emplace();
-    std::int64_t added_bytes = 0;
     if (index_full_[static_cast<size_t>(cuboid)] == 0) {
       std::vector<CellKey> missing;
       missing.reserve(touched.size());
       for (const CellKey& key : touched) {
-        if (index->Find(*tree_, key) == nullptr) missing.push_back(key);
+        if (index->Find(*tree_, key) < 0) missing.push_back(key);
       }
       std::int64_t& budget = index_seed_budget_[static_cast<size_t>(cuboid)];
       if (budget < 0) budget = CuboidChainLength(*tree_, lattice_, cuboid);
@@ -262,19 +291,13 @@ Status IncrementalCubeCache::ApplyPatchLocked(
             seeded = false;  // a member newer than the tree: fall back
             break;
           }
-          added_bytes += index->Insert(*tree_, missing[m], std::move(*nodes));
+          index->Insert(*tree_, missing[m], *nodes);
         }
       }
       if (!seeded) {
         *index = BuildCuboidMemberIndex(*tree_, lattice_, cuboid);
         index_full_[static_cast<size_t>(cuboid)] = 1;
-        added_bytes = index->MemoryBytes() -
-                      index_bytes_by_cuboid_[static_cast<size_t>(cuboid)];
       }
-    }
-    if (added_bytes != 0) {
-      built_index_bytes[static_cast<size_t>(i)] = added_bytes;
-      index_bytes_by_cuboid_[static_cast<size_t>(cuboid)] += added_bytes;
     }
     recomputed[static_cast<size_t>(i)] =
         RecomputeCellsFromIndex(*tree_, *index, touched);
@@ -285,7 +308,6 @@ Status IncrementalCubeCache::ApplyPatchLocked(
   } else {
     for (std::int64_t i = 0; i < n; ++i) patch_one(i);
   }
-  for (std::int64_t b : built_index_bytes) index_bytes_ += b;
 
   // Publish: never mutate a cube some snapshot or caller still holds.
   if (cube_.use_count() > 1) {
@@ -327,6 +349,86 @@ Status IncrementalCubeCache::ApplyPatchLocked(
   return Status::OK();
 }
 
+Status IncrementalCubeCache::ApplyRollLocked(const std::vector<Isb>& rolled,
+                                             ThreadPool* pool) {
+  RC_CHECK(rolled.size() == window_.size());
+  // The window and the tree take the rolled measures: the first roll after
+  // a rebuild builds the stored-measure tree over the rolled window, later
+  // rolls rewrite its leaves and refold its stored measures in place —
+  // bitwise the tree HTree::Build would produce over the rolled window.
+  for (size_t i = 0; i < rolled.size(); ++i) window_[i].measure = rolled[i];
+  if (tree_.has_value()) {
+    RC_RETURN_IF_ERROR(tree_->ReplaceLeafMeasures(*schema_, window_));
+  } else {
+    RC_RETURN_IF_ERROR(EnsureTreeLocked());
+  }
+
+  // Never mutate a cube some snapshot or caller still holds.
+  if (cube_.use_count() > 1) {
+    cube_ = std::make_shared<RegressionCube>(cube_->Clone());
+  }
+  RegressionCube& cube = *cube_;
+
+  // Recompute every cell of every cuboid from its complete member rows,
+  // each row folded in chain order — the from-scratch kernel's operand
+  // sequence. The o-layer keeps every value; intermediate cuboids keep
+  // what the kernel's exception test keeps. Cuboids are independent, so
+  // the work partitions across the pool like from-scratch H-cubing.
+  const std::vector<CuboidId> cuboids = MaintainedCuboids(lattice_);
+  const CuboidId o_id = lattice_.o_layer_id();
+  std::vector<CellMap> retained(cuboids.size());
+  auto roll_one = [&](std::int64_t i) {
+    const CuboidId cuboid = cuboids[static_cast<size_t>(i)];
+    auto& index = indexes_[static_cast<size_t>(cuboid)];
+    if (index_full_[static_cast<size_t>(cuboid)] == 0) {
+      index = BuildCuboidMemberIndex(*tree_, lattice_, cuboid);
+      index_full_[static_cast<size_t>(cuboid)] = 1;
+    }
+    const size_t rows = index->num_rows();
+    if (cuboid == o_id) {
+      // The one task that touches the o-layer: overwrite in place.
+      for (size_t r = 0; r < rows; ++r) {
+        auto it = cube.mutable_o_layer().find(index->RowKey(*tree_, r));
+        RC_CHECK(it != cube.mutable_o_layer().end());
+        it->second = index->FoldRow(*tree_, r);
+      }
+      return;
+    }
+    const auto is_exception = options_.policy.TestFor(
+        cuboid, SpecDepth(lattice_.spec(cuboid)));
+    CellMap& cells = retained[static_cast<size_t>(i)];
+    for (size_t r = 0; r < rows; ++r) {
+      const Isb isb = index->FoldRow(*tree_, r);
+      if (is_exception(isb)) cells.emplace(index->RowKey(*tree_, r), isb);
+    }
+  };
+  const auto n = static_cast<std::int64_t>(cuboids.size());
+  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
+    pool->ParallelFor(n, roll_one);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) roll_one(i);
+  }
+
+  // The m-layer is the window itself.
+  const bool degenerate = o_id == lattice_.m_layer_id();
+  for (const MLayerTuple& cell : window_) {
+    auto it = cube.mutable_m_layer().find(cell.key);
+    RC_CHECK(it != cube.mutable_m_layer().end());
+    it->second = cell.measure;
+    if (degenerate) {
+      // The single cuboid is both critical layers.
+      cube.mutable_o_layer()[cell.key] = cell.measure;
+    }
+  }
+  ExceptionStore exceptions;
+  for (size_t i = 0; i < cuboids.size(); ++i) {
+    exceptions.Adopt(cuboids[i], std::move(retained[i]));  // o-layer: empty
+  }
+  cube.mutable_exceptions() = std::move(exceptions);
+  stats_.rolls += 1;
+  return Status::OK();
+}
+
 Result<std::shared_ptr<const RegressionCube>>
 IncrementalCubeCache::RebuildLocked(
     const std::shared_ptr<const SnapshotCells>& run, std::uint64_t revision,
@@ -336,18 +438,12 @@ IncrementalCubeCache::RebuildLocked(
   auto cube = ComputeCubeFromWindow(schema_, *window, options_, pool);
   if (!cube.ok()) return cube.status();
 
+  ResetLocked();
   window_ = std::move(*window);
   run_ = run;
   revision_ = revision;
   level_ = level;
   k_ = k;
-  tree_.reset();
-  indexes_.clear();
-  index_full_.clear();
-  index_bytes_by_cuboid_.clear();
-  index_seed_budget_.clear();
-  tree_bytes_ = 0;
-  index_bytes_ = 0;
   cube_ = std::make_shared<RegressionCube>(std::move(*cube));
   valid_ = true;
   stats_.rebuilds += 1;
@@ -383,7 +479,9 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
       return std::shared_ptr<const RegressionCube>(cube_);
     }
     std::vector<ChangedCell> changed;
-    switch (DiffLocked(*run, level, k, &changed)) {
+    std::vector<Isb> rolled;
+    const DiffVerdict verdict = DiffLocked(*run, level, k, &changed, &rolled);
+    switch (verdict) {
       case DiffVerdict::kClean:
         // The writes since the memo touched only open slots; the sealed
         // windows (and therefore the cube) are untouched.
@@ -391,15 +489,22 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
         revision_ = revision;
         run_ = std::move(run);
         return std::shared_ptr<const RegressionCube>(cube_);
-      case DiffVerdict::kPatch: {
-        Status patched = ApplyPatchLocked(changed, pool);
-        if (patched.ok()) {
+      case DiffVerdict::kPatch:
+      case DiffVerdict::kRoll: {
+        const Status applied = verdict == DiffVerdict::kRoll
+                                   ? ApplyRollLocked(rolled, pool)
+                                   : ApplyPatchLocked(changed, pool);
+        if (applied.ok()) {
           revision_ = revision;
           run_ = std::move(run);
           AccountLocked();
           return std::shared_ptr<const RegressionCube>(cube_);
         }
-        break;  // fall back to the from-scratch kernel
+        // A failed patch or roll may have written part of its change:
+        // drop the memo and fall back to the from-scratch kernel.
+        ResetLocked();
+        AccountLocked();
+        break;
       }
       case DiffVerdict::kRebuild:
         break;

@@ -22,37 +22,49 @@ class ThreadPool;
 /// structural: instead of re-running m/o H-cubing over the whole window on
 /// every query, the materialized RegressionCube (m-layer, o-layer,
 /// exception set) is cached keyed by engine revision, and the next query
-/// folds only the cells the delta gather actually changed into it.
+/// folds only what actually changed into it.
 ///
-/// How a patch stays bit-identical to from-scratch H-cubing (the
+/// How maintenance stays bit-identical to from-scratch H-cubing (the
 /// correctness bar every RC_CHECK in the tests and benches enforces):
 /// floating-point retraction ((S + x) - x) does not reproduce a recomputed
 /// sum's bits, so the memo does not subtract — it re-aggregates. It keeps
 /// the H-tree of the window alive across revisions; the tree's structure,
 /// chains and hash layouts are a function of the canonical key sequence
 /// alone, so as long as the cell population is unchanged it is *the* tree a
-/// fresh build over the new window would produce. A changed cell updates
-/// its leaf in place (HTree::UpdateLeafMeasure), and every cuboid cell it
-/// rolls up into is recomputed from a per-cuboid member index
-/// (BuildCuboidMemberIndex) that replays the kernel's exact fold order.
-/// Touched o-layer cells are overwritten; touched intermediate cells
-/// re-evaluate the exception predicate and are inserted into or erased
-/// from the exception store. Untouched cells keep their bits because their
-/// operand sequences are untouched.
+/// fresh build over the new window would produce. Every cuboid cell is
+/// re-aggregated from a per-cuboid member index (BuildCuboidMemberIndex)
+/// that replays the kernel's exact fold order.
+///  - A patch (late data into sealed slots) updates the changed leaves in
+///    place (HTree::UpdateLeafMeasure), refolds their ancestors, and
+///    recomputes only the cuboid cells they roll up into. Touched o-layer
+///    cells are overwritten; touched intermediate cells re-evaluate the
+///    exception predicate and are inserted into or erased from the store.
+///  - An epoch roll (a slot sealed at the queried level, so every cell's
+///    window moved to a new common interval) rewrites every leaf and
+///    refolds every stored measure (HTree::ReplaceLeafMeasures), then
+///    sweeps every cuboid's complete member rows in chain order: the
+///    m-layer and o-layer are overwritten in place and each exception map
+///    is rebuilt with the kernel's predicate. No tree build, no chain
+///    scan, no hash probe per cell.
 ///
 /// Cost model per query at one (level, k):
 ///  - revision unchanged:            O(1) (shared-pointer hand-out).
 ///  - changed frames, same windows:  O(changed cells) regressions to prove
 ///    the windows didn't move (churn confined to open slots), then O(1).
 ///  - changed windows, same epoch:   O(Σ touched cells' members) — the
-///    patch. Lazily pays one tree + index build on the first patch after a
-///    rebuild, amortized across the steady state.
-///  - new cells / window interval moved / (level, k) changed: full
+///    patch.
+///  - same population, window interval moved: O(cells) regressions plus
+///    O(tree nodes' leaf ranges + Σ cuboid rows' members) — the roll.
+///  - new cells / (level, k) changed / a regression error: full
 ///    from-scratch H-cubing (the memoized from-scratch kernel is the same
 ///    one the oracle uses, so a rebuild is trivially bit-identical).
+/// The stored-measure tree and the member indexes are built lazily: the
+/// first patch or roll after a rebuild pays one tree build, and the first
+/// roll one chain scan per cuboid for its complete rows; a rebuild itself
+/// costs exactly one from-scratch cubing run.
 ///
-/// The memory trade-off (tree + member indexes + retained cube + window)
-/// is accounted to MemoryTracker under "cube.memo".
+/// The memory trade-off (stored tree + member rows + retained cube +
+/// window) is accounted to MemoryTracker under "cube.memo".
 ///
 /// Only the m/o H-cubing algorithm is maintainable this way; popular-path
 /// cubing stores subtree measures in non-leaf nodes and derives its
@@ -106,12 +118,14 @@ class IncrementalCubeCache {
     std::int64_t hits = 0;           // served at the memoized revision
     std::int64_t revalidations = 0;  // revision moved, no window moved
     std::int64_t patches = 0;        // folded changed windows into the memo
-    std::int64_t rebuilds = 0;       // from-scratch (first/structural/epoch)
+    std::int64_t rolls = 0;          // recomputed in place after an epoch roll
+    std::int64_t rebuilds = 0;       // from-scratch (first/structural/error)
     std::int64_t patched_cells = 0;  // m-cells folded across all patches
   };
   Stats stats() const;
 
-  /// Analytic bytes retained by the memo (tree + indexes + cube + window).
+  /// Analytic bytes retained by the memo (stored tree + member rows + cube +
+  /// window) — what the tracker holds under "cube.memo".
   std::int64_t MemoryBytes() const;
 
   /// Installs analytic memory accounting under "cube.memo" (any bytes
@@ -129,8 +143,9 @@ class IncrementalCubeCache {
     size_t pos = 0;
   };
 
-  /// Diff outcome: patch with these cells, serve as-is, or rebuild.
-  enum class DiffVerdict { kClean, kPatch, kRebuild };
+  /// Diff outcome: serve as-is, patch with the changed cells, recompute
+  /// in place over the rolled window, or rebuild.
+  enum class DiffVerdict { kClean, kPatch, kRoll, kRebuild };
 
   Result<std::shared_ptr<const RegressionCube>> RebuildLocked(
       const std::shared_ptr<const SnapshotCells>& run, std::uint64_t revision,
@@ -139,18 +154,33 @@ class IncrementalCubeCache {
   /// Tandem-walks the memoized run against `run` (both canonical), using
   /// shared frame pointers to skip unchanged cells without touching them.
   /// On kPatch, `changed` holds the cells whose (level, k) windows moved.
-  /// kRebuild covers structural changes, epoch rolls and regression
-  /// errors alike — the from-scratch kernel then reproduces the exact
-  /// legacy result or error.
+  /// On kRoll — every cell's window moved to one new common interval —
+  /// `rolled` holds every cell's new window measure, in run order (each
+  /// cell regressed once). kRebuild covers structural changes, mixed
+  /// window intervals and regression errors alike — the from-scratch
+  /// kernel then reproduces the exact legacy result or error.
   DiffVerdict DiffLocked(const SnapshotCells& run, int level, int k,
-                         std::vector<ChangedCell>* changed);
+                         std::vector<ChangedCell>* changed,
+                         std::vector<Isb>* rolled);
+
+  /// Builds the stored-measure tree over `window_` and sizes the
+  /// per-cuboid index state, unless the tree already exists.
+  Status EnsureTreeLocked();
 
   Status ApplyPatchLocked(const std::vector<ChangedCell>& changed,
                           ThreadPool* pool);
 
-  /// Re-registers the memo's current footprint with the tracker. Tree and
-  /// index bytes are cached at build time (patches change values, not
-  /// sizes), so this is O(exception cuboids), cheap enough per patch.
+  /// The roll: `rolled` becomes the window, the tree's leaves and stored
+  /// measures are replaced, and every cuboid is recomputed from its
+  /// complete member rows (built on the first roll after a rebuild). A
+  /// failure may leave the window half-rolled; the caller drops the memo.
+  Status ApplyRollLocked(const std::vector<Isb>& rolled, ThreadPool* pool);
+
+  /// Drops every memoized structure (the memo becomes invalid).
+  void ResetLocked();
+
+  /// Re-registers the memo's current footprint with the tracker:
+  /// O(attributes + cuboids + exception cuboids), cheap enough per patch.
   void AccountLocked();
 
   std::shared_ptr<const CubeSchema> schema_;
@@ -169,17 +199,18 @@ class IncrementalCubeCache {
   // The memoized window in canonical order — the diff base (old per-cell
   // measures) and the build input for the lazy tree.
   std::vector<MLayerTuple> window_;
-  // Lazy patch machinery: the window's H-tree and per-cuboid member
-  // indexes, built on the first patch after a rebuild and reused until the
-  // next structural change. An index normally grows cell-by-cell, each
-  // touched cell's node list seeded from the ingest-maintained member
-  // lookup (index_full_[c] == 0); the full chain scan is the fallback and
-  // marks the cuboid complete (index_full_[c] == 1; plain chars, not
-  // vector<bool>, because cuboids are patched concurrently on the pool).
+  // Lazy maintenance machinery: the window's stored-measure H-tree and
+  // per-cuboid member indexes, built on the first patch or roll after a
+  // rebuild and reused until the next structural change. A patch normally
+  // grows an index cell by cell, each touched cell's node list seeded
+  // from the ingest-maintained member lookup (index_full_[c] == 0); the
+  // full chain scan is the fallback and marks the cuboid complete
+  // (index_full_[c] == 1; plain chars, not vector<bool>, because cuboids
+  // are maintained concurrently on the pool). A roll needs every cuboid
+  // complete and builds whatever is not.
   std::optional<HTree> tree_;
   std::vector<std::optional<CuboidMemberIndex>> indexes_;  // by cuboid id
   std::vector<unsigned char> index_full_;                  // by cuboid id
-  std::vector<std::int64_t> index_bytes_by_cuboid_;
   // Lifetime seeding budget per cuboid (-1 = not yet initialized to the
   // cuboid's chain length): once the cumulative member volume seeded for a
   // cuboid rivals one chain scan, further seeding would cost more than the
@@ -187,11 +218,9 @@ class IncrementalCubeCache {
   std::vector<std::int64_t> index_seed_budget_;
   MemberLookup member_lookup_;
   // Tree-prefix depth per cuboid (-1 = not a prefix). A prefix cuboid's
-  // touched cells are the refreshed dirty nodes at its depth — no
+  // patched cells are the refreshed dirty nodes at its depth — no
   // projection, no member index (see PrefixCellsFromNodes).
   std::vector<int> prefix_depth_;
-  std::int64_t tree_bytes_ = 0;     // cached at tree build
-  std::int64_t index_bytes_ = 0;    // cached, updated per index build
   // Non-const internally so patches can fold in place when nobody else
   // holds the cube; handed out as shared_ptr<const RegressionCube> and
   // copied-on-write otherwise.

@@ -11,6 +11,17 @@
 
 namespace regcube {
 
+namespace {
+
+/// (cuboid, canonical key) order — a function of the cells alone, never of
+/// a cell map's insertion history.
+bool CuboidKeyLess(const CellResult& a, const CellResult& b) {
+  if (a.cuboid != b.cuboid) return a.cuboid < b.cuboid;
+  return CanonicalKeyLess(a.key, b.key);
+}
+
+}  // namespace
+
 CubeView::CubeView(const RegressionCube& cube, const ExceptionPolicy& policy)
     : cube_(&cube), policy_(&policy) {}
 
@@ -60,6 +71,7 @@ std::vector<CellResult> CubeView::ExceptionsAt(CuboidId cuboid) const {
       out.push_back(CellResult{cuboid, key, isb, true});
     }
   }
+  std::sort(out.begin(), out.end(), CuboidKeyLess);
   return out;
 }
 
@@ -76,6 +88,7 @@ std::vector<CellResult> CubeView::DrillDown(CuboidId cuboid,
       out.push_back(CellResult{child, child_key, isb, true});
     }
   }
+  std::sort(out.begin(), out.end(), CuboidKeyLess);
   return out;
 }
 
@@ -107,11 +120,18 @@ std::vector<CellResult> CubeView::TopExceptions(std::size_t n) const {
       all.push_back(CellResult{cuboid, key, isb, true});
     }
   }
-  std::sort(all.begin(), all.end(), [](const CellResult& a,
-                                       const CellResult& b) {
-    return std::fabs(a.isb.slope) > std::fabs(b.isb.slope);
-  });
-  if (all.size() > n) all.resize(n);
+  // Strongest first; exact |slope| ties (common: a cuboid cell with one
+  // member node equals that node's cell in another cuboid) break by
+  // (cuboid, canonical key), so the top n never depend on map order.
+  const size_t top = std::min(n, all.size());
+  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(top),
+                    all.end(), [](const CellResult& a, const CellResult& b) {
+                      const double sa = std::fabs(a.isb.slope);
+                      const double sb = std::fabs(b.isb.slope);
+                      if (sa != sb) return sa > sb;
+                      return CuboidKeyLess(a, b);
+                    });
+  all.resize(top);
   return all;
 }
 

@@ -43,21 +43,23 @@ class CubeView {
   /// aggregation (for cells pruned as non-exceptions). O(|m-layer|).
   Result<Isb> ComputeCellOnTheFly(CuboidId cuboid, const CellKey& key) const;
 
-  /// All retained exception cells of one cuboid.
+  /// All retained exception cells of one cuboid, in canonical key order.
   std::vector<CellResult> ExceptionsAt(CuboidId cuboid) const;
 
   /// Retained exception children of `key` one drill step below `cuboid`
-  /// (the next layer of "supporters"). The m-layer counts as computed, so
-  /// drilling from the last intermediate layer surfaces exceptional m-cells.
+  /// (the next layer of "supporters"), in (cuboid, canonical key) order.
+  /// The m-layer counts as computed, so drilling from the last
+  /// intermediate layer surfaces exceptional m-cells.
   std::vector<CellResult> DrillDown(CuboidId cuboid, const CellKey& key) const;
 
   /// Full supporters tree: recursively drills from `key` and returns every
-  /// reachable retained exception descendant, in BFS order.
+  /// reachable retained exception descendant, in BFS order (each level
+  /// expanded in DrillDown's order).
   std::vector<CellResult> ExceptionSupporters(CuboidId cuboid,
                                               const CellKey& key) const;
 
   /// The strongest `n` retained exception cells by |slope| across all
-  /// intermediate cuboids.
+  /// intermediate cuboids; exact ties in (cuboid, canonical key) order.
   std::vector<CellResult> TopExceptions(std::size_t n) const;
 
   /// Human-readable rendering of a cell, using dimension level names.

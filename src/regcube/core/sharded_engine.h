@@ -238,11 +238,13 @@ class ShardedStreamEngine {
   /// are folded into it — each changed leaf updated in the memoized
   /// H-tree, every cuboid cell it rolls up into re-aggregated in kernel
   /// order, the exception predicate re-evaluated only for those touched
-  /// cells. Bit-identical to from-scratch H-cubing over the same window
-  /// (the patch replays the kernel's exact operand order; structural
-  /// changes and window-interval rolls rebuild via the from-scratch
-  /// kernel itself). Popular-path engines always compute from scratch
-  /// here. The returned cube is immutable and safe to hold across writes.
+  /// cells; a seal that moves every cell's window rolls the memo in place
+  /// (every leaf rewritten, every cuboid cell re-aggregated from its member
+  /// rows). Bit-identical to from-scratch H-cubing over the same window
+  /// (patches and rolls replay the kernel's exact operand order;
+  /// structural changes rebuild via the from-scratch kernel itself).
+  /// Popular-path engines always compute from scratch here. The returned
+  /// cube is immutable and safe to hold across writes.
   Result<std::shared_ptr<const RegressionCube>> ComputeCubeShared(int level,
                                                                   int k);
 

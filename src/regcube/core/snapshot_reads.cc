@@ -41,14 +41,6 @@ Status ValidatePointQueryTarget(const CuboidLattice& lattice, CuboidId cuboid,
   return Status::OK();
 }
 
-bool CanonicalKeyLess(const CellKey& a, const CellKey& b) {
-  if (a.num_dims() != b.num_dims()) return a.num_dims() < b.num_dims();
-  for (int d = 0; d < a.num_dims(); ++d) {
-    if (a[d] != b[d]) return a[d] < b[d];
-  }
-  return false;
-}
-
 Result<std::vector<MLayerTuple>> SnapshotWindowOf(const SnapshotCells& cells,
                                                   int level, int k) {
   if (cells.empty()) return SnapshotNoDataError();

@@ -23,11 +23,7 @@ class ThreadPool;
 /// floating-point reduction order, same error contract as the pre-redesign
 /// locked reads.
 
-/// Canonical total order on cell keys. Merged rows are always reduced in
-/// this order, which is what makes results shard-count invariant.
-bool CanonicalKeyLess(const CellKey& a, const CellKey& b);
-
-/// The same order lifted to frozen cells — the one comparator every sort,
+/// CanonicalKeyLess (cube/cell.h) lifted to frozen cells — the one comparator every sort,
 /// merge and tandem walk of the gather path uses.
 inline bool CellSnapshotCanonicalLess(const CellSnapshot& a,
                                       const CellSnapshot& b) {

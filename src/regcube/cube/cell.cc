@@ -19,6 +19,14 @@ std::uint64_t CellKey::Hash() const {
   return h;
 }
 
+bool CanonicalKeyLess(const CellKey& a, const CellKey& b) {
+  if (a.num_dims() != b.num_dims()) return a.num_dims() < b.num_dims();
+  for (int d = 0; d < a.num_dims(); ++d) {
+    if (a[d] != b[d]) return a[d] < b[d];
+  }
+  return false;
+}
+
 std::string CellKey::ToString() const {
   std::vector<std::string> parts;
   for (int d = 0; d < num_dims_; ++d) {

@@ -47,6 +47,13 @@ class CellKey {
   int num_dims_ = 0;
 };
 
+/// Canonical total order on cell keys: dimensionality, then values in
+/// dimension order. Merged rows are always reduced in this order, which is
+/// what makes results shard-count invariant, and every list a query
+/// returns is ordered by it, which is what makes list order a function of
+/// the cube's content.
+bool CanonicalKeyLess(const CellKey& a, const CellKey& b);
+
 struct CellKeyHash {
   std::size_t operator()(const CellKey& k) const {
     return static_cast<std::size_t>(k.Hash());

@@ -308,17 +308,19 @@ Result<HTree> HTree::Build(const CubeSchema& schema,
     tree.codec_.reset();
   }
 
-  if (tree.store_nonleaf_) {
-    tree.node_base_.resize(n);
-    tree.node_slope_.resize(n);
-    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-      const Isb m = tree.FoldLeafRange(tree.nodes_[id].leaf_begin,
-                                       tree.nodes_[id].leaf_end);
-      tree.node_base_[id] = m.base;
-      tree.node_slope_[id] = m.slope;
-    }
-  }
+  if (tree.store_nonleaf_) tree.FoldStoredMeasures();
   return tree;
+}
+
+void HTree::FoldStoredMeasures() {
+  const size_t n = nodes_.size();
+  node_base_.resize(n);
+  node_slope_.resize(n);
+  for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
+    const Isb m = FoldLeafRange(nodes_[id].leaf_begin, nodes_[id].leaf_end);
+    node_base_[id] = m.base;
+    node_slope_[id] = m.slope;
+  }
 }
 
 const Attribute& HTree::attribute(int pos) const {
@@ -467,6 +469,60 @@ void HTree::RefreshAncestorMeasures(
       (*dirty_by_depth)[d] = std::move(dirty[d]);
     }
   }
+}
+
+Status HTree::ReplaceLeafMeasures(const CubeSchema& schema,
+                                  const std::vector<MLayerTuple>& tuples) {
+  if (static_cast<std::int64_t>(tuples.size()) != num_leaves_) {
+    return Status::InvalidArgument(
+        StrPrintf("%zu tuples for a tree of %lld leaves", tuples.size(),
+                  static_cast<long long>(num_leaves_)));
+  }
+  // Validate everything before the first write, so a refused window
+  // leaves the tree exactly as it was.
+  const TimeInterval interval = tuples.front().measure.interval;
+  std::vector<std::uint32_t> ordinals;
+  ordinals.reserve(tuples.size());
+  std::vector<unsigned char> named(tuples.size(), 0);
+  for (const MLayerTuple& tuple : tuples) {
+    if (!(tuple.measure.interval == interval)) {
+      return Status::InvalidArgument(StrPrintf(
+          "tuple interval %s differs from common interval %s "
+          "(Theorem 3.2 requires one analysis window)",
+          tuple.measure.interval.ToString().c_str(),
+          interval.ToString().c_str()));
+    }
+    const HTreeNode* leaf = FindLeaf(schema, tuple.key);
+    if (leaf == nullptr) {
+      return Status::NotFound(StrPrintf("no leaf for m-layer cell %s",
+                                        tuple.key.ToString().c_str()));
+    }
+    if (named[leaf->leaf_begin]++ != 0) {
+      return Status::InvalidArgument(StrPrintf(
+          "m-layer cell %s named twice", tuple.key.ToString().c_str()));
+    }
+    ordinals.push_back(leaf->leaf_begin);
+  }
+  interval_ = interval;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    leaf_base_[ordinals[i]] = tuples[i].measure.base;
+    leaf_slope_[ordinals[i]] = tuples[i].measure.slope;
+  }
+  if (store_nonleaf_) FoldStoredMeasures();
+  return Status::OK();
+}
+
+Isb HTree::FoldSubtreeMeasures(const NodeId* begin, const NodeId* end) const {
+  RC_DCHECK(store_nonleaf_ && begin < end);
+  // AccumulateStandardDim over StoredMeasure, read straight from the SoA
+  // arrays: the first node initializes, the rest add in sequence order.
+  double base = node_base_[*begin];
+  double slope = node_slope_[*begin];
+  for (const NodeId* id = begin + 1; id != end; ++id) {
+    base += node_base_[*id];
+    slope += node_slope_[*id];
+  }
+  return Isb{interval_, base, slope};
 }
 
 ValueId HTree::PathValue(const HTreeNode* node, int attr_pos) const {

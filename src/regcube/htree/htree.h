@@ -281,6 +281,27 @@ class HTree {
                                              const CellKey& key,
                                              const Isb& measure);
 
+  /// Replaces every leaf measure at once with the measures of `tuples` —
+  /// the epoch-roll half of incremental cube maintenance, where every
+  /// m-layer cell's window moved to a new common interval. `tuples` must
+  /// name each leaf exactly once and share one interval, which becomes the
+  /// tree's common interval. Every stored measure is then refolded with
+  /// FoldLeafRange, so leaves and stored measures are bitwise what Build
+  /// would produce over `tuples`; structure, chains, header tables and the
+  /// leaf index are untouched. Validates before writing: on
+  /// InvalidArgument (mixed intervals, a leaf named twice or not at all)
+  /// or NotFound (a tuple with no leaf) the tree is unchanged.
+  /// O(tuples + Σ nodes' leaf ranges).
+  Status ReplaceLeafMeasures(const CubeSchema& schema,
+                             const std::vector<MLayerTuple>& tuples);
+
+  /// The per-cell fold of the H-cubing kernels: AccumulateStandardDim
+  /// over the subtree measures of the nodes [begin, end), in sequence
+  /// order — bitwise the chain-order aggregate ComputeCuboidCells builds
+  /// for a cell whose chain nodes these are.
+  /// Pre: store_nonleaf_measures, begin < end.
+  Isb FoldSubtreeMeasures(const NodeId* begin, const NodeId* end) const;
+
   /// Recomputes the stored subtree measures on every path from the given
   /// (just-updated) leaves to the root. Each dirty node re-runs the
   /// canonical leaf-range fold, so the stored measures stay bitwise equal
@@ -317,6 +338,10 @@ class HTree {
   HTree() = default;
 
   Isb LeafMeasure(std::uint32_t leaf_ordinal) const;
+
+  /// Stores FoldLeafRange of every node (store_nonleaf_measures only): the
+  /// one stored-measure fold Build and ReplaceLeafMeasures share.
+  void FoldStoredMeasures();
 
   std::vector<HTreeNode> nodes_;  // DFS preorder; nodes_[0] is the root
   std::vector<NodeId> subtree_end_;    // by id: one past the subtree's ids

@@ -75,23 +75,6 @@ CellKey KeyFromWalk(const HTree& tree, const HTreeNode* node,
   return key;
 }
 
-/// The packed twin of KeyFromWalk. In-tree values are always within the
-/// schema's cardinalities, so the unchecked shift-and-or is exact: it
-/// produces the same word PackedKeyCodec::Pack would for the walked key
-/// (star fields stay 0, kept values become v + 1).
-std::uint64_t PackedKeyFromWalk(const HTree& tree, const HTreeNode* node,
-                                const CuboidAttrs& ca) {
-  std::uint64_t packed = 0;
-  for (const HTreeNode* cur = node; cur->attr_index >= 0;
-       cur = tree.parent(cur)) {
-    const int s = ca.shift_of_pos[static_cast<size_t>(cur->attr_index)];
-    if (s >= 0) {
-      packed |= (static_cast<std::uint64_t>(cur->value) + 1) << s;
-    }
-  }
-  return packed;
-}
-
 /// Packed cuboid key of every node at position <= `deep_pos`, indexed by
 /// NodeId. One linear arena sweep replaces a root walk per chain node: the
 /// arena is in DFS preorder, so a node's parent key is always computed
@@ -206,51 +189,74 @@ std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
   return maps;
 }
 
-const std::vector<NodeId>* CuboidMemberIndex::Find(const HTree& tree,
-                                                   const CellKey& key) const {
+CellKey CuboidMemberIndex::RowKey(const HTree& tree, std::size_t row) const {
   const PackedKeyCodec* codec = tree.codec();
-  std::uint64_t packed = 0;
-  if (codec != nullptr && codec->Pack(key, &packed)) {
-    auto it = by_packed.find(packed);
-    return it == by_packed.end() ? nullptr : &it->second;
-  }
-  auto it = by_key.find(key);
-  return it == by_key.end() ? nullptr : &it->second;
+  return codec != nullptr ? codec->Unpack(packed_keys_[row]) : keys_[row];
 }
 
-std::int64_t CuboidMemberIndex::Insert(const HTree& tree, const CellKey& key,
-                                       std::vector<NodeId> nodes) {
-  constexpr std::int64_t kEntryOverhead = 16;  // hash node + bucket share
+std::int64_t CuboidMemberIndex::Find(const HTree& tree, const CellKey& key) {
   const PackedKeyCodec* codec = tree.codec();
-  std::uint64_t packed = 0;
-  if (codec != nullptr && codec->Pack(key, &packed)) {
-    auto [it, inserted] = by_packed.try_emplace(packed, std::move(nodes));
-    if (!inserted) return 0;
-    return static_cast<std::int64_t>(sizeof(std::uint64_t)) + kEntryOverhead +
-           static_cast<std::int64_t>(sizeof(it->second)) +
-           static_cast<std::int64_t>(it->second.capacity() * sizeof(NodeId));
+  if (!has_row_map_) {
+    // Complete builds skip the map (rolls never probe); the patch path
+    // pays for it once, here.
+    if (codec != nullptr) {
+      row_of_packed_.reserve(packed_keys_.size());
+      for (std::size_t r = 0; r < packed_keys_.size(); ++r) {
+        row_of_packed_.emplace(packed_keys_[r],
+                               static_cast<std::uint32_t>(r));
+      }
+    } else {
+      row_of_key_.reserve(keys_.size());
+      for (std::size_t r = 0; r < keys_.size(); ++r) {
+        row_of_key_.emplace(keys_[r], static_cast<std::uint32_t>(r));
+      }
+    }
+    has_row_map_ = true;
   }
-  auto [it, inserted] = by_key.try_emplace(key, std::move(nodes));
-  if (!inserted) return 0;
-  return static_cast<std::int64_t>(sizeof(CellKey)) + kEntryOverhead +
-         static_cast<std::int64_t>(sizeof(it->second)) +
-         static_cast<std::int64_t>(it->second.capacity() * sizeof(NodeId));
+  if (codec != nullptr) {
+    std::uint64_t packed = 0;
+    // A key outside the codec's fields cannot name an in-tree cell.
+    if (!codec->Pack(key, &packed)) return -1;
+    auto it = row_of_packed_.find(packed);
+    return it == row_of_packed_.end() ? -1
+                                      : static_cast<std::int64_t>(it->second);
+  }
+  auto it = row_of_key_.find(key);
+  return it == row_of_key_.end() ? -1 : static_cast<std::int64_t>(it->second);
+}
+
+void CuboidMemberIndex::Insert(const HTree& tree, const CellKey& key,
+                               const std::vector<NodeId>& nodes) {
+  if (Find(tree, key) >= 0) return;
+  const auto row = static_cast<std::uint32_t>(num_rows());
+  if (const PackedKeyCodec* codec = tree.codec()) {
+    std::uint64_t packed = 0;
+    RC_CHECK(codec->Pack(key, &packed))
+        << "cell " << key.ToString() << " does not pack under the tree codec";
+    packed_keys_.push_back(packed);
+    row_of_packed_.emplace(packed, row);
+  } else {
+    keys_.push_back(key);
+    row_of_key_.emplace(key, row);
+  }
+  nodes_.insert(nodes_.end(), nodes.begin(), nodes.end());
+  offsets_.push_back(static_cast<std::uint32_t>(nodes_.size()));
 }
 
 std::int64_t CuboidMemberIndex::MemoryBytes() const {
   constexpr std::int64_t kEntryOverhead = 16;  // hash node + bucket share
-  std::int64_t bytes = 0;
-  for (const auto& [key, nodes] : by_packed) {
-    bytes += static_cast<std::int64_t>(sizeof(std::uint64_t)) +
-             kEntryOverhead + static_cast<std::int64_t>(sizeof(nodes)) +
-             static_cast<std::int64_t>(nodes.capacity() * sizeof(NodeId));
-  }
-  for (const auto& [key, nodes] : by_key) {
-    bytes += static_cast<std::int64_t>(sizeof(CellKey)) + kEntryOverhead +
-             static_cast<std::int64_t>(sizeof(nodes)) +
-             static_cast<std::int64_t>(nodes.capacity() * sizeof(NodeId));
-  }
-  return bytes;
+  constexpr auto kRowRef = static_cast<std::int64_t>(sizeof(std::uint32_t));
+  return static_cast<std::int64_t>(
+             packed_keys_.capacity() * sizeof(std::uint64_t) +
+             keys_.capacity() * sizeof(CellKey) +
+             offsets_.capacity() * sizeof(std::uint32_t) +
+             nodes_.capacity() * sizeof(NodeId)) +
+         static_cast<std::int64_t>(row_of_packed_.size()) *
+             (static_cast<std::int64_t>(sizeof(std::uint64_t)) + kRowRef +
+              kEntryOverhead) +
+         static_cast<std::int64_t>(row_of_key_.size()) *
+             (static_cast<std::int64_t>(sizeof(CellKey)) + kRowRef +
+              kEntryOverhead);
 }
 
 CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
@@ -266,26 +272,66 @@ CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
     return index;
   }
 
-  // The same chain scan as ComputeCuboidCells, recording node ids in
-  // visit order instead of folding measures.
+  // Pass 1 — the same chain scan as ComputeCuboidCells: number the cells
+  // by first visit and record each visited node's row.
   const int deep_pos = ca.positions[static_cast<size_t>(ca.deepest)];
   const HeaderTable& header = tree.header(deep_pos);
+  const auto num_visits = static_cast<std::size_t>(header.total_nodes());
+  std::vector<NodeId> visits;
+  std::vector<std::uint32_t> visit_rows;
+  std::vector<std::uint32_t> row_sizes;
+  visits.reserve(num_visits);
+  visit_rows.reserve(num_visits);
+  auto visit = [&](const HTreeNode* n, std::uint32_t row) {
+    if (row == row_sizes.size()) row_sizes.push_back(0);
+    ++row_sizes[row];
+    visits.push_back(tree.id_of(n));
+    visit_rows.push_back(row);
+  };
   if (tree.codec() != nullptr) {
+    const auto keys = PackedKeysBySweep(tree, ca, deep_pos);
+    // Packed keys of non-apex cells are nonzero (the deepest field is
+    // set), so the flat map's empty marker never collides; its values
+    // are row numbers here.
+    FlatNodeMap row_of(num_visits);
     for (const auto& [value, entry] : header.entries()) {
       for (const HTreeNode* n = tree.node(entry.head); n != nullptr;
            n = tree.node(n->next_link)) {
-        index.by_packed[PackedKeyFromWalk(tree, n, ca)].push_back(
-            tree.id_of(n));
+        const std::uint64_t key = keys[tree.id_of(n)];
+        bool inserted = false;
+        NodeId& row = row_of.Slot(key, &inserted);
+        if (inserted) {
+          row = static_cast<NodeId>(index.packed_keys_.size());
+          index.packed_keys_.push_back(key);
+        }
+        visit(n, row);
       }
     }
-    return index;
-  }
-  for (const auto& [value, entry] : header.entries()) {
-    for (const HTreeNode* n = tree.node(entry.head); n != nullptr;
-         n = tree.node(n->next_link)) {
-      index.by_key[KeyFromWalk(tree, n, ca, num_dims)].push_back(
-          tree.id_of(n));
+  } else {
+    std::unordered_map<CellKey, std::uint32_t, CellKeyHash> row_of;
+    for (const auto& [value, entry] : header.entries()) {
+      for (const HTreeNode* n = tree.node(entry.head); n != nullptr;
+           n = tree.node(n->next_link)) {
+        auto [it, inserted] = row_of.try_emplace(
+            KeyFromWalk(tree, n, ca, num_dims),
+            static_cast<std::uint32_t>(index.keys_.size()));
+        if (inserted) index.keys_.push_back(it->first);
+        visit(n, it->second);
+      }
     }
+  }
+
+  // Pass 2 — counting placement: each row's nodes keep their visit
+  // (chain) order.
+  index.offsets_.resize(row_sizes.size() + 1);
+  for (std::size_t r = 0; r < row_sizes.size(); ++r) {
+    index.offsets_[r + 1] = index.offsets_[r] + row_sizes[r];
+  }
+  std::vector<std::uint32_t> cursor(index.offsets_.begin(),
+                                    index.offsets_.end() - 1);
+  index.nodes_.resize(visits.size());
+  for (std::size_t v = 0; v < visits.size(); ++v) {
+    index.nodes_[cursor[visit_rows[v]]++] = visits[v];
   }
   return index;
 }
@@ -337,20 +383,16 @@ std::optional<std::vector<NodeId>> SeedCellNodesFromMembers(
 }
 
 PatchedCells RecomputeCellsFromIndex(const HTree& tree,
-                                     const CuboidMemberIndex& index,
+                                     CuboidMemberIndex& index,
                                      const std::vector<CellKey>& touched) {
   PatchedCells cells;
   cells.reserve(touched.size());
   for (const CellKey& key : touched) {
-    const std::vector<NodeId>* nodes = index.Find(tree, key);
-    RC_CHECK(nodes != nullptr)
+    const std::int64_t row = index.Find(tree, key);
+    RC_CHECK(row >= 0)
         << "cell " << key.ToString()
         << " missing from the member index; structural change not rebuilt";
-    Isb acc;
-    for (const NodeId id : *nodes) {
-      AccumulateStandardDim(acc, tree.SubtreeMeasure(tree.node(id)));
-    }
-    cells.emplace_back(key, acc);
+    cells.emplace_back(key, index.FoldRow(tree, static_cast<std::size_t>(row)));
   }
   return cells;
 }

@@ -230,36 +230,70 @@ std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
 /// deepest attribute value, so they live on one node-link chain and the
 /// per-cell order is the chain order). Re-aggregating a cell from its node
 /// list therefore reproduces the kernel's floating-point result bit for
-/// bit — the foundation of the incremental cube's patch-apply path, which
-/// recomputes only the cells touched by changed m-layer leaves instead of
-/// re-running H-cubing over everything. Node ids stay valid for the
-/// tree's lifetime (the arena is immutable after Build) and survive
-/// HTree::UpdateLeafMeasure, which changes values, not structure.
+/// bit — the foundation of the incremental cube's patch and roll paths,
+/// which recompute cells from their node lists instead of re-running
+/// H-cubing. Node ids stay valid for the tree's lifetime (the arena is
+/// immutable after Build) and survive HTree::UpdateLeafMeasure and
+/// HTree::ReplaceLeafMeasures, which change values, not structure.
 ///
-/// Storage is routed per key by the tree's packed-key codec: keys that pack
-/// live in a 64-bit-keyed map (half the key bytes, cheap hashing), the rest
-/// in the CellKey-keyed fallback map. Insert and Find route identically, so
-/// the split is invisible to callers.
-struct CuboidMemberIndex {
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> by_packed;
-  std::unordered_map<CellKey, std::vector<NodeId>, CellKeyHash> by_key;
+/// Layout: flat rows. Row r is one cell — its key (a 64-bit packed key
+/// when the tree has a codec, a CellKey otherwise) and its node list
+/// nodes[offsets[r], offsets[r + 1]). A complete index is a sweep over
+/// three arrays: an epoch roll recomputes every cell row by row without
+/// a hash probe. The key -> row map the patch path's Find needs is built
+/// on the first Find and kept current by Insert after that.
+class CuboidMemberIndex {
+ public:
+  std::size_t num_rows() const { return offsets_.size() - 1; }
 
-  /// The node list of `key`, or nullptr when the cell is not indexed.
-  const std::vector<NodeId>* Find(const HTree& tree, const CellKey& key) const;
+  /// Key of `row`. `tree` must be the tree the index was built over.
+  CellKey RowKey(const HTree& tree, std::size_t row) const;
 
-  /// Indexes `nodes` as the member list of `key` (no-op if present) and
-  /// returns the bytes the insertion added to MemoryBytes().
-  std::int64_t Insert(const HTree& tree, const CellKey& key,
-                      std::vector<NodeId> nodes);
+  /// Node list of `row`, in kernel (chain) order.
+  const NodeId* row_begin(std::size_t row) const {
+    return nodes_.data() + offsets_[row];
+  }
+  const NodeId* row_end(std::size_t row) const {
+    return nodes_.data() + offsets_[row + 1];
+  }
 
-  /// Analytic footprint (entries + node-id lists), for the cube-memo
+  /// The cell of `row` re-aggregated from the tree's current stored
+  /// measures. Pre: the tree stores non-leaf measures.
+  Isb FoldRow(const HTree& tree, std::size_t row) const {
+    return tree.FoldSubtreeMeasures(row_begin(row), row_end(row));
+  }
+
+  /// The row of `key`, or -1 when the cell is not indexed. Builds the
+  /// key -> row map on first use (O(rows) once).
+  std::int64_t Find(const HTree& tree, const CellKey& key);
+
+  /// Appends `nodes` as the row of `key` (no-op if present). Under a codec
+  /// `key` must pack — every in-tree cell key does (CHECKed).
+  void Insert(const HTree& tree, const CellKey& key,
+              const std::vector<NodeId>& nodes);
+
+  /// Analytic footprint (row arrays + key -> row map), for the cube-memo
   /// memory accounting.
   std::int64_t MemoryBytes() const;
+
+ private:
+  friend CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
+                                                  const CuboidLattice& lattice,
+                                                  CuboidId cuboid);
+
+  std::vector<std::uint64_t> packed_keys_;  // by row, under a codec
+  std::vector<CellKey> keys_;               // by row, without one
+  std::vector<std::uint32_t> offsets_{0};   // num_rows() + 1 entries
+  std::vector<NodeId> nodes_;
+  bool has_row_map_ = false;
+  std::unordered_map<std::uint64_t, std::uint32_t> row_of_packed_;
+  std::unordered_map<CellKey, std::uint32_t, CellKeyHash> row_of_key_;
 };
 
-/// Builds the member index of `cuboid` with the same traversal
+/// Builds the complete member index of `cuboid` with the same traversal
 /// ComputeCuboidCells performs (one chain scan of the deepest attribute;
-/// the apex indexes the root). O(nodes at the deepest attribute's depth).
+/// the apex indexes the root), rows numbered by first visit. O(nodes at
+/// the deepest attribute's depth), plus one arena sweep for packed keys.
 CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
                                          const CuboidLattice& lattice,
                                          CuboidId cuboid);
@@ -301,7 +335,7 @@ using PatchedCells = std::vector<std::pair<CellKey, Isb>>;
 
 /// The patch-apply kernel: recomputes exactly the `touched` cells of the
 /// indexed cuboid by re-folding each cell's chain nodes in index (== chain)
-/// order. Bit-identical to the cells ComputeCuboidCells would produce on a
+/// order (CuboidMemberIndex::FoldRow). Bit-identical to the cells ComputeCuboidCells would produce on a
 /// freshly built tree over the same key set, because the operand sequence
 /// is identical (on a stored-measure tree each node's contribution is the
 /// stored subtree fold, itself bitwise equal to the lazy walk). Every
@@ -309,7 +343,7 @@ using PatchedCells = std::vector<std::pair<CellKey, Isb>>;
 /// caller skipped a structural rebuild; CHECKed).
 /// O(Σ touched cells' chain nodes), independent of the cuboid's size.
 PatchedCells RecomputeCellsFromIndex(const HTree& tree,
-                                     const CuboidMemberIndex& index,
+                                     CuboidMemberIndex& index,
                                      const std::vector<CellKey>& touched);
 
 /// The prefix-cuboid patch shortcut: cells of a tree-prefix cuboid are in

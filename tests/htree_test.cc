@@ -191,6 +191,58 @@ TEST(HTreeTest, NonLeafMeasuresMatchLazyComputation) {
   EXPECT_GT(stored->MemoryBytes(), lazy->MemoryBytes());
 }
 
+TEST(HTreeTest, ReplaceLeafMeasuresIsBitwiseAFreshBuild) {
+  // The epoch roll: a tree kept across a window move must end up with
+  // exactly the leaves and stored sums a fresh build over the new window
+  // has — same structure, so node ids line up one to one.
+  SmallWorkload w = MakeSmallWorkload(3, 2, 3, 40);
+  std::vector<MLayerTuple> rolled = w.tuples;
+  for (size_t i = 0; i < rolled.size(); ++i) {
+    rolled[i].measure.interval = TimeInterval{4, 19};
+    rolled[i].measure.base = 0.37 * static_cast<double>(i % 7) - 1.0;
+    rolled[i].measure.slope = 0.011 * static_cast<double>((i * 5) % 13);
+  }
+  HTree::Options options;
+  options.attribute_order = CardinalityAscendingOrder(*w.schema);
+  options.store_nonleaf_measures = true;
+  auto kept = HTree::Build(*w.schema, w.tuples, options);
+  auto fresh = HTree::Build(*w.schema, rolled, options);
+  ASSERT_TRUE(kept.ok() && fresh.ok());
+  ASSERT_TRUE(kept->ReplaceLeafMeasures(*w.schema, rolled).ok());
+  EXPECT_EQ(kept->common_interval(), fresh->common_interval());
+  ASSERT_EQ(kept->num_nodes(), fresh->num_nodes());
+  for (NodeId id = 0; id < static_cast<NodeId>(kept->num_nodes()); ++id) {
+    EXPECT_EQ(kept->StoredMeasure(kept->node(id)),
+              fresh->StoredMeasure(fresh->node(id)))
+        << "node " << id;
+  }
+
+  // Refused windows leave the tree untouched: mixed intervals, a leaf
+  // named twice, a cell the tree does not hold, a leaf left out.
+  auto refused = [&](std::vector<MLayerTuple> bad) {
+    EXPECT_FALSE(kept->ReplaceLeafMeasures(*w.schema, bad).ok());
+    for (NodeId id = 0; id < static_cast<NodeId>(kept->num_nodes()); ++id) {
+      ASSERT_EQ(kept->StoredMeasure(kept->node(id)),
+                fresh->StoredMeasure(fresh->node(id)));
+    }
+  };
+  std::vector<MLayerTuple> bad = w.tuples;
+  bad.back().measure.interval = TimeInterval{4, 19};
+  refused(bad);
+  bad = rolled;
+  bad.back() = bad.front();
+  refused(bad);
+  bad = rolled;
+  for (ValueId v = 0; kept->FindLeaf(*w.schema, bad.back().key) != nullptr;
+       ++v) {
+    bad.back().key.set(0, v);  // walk to an in-range cell with no leaf
+  }
+  refused(bad);
+  bad = rolled;
+  bad.pop_back();
+  refused(bad);
+}
+
 TEST(HTreeTest, PathValueWalksUp) {
   SmallWorkload w = MakeSmallWorkload(2, 2, 3, 10);
   HTree::Options options;

@@ -4,23 +4,29 @@
 // m/o H-cubing (and to the ComputeCubeAllLocks oracle) across shard counts
 // {1, 2, 8} under randomized churn; it must survive no-op seals and
 // boundary-free alignment without recomputing; churn must invalidate it
-// precisely (open-slot churn revalidates, sealed-window churn patches,
-// structural changes — new cells, window rolls, a different (level, k) —
-// rebuild); its bytes must show up in the facade's memory tracker under
-// "cube.memo"; the error contract must match the from-scratch kernels; and
-// concurrent churn + cube queries must be race-free (this test runs in the
-// TSan CI job).
+// precisely (open-slot churn revalidates, sealed-window churn patches, a
+// seal that moves every window rolls the memo in place, structural changes
+// — new cells, a different (level, k) — rebuild); cube-side lists must not
+// depend on how the memo got there; its bytes must show up in the memory
+// tracker under "cube.memo"; the error contract must match the
+// from-scratch kernels; and concurrent churn + cube queries must be
+// race-free (this test runs in the TSan CI job).
 //
 // The randomized churn and the oracle comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "regcube/api/regcube.h"
+#include "regcube/core/incremental_cube.h"
+#include "regcube/cube/packed_key.h"
 #include "equivalence_harness.h"
 #include "test_util.h"
 
@@ -44,6 +50,33 @@ WorkloadSpec LagSpec(std::int64_t tuples = 150) {
 StreamCubeEngine::Options LagOptions() { return ChurnEngineOptions(); }
 
 CellKey PacerKey() { return Key2(15, 15); }
+
+/// One tick per level-0 slot (like the §4.5 analyst loop): every seal
+/// rolls a level-0 window.
+StreamCubeEngine::Options RollOptions() {
+  StreamCubeEngine::Options options = ChurnEngineOptions();
+  options.tilt_policy =
+      MakeUniformTiltPolicy({{"tick", 8}, {"octet", 8}}, {1, 8});
+  return options;
+}
+
+constexpr int kRollLevel = 0;
+constexpr int kRollK = 4;
+
+/// Ingests every cell of `cells` at `tick` as one batch (values a
+/// deterministic function of the cell and the tick).
+void IngestTick(ShardedStreamEngine& engine,
+                const std::vector<StreamGenerator::CellParams>& cells,
+                TimeTick tick) {
+  std::vector<StreamTuple> batch;
+  batch.reserve(cells.size());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    const double z = 0.1 * static_cast<double>((c * 7 + 3 * tick) % 11) +
+                     0.05 * static_cast<double>(tick);
+    batch.push_back({cells[c].key, tick, z});
+  }
+  ASSERT_TRUE(engine.IngestBatch(batch).ok());
+}
 
 /// Seeds every generated cell with its ticks 0..7, then drives the global
 /// clock to 11 through one pacer cell, so [0,4) and [4,8) are sealed from
@@ -250,14 +283,21 @@ TEST(IncrementalCubeTest, StructuralChangesRebuild) {
   ASSERT_TRUE(engine.ComputeCubeShared(0, 1).ok());
   EXPECT_EQ(engine.cube_memo_stats().rebuilds, 3);
 
-  // Rolling the window epoch (a new level-0 slot seals) rebuilds too.
+  // Switching back is another window: rebuild.
   ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+  EXPECT_EQ(engine.cube_memo_stats().rebuilds, 4);
+
+  // Rolling the window epoch (a new level-0 slot seals) is not structural:
+  // the population is unchanged, so the memo rolls in place.
   ASSERT_TRUE(engine.SealThrough(12).ok());  // seals [8,12)
   auto rolled = engine.ComputeCubeShared(0, 2);
   ASSERT_TRUE(rolled.ok());
   ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
                        **rolled);
-  EXPECT_EQ(engine.cube_memo_stats().patches, 0);
+  const auto stats = engine.cube_memo_stats();
+  EXPECT_EQ(stats.rolls, 1);
+  EXPECT_EQ(stats.rebuilds, 4);
+  EXPECT_EQ(stats.patches, 0);
 }
 
 TEST(IncrementalCubeTest, PatchedCubeIsImmutableForHolders) {
@@ -279,6 +319,315 @@ TEST(IncrementalCubeTest, PatchedCubeIsImmutableForHolders) {
   // The held cube must not have been mutated by the patch (copy-on-write).
   EXPECT_NE(before->get(), after->get());
   ExpectCellMapsIdentical(m_before, (*before)->m_layer());
+}
+
+// ------------------------------------------------------------- epoch rolls
+
+TEST(IncrementalCubeTest, EverySealRollsTheMemoInPlaceAcrossShardCounts) {
+  WorkloadSpec spec = LagSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  constexpr int kRounds = 24;
+
+  std::vector<CellMap> o_layers;  // cross-shard-count invariance
+  for (int shards : {1, 2, 8}) {
+    auto pool = std::make_shared<ThreadPool>(3);
+    ShardedStreamEngine engine(*schema, RollOptions(), shards, pool);
+    StreamGenerator gen(spec);
+    const auto& cells = gen.cells();
+    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+    ASSERT_TRUE(engine.ComputeCubeShared(kRollLevel, kRollK).ok());
+
+    // Every round seals one new tick, so every cell's window moves. Odd
+    // rounds leave about a third of the cells silent: their new slot is
+    // empty, and they roll all the same.
+    Pcg32 rng(17, 3);
+    for (int round = 0; round < kRounds; ++round) {
+      const TimeTick tick = spec.series_length + round;
+      std::vector<StreamTuple> batch;
+      for (size_t c = 0; c < cells.size(); ++c) {
+        if (round % 2 == 1 && rng.Uniform(3) == 0) continue;
+        batch.push_back({cells[c].key, tick,
+                         0.3 * static_cast<double>((c + round) % 5)});
+      }
+      ASSERT_TRUE(engine.IngestBatch(batch).ok());
+      ASSERT_TRUE(engine.SealThrough(tick).ok());
+      auto rolled = engine.ComputeCubeShared(kRollLevel, kRollK);
+      ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+      ExpectCubesIdentical(
+          ScratchCube(*schema, engine, RollOptions(), kRollLevel, kRollK),
+          **rolled);
+    }
+    const auto stats = engine.cube_memo_stats();
+    EXPECT_EQ(stats.rolls, kRounds);
+    EXPECT_EQ(stats.rebuilds, 1);
+    EXPECT_EQ(stats.patches, 0);
+    auto last = engine.ComputeCubeShared(kRollLevel, kRollK);
+    ASSERT_TRUE(last.ok());
+    o_layers.push_back((*last)->o_layer());
+  }
+  ExpectCellMapsIdentical(o_layers[0], o_layers[1]);
+  ExpectCellMapsIdentical(o_layers[0], o_layers[2]);
+}
+
+TEST(IncrementalCubeTest, RollsInterleaveWithPatchesAndResumeAfterARebuild) {
+  WorkloadSpec spec = LagSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  constexpr int kRounds = 20;
+  constexpr int kFreshRound = 8;
+
+  for (int shards : {1, 2, 8}) {
+    auto pool = std::make_shared<ThreadPool>(3);
+    ShardedStreamEngine engine(*schema, RollOptions(), shards, pool);
+    StreamGenerator gen(spec);
+    const auto& cells = gen.cells();
+    const CellKey fresh = FreshKeyOutside(gen, 16);
+    auto check = [&] {
+      auto maintained = engine.ComputeCubeShared(kRollLevel, kRollK);
+      ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+      ExpectCubesIdentical(
+          ScratchCube(*schema, engine, RollOptions(), kRollLevel, kRollK),
+          **maintained);
+    };
+    // The pacer runs one tick ahead of the population: each round's tick
+    // is globally sealed while every population frame still sits on it,
+    // so late data lands in the window's newest slot.
+    auto late = [&](TimeTick tick, int round) {
+      for (size_t c = static_cast<size_t>(round) % 5; c < cells.size();
+           c += cells.size() / 3) {
+        ASSERT_TRUE(engine.Ingest({cells[c].key, tick, 2.5 + round}).ok());
+      }
+    };
+    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+    ASSERT_TRUE(engine.Ingest({PacerKey(), spec.series_length, 1.0}).ok());
+    check();  // rebuild
+    late(spec.series_length - 1, 0);
+    check();  // a patch seeds the member rows before the first roll
+
+    for (int round = 0; round < kRounds; ++round) {
+      const TimeTick tick = spec.series_length + round;
+      IngestTick(engine, cells, tick);
+      if (round == kFreshRound) {
+        ASSERT_TRUE(engine.Ingest({fresh, tick, 3.0}).ok());
+      }
+      ASSERT_TRUE(engine.Ingest({PacerKey(), tick + 1, 1.0}).ok());
+      check();  // roll (rebuild on the fresh round)
+      if (round == kFreshRound) {
+        EXPECT_EQ(engine.cube_memo_stats().rebuilds, 2);
+      }
+      late(tick, round);
+      check();  // patch on the rolled tree and rows
+    }
+    const auto stats = engine.cube_memo_stats();
+    EXPECT_EQ(stats.rebuilds, 2);
+    EXPECT_EQ(stats.rolls, kRounds - 1);
+    EXPECT_EQ(stats.patches, kRounds + 1);
+  }
+}
+
+TEST(IncrementalCubeTest, RollsWithoutAPackedCodec) {
+  // A schema too wide to pack (66 bits of fields): the memo's tree, member
+  // rows and lists all take the CellKey route.
+  auto h = std::make_shared<FanoutHierarchy>(2, 65536);
+  auto created = CubeSchema::Create({Dimension("A", h), Dimension("B", h)},
+                                    {2, 2}, {1, 1});
+  ASSERT_TRUE(created.ok());
+  auto schema = std::make_shared<const CubeSchema>(std::move(created).value());
+  ASSERT_FALSE(PackedKeyCodec::ForSchema(*schema).has_value());
+
+  // The generated keys use small value ids, valid under the wide schema.
+  WorkloadSpec spec = LagSpec();
+  StreamGenerator gen(spec);
+  ShardedStreamEngine engine(schema, RollOptions(), 2,
+                             std::make_shared<ThreadPool>(2));
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(engine.ComputeCubeShared(kRollLevel, kRollK).ok());
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    const TimeTick tick = spec.series_length + round;
+    IngestTick(engine, gen.cells(), tick);
+    ASSERT_TRUE(engine.SealThrough(tick).ok());
+    auto rolled = engine.ComputeCubeShared(kRollLevel, kRollK);
+    ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+    ExpectCubesIdentical(
+        ScratchCube(schema, engine, RollOptions(), kRollLevel, kRollK),
+        **rolled);
+  }
+  EXPECT_EQ(engine.cube_memo_stats().rolls, kRounds);
+  EXPECT_EQ(engine.cube_memo_stats().rebuilds, 1);
+}
+
+TEST(IncrementalCubeTest, RegressionErrorDuringARollMatchesFromScratch) {
+  WorkloadSpec spec = LagSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  const StreamCubeEngine::Options options = RollOptions();
+  ShardedStreamEngine engine(*schema, options, 2);
+  StreamGenerator gen(spec);
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+
+  IncrementalCubeCache cache(*schema, options);
+  const auto before = engine.GatherAlignedCells();
+  ASSERT_TRUE(cache.CubeFor(before.cells, 1, kRollLevel, kRollK, nullptr).ok());
+
+  IngestTick(engine, gen.cells(), spec.series_length);
+  ASSERT_TRUE(engine.SealThrough(spec.series_length).ok());
+  const auto after = engine.GatherAlignedCells();
+
+  // The rolled run, except that its last cell's frame began one tick
+  // before the roll: it has fewer sealed slots than the window needs, so
+  // its regression fails after the walk has already seen the roll.
+  auto broken = std::make_shared<SnapshotCells>(*after.cells);
+  auto short_frame = std::make_shared<TiltTimeFrame>(options.tilt_policy,
+                                                     spec.series_length - 1);
+  ASSERT_TRUE(short_frame->Add(spec.series_length - 1, 1.0).ok());
+  ASSERT_TRUE(short_frame->Add(spec.series_length, 2.0).ok());
+  ASSERT_TRUE(short_frame->AdvanceTo(spec.series_length + 1).ok());
+  broken->back().frame = short_frame;
+
+  auto failed = cache.CubeFor(broken, 2, kRollLevel, kRollK, nullptr);
+  auto scratch =
+      SnapshotCubeOf(*schema, *broken, options, kRollLevel, kRollK, nullptr);
+  ASSERT_FALSE(scratch.ok());
+  EXPECT_EQ(failed.status().code(), scratch.status().code());
+  EXPECT_EQ(failed.status().message(), scratch.status().message());
+  EXPECT_EQ(cache.stats().rolls, 0);
+
+  // A cell that did not move with the others (its frame is still the
+  // memoized one) makes the window mixed: the from-scratch error again.
+  auto mixed = std::make_shared<SnapshotCells>(*after.cells);
+  mixed->back().frame = before.cells->back().frame;
+  auto mixed_failed = cache.CubeFor(mixed, 3, kRollLevel, kRollK, nullptr);
+  auto mixed_scratch =
+      SnapshotCubeOf(*schema, *mixed, options, kRollLevel, kRollK, nullptr);
+  ASSERT_FALSE(mixed_scratch.ok());
+  EXPECT_EQ(mixed_failed.status().code(), mixed_scratch.status().code());
+  EXPECT_EQ(mixed_failed.status().message(),
+            mixed_scratch.status().message());
+
+  // Neither failure poisoned the memo: the intact run rolls.
+  auto rolled = cache.CubeFor(after.cells, 4, kRollLevel, kRollK, nullptr);
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  auto want = SnapshotCubeOf(*schema, *after.cells, options, kRollLevel,
+                             kRollK, nullptr);
+  ASSERT_TRUE(want.ok());
+  ExpectCubesIdentical(*want, **rolled);
+  EXPECT_EQ(cache.stats().rolls, 1);
+  EXPECT_EQ(cache.stats().rebuilds, 1);
+}
+
+// ------------------------------------------------------------- list order
+
+void ExpectListsIdentical(const QueryResult& want, const QueryResult& got) {
+  ASSERT_EQ(want.cells().size(), got.cells().size());
+  for (size_t i = 0; i < want.cells().size(); ++i) {
+    EXPECT_EQ(want.cells()[i].cuboid, got.cells()[i].cuboid) << "at " << i;
+    EXPECT_EQ(want.cells()[i].key, got.cells()[i].key) << "at " << i;
+    EXPECT_EQ(want.cells()[i].isb, got.cells()[i].isb) << "at " << i;
+  }
+}
+
+TEST(IncrementalCubeTest, ListOrderIsAFunctionOfCubeContent) {
+  WorkloadSpec spec = LagSpec(/*tuples=*/40);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  const auto& cells = gen.cells();
+  const CuboidLattice lattice(**schema);
+  const CuboidId c12 = lattice.id(LayerSpec{1, 2});
+  const CuboidId c21 = lattice.id(LayerSpec{2, 1});
+
+  // Build a tie on purpose: a steep trend key that is the only member of
+  // its (1,2) and (2,1) cells. Both cells then carry its exact measure, so
+  // the two strongest exceptions tie on |slope| across cuboids.
+  std::vector<CellKey> others;
+  for (const auto& cell : cells) others.push_back(cell.key);
+  others.push_back(PacerKey());
+  std::optional<CellKey> trend;
+  for (ValueId a = 0; a < 15 && !trend; ++a) {
+    for (ValueId b = 0; b < 15 && !trend; ++b) {
+      const CellKey candidate = Key2(a, b);
+      bool lonely = true;
+      for (const CellKey& other : others) {
+        lonely = lonely &&
+                 !(lattice.ProjectMLayerKey(other, c12) ==
+                   lattice.ProjectMLayerKey(candidate, c12)) &&
+                 !(lattice.ProjectMLayerKey(other, c21) ==
+                   lattice.ProjectMLayerKey(candidate, c21));
+      }
+      if (lonely) trend = candidate;
+    }
+  }
+  ASSERT_TRUE(trend.has_value()) << "no lonely key in the workload";
+
+  auto built = EngineBuilder()
+                   .SetSchema(*schema)
+                   .SetTiltPolicy(RollOptions().tilt_policy)
+                   .SetExceptionPolicy(ExceptionPolicy(0.02))
+                   .SetShardCount(2)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+  const TimeTick t0 = spec.series_length;
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  for (TimeTick t = 0; t < t0; ++t) {
+    ASSERT_TRUE(engine.Ingest({*trend, t, 40.0 * t}).ok());
+  }
+  ASSERT_TRUE(engine.Ingest({PacerKey(), t0, 1.0}).ok());
+  const QuerySpec top_all = QuerySpec::TopExceptions(1000, kRollLevel, kRollK);
+  ASSERT_TRUE(engine.Query(top_all).ok());  // rebuild
+
+  // Patch: late data into the sealed slot t0 - 1.
+  for (size_t c = 0; c < cells.size(); c += 7) {
+    ASSERT_TRUE(engine.Ingest({cells[c].key, t0 - 1, 4.0}).ok());
+  }
+  ASSERT_TRUE(engine.Query(top_all).ok());
+  // Roll: everyone writes t0, the pacer seals it.
+  for (const auto& cell : cells) {
+    ASSERT_TRUE(engine.Ingest({cell.key, t0, 0.5}).ok());
+  }
+  ASSERT_TRUE(engine.Ingest({*trend, t0, 40.0 * t0}).ok());
+  ASSERT_TRUE(engine.Ingest({PacerKey(), t0 + 1, 1.0}).ok());
+
+  auto snapshot = engine.TakeSnapshot();  // held: its own from-scratch cube
+  auto all = engine.Query(top_all);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_GE(all->cells().size(), 2u);
+  const CellResult& first = all->cells()[0];
+  const CellResult& second = all->cells()[1];
+  EXPECT_EQ(std::fabs(first.isb.slope), std::fabs(second.isb.slope));
+  EXPECT_EQ(first.cuboid, std::min(c12, c21));
+  EXPECT_EQ(second.cuboid, std::max(c12, c21));
+
+  for (std::size_t n : {1, 2, 3, 5, 8, 1000}) {
+    const QuerySpec top = QuerySpec::TopExceptions(n, kRollLevel, kRollK);
+    auto memo = engine.Query(top);
+    auto held = snapshot->Query(top);
+    ASSERT_TRUE(memo.ok() && held.ok());
+    ExpectListsIdentical(*held, *memo);
+  }
+  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+    const QuerySpec at = QuerySpec::ExceptionsAt(c, kRollLevel, kRollK);
+    auto memo = engine.Query(at);
+    auto held = snapshot->Query(at);
+    ASSERT_TRUE(memo.ok() && held.ok());
+    ExpectListsIdentical(*held, *memo);
+  }
+  const CuboidId o_id = lattice.o_layer_id();
+  for (const CellKey& key :
+       {lattice.ProjectMLayerKey(*trend, o_id),
+        lattice.ProjectMLayerKey(cells[0].key, o_id)}) {
+    const QuerySpec drill =
+        QuerySpec::DrillDown(o_id, key, kRollLevel, kRollK);
+    auto memo = engine.Query(drill);
+    auto held = snapshot->Query(drill);
+    ASSERT_TRUE(memo.ok() && held.ok());
+    ExpectListsIdentical(*held, *memo);
+  }
 }
 
 // ----------------------------------------------------------- facade & memory
@@ -321,6 +670,49 @@ TEST(IncrementalCubeTest, FacadeCubeQueriesRideTheMemoAndAccountMemory) {
     EXPECT_EQ(top->cells()[i].key, snap_top->cells()[i].key);
     EXPECT_EQ(top->cells()[i].isb, snap_top->cells()[i].isb);
   }
+
+  // Rolls keep "cube.memo" exact as the stored tree and the complete
+  // member rows join the memo, and the budget ladder's cube.memo rung
+  // (priority 10) returns every byte of it.
+  MemoryTracker tracker;
+  ShardedStreamEngine sharded(*schema, RollOptions(), 2);
+  sharded.set_memory_tracker(&tracker);
+  ASSERT_TRUE(sharded.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(sharded.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(sharded.ComputeCubeShared(kRollLevel, kRollK).ok());
+  EXPECT_EQ(tracker.category_bytes("cube.memo"), sharded.CubeMemoBytes());
+  for (TimeTick tick = spec.series_length; tick < spec.series_length + 2;
+       ++tick) {
+    IngestTick(sharded, gen.cells(), tick);
+    ASSERT_TRUE(sharded.SealThrough(tick).ok());
+    ASSERT_TRUE(sharded.ComputeCubeShared(kRollLevel, kRollK).ok());
+    EXPECT_EQ(tracker.category_bytes("cube.memo"), sharded.CubeMemoBytes());
+  }
+  EXPECT_EQ(sharded.cube_memo_stats().rolls, 2);
+  const std::int64_t rolled_bytes = sharded.CubeMemoBytes();
+
+  MemoryBudgetConfig budget;
+  budget.budget_bytes = tracker.current_bytes() - 1;
+  ASSERT_TRUE(sharded.ConfigureStorage(budget).ok());
+  sharded.MaybeEnforceBudget();
+  EXPECT_EQ(sharded.SpillStats().memo_evictions, 1);
+  EXPECT_EQ(tracker.category_bytes("cube.memo"), 0);
+  EXPECT_EQ(sharded.CubeMemoBytes(), 0);
+
+  auto rebuilt = sharded.ComputeCubeShared(kRollLevel, kRollK);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(sharded.cube_memo_stats().rebuilds, 2);
+  // Read before the next gather: with the budget in place, every gather
+  // enforces it and evicts the memo again.
+  const std::int64_t rebuilt_bytes = sharded.CubeMemoBytes();
+  EXPECT_EQ(tracker.category_bytes("cube.memo"), rebuilt_bytes);
+  EXPECT_GT(rebuilt_bytes, 0);
+  // Same window, same cube: what the rolled memo held beyond the rebuilt
+  // one is its stored tree and member rows.
+  EXPECT_GT(rolled_bytes, rebuilt_bytes);
+  ExpectCubesIdentical(
+      ScratchCube(*schema, sharded, RollOptions(), kRollLevel, kRollK),
+      **rebuilt);
 }
 
 // ------------------------------------------------------------ error contract

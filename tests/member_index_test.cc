@@ -200,15 +200,13 @@ TEST(MemberIndexTest, SeededNodeIndexReproducesChainScanExactly) {
   const CuboidLattice& lattice = engine.lattice();
   for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
     const CuboidMemberIndex full = BuildCuboidMemberIndex(*tree, lattice, c);
-    // Materialize the index cells with CellKey keys regardless of which
+    // Materialize the index rows with CellKey keys regardless of which
     // representation (packed or keyed) the build chose.
     std::vector<std::pair<CellKey, std::vector<NodeId>>> index_cells;
-    for (const auto& [packed, nodes] : full.by_packed) {
-      ASSERT_NE(tree->codec(), nullptr);
-      index_cells.emplace_back(tree->codec()->Unpack(packed), nodes);
-    }
-    for (const auto& [key, nodes] : full.by_key) {
-      index_cells.emplace_back(key, nodes);
+    for (size_t r = 0; r < full.num_rows(); ++r) {
+      index_cells.emplace_back(
+          full.RowKey(*tree, r),
+          std::vector<NodeId>(full.row_begin(r), full.row_end(r)));
     }
     for (const auto& [cell_key, chain_nodes] : index_cells) {
       // Member keys via the engine's index, canonical order — exactly the
