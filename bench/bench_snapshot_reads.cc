@@ -1,22 +1,19 @@
 // E10 — the snapshot-read figure: does a large ComputeCube stall ingest?
-// The pre-redesign read path (ComputeCubeAllLocks) holds every shard lock
-// for the whole cubing computation, freezing writers across the board; the
-// snapshot path locks each shard only to copy its cells, then cubes
-// lock-free. This harness runs writer threads that ingest continuously
-// while the main thread recomputes the cube in a loop, and reports how
-// many tuples the writers managed to absorb during the cubing window —
-// the §4.5 "continuous ingest must not stall behind analysis" number.
-//
-// The run also checks the two paths produce identical cubes (the snapshot
-// redesign is a concurrency change, not a numerics change).
+// The snapshot path locks each shard only to copy its publication pointer,
+// then cubes lock-free. This harness runs writer threads that ingest
+// continuously while the main thread recomputes the cube in a loop, and
+// reports how many tuples the writers managed to absorb during the cubing
+// window — the §4.5 "continuous ingest must not stall behind analysis"
+// number. The cube's o-layer must have the population the replay
+// reference (tests/reference_stream.h) defines.
 //
 // Phase 2 — steady-state churn: N cells sealed once, then rounds in which
 // only p% of cells receive new observations before a snapshot is taken.
 // Measures the delta gather (frozen blocks shared for clean cells, copies
-// only for dirty ones) against the copy-everything full gather, in both
-// latency and bytes actually copied, plus the member-only point-query path
-// against a full-snapshot scan. Both comparisons RC_CHECK bit-identity —
-// the delta machinery is a caching change, not a numerics change.
+// only for dirty ones) in latency and bytes actually copied, the
+// member-only series query, and indexed point-query gathers. Every result
+// is RC_CHECKed bit-identical to the replay reference fed the same writes
+// — the delta machinery is a caching change, not a numerics change.
 
 #include <atomic>
 #include <cstdio>
@@ -25,32 +22,36 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "tests/reference_stream.h"
 
 namespace regcube {
 namespace {
 
-struct ModeResult {
+struct CubeLoopResult {
   double cube_s = 0.0;                // wall time of the cubing loop
   double ingested_during_cube = 0.0;  // tuples writers absorbed meanwhile
-  std::int64_t rejected = 0;          // tuples bounced by read-forced seals
   std::size_t o_cells = 0;
 };
 
-/// Runs `cube_rounds` cube computations with `threads` writers ingesting
-/// continuously (each writer owns a disjoint cell slice and replays the
-/// stream at ever-later ticks, keeping per-cell ticks monotone).
-ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
-                   const std::vector<StreamTuple>& stream, int threads,
-                   int cube_rounds) {
-  auto schema = MakeWorkloadSchemaPtr(spec);
-  RC_CHECK(schema.ok());
+StreamCubeEngine::Options BenchOptions() {
   StreamCubeEngine::Options options;
   options.tilt_policy =
       MakeUniformTiltPolicy({{"quarter", 8}, {"hour", 8}}, {4, 16});
   options.policy = ExceptionPolicy(0.05);
+  return options;
+}
+
+/// Runs `cube_rounds` cube computations with `threads` writers ingesting
+/// continuously (each writer owns a disjoint cell slice and replays the
+/// stream at ever-later ticks, keeping per-cell ticks monotone).
+CubeLoopResult RunCubeLoop(const WorkloadSpec& spec,
+                           const std::vector<StreamTuple>& stream,
+                           int threads, int cube_rounds) {
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  RC_CHECK(schema.ok());
   auto pool = std::make_shared<ThreadPool>();
-  auto engine = std::make_unique<ShardedStreamEngine>(*schema, options,
-                                                      /*num_shards=*/8, pool);
+  auto engine = std::make_unique<ShardedStreamEngine>(
+      *schema, BenchOptions(), /*num_shards=*/8, pool);
 
   IngestReport seed = engine->IngestBatch(stream);
   RC_CHECK(seed.ok()) << seed.status.ToString();
@@ -58,7 +59,6 @@ ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
 
   std::atomic<bool> stop{false};
   std::atomic<std::int64_t> ingested{0};
-  std::atomic<std::int64_t> rejected{0};
   std::vector<std::thread> writers;
   writers.reserve(static_cast<size_t>(threads));
   for (int w = 0; w < threads; ++w) {
@@ -73,35 +73,25 @@ ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
             continue;
           }
           Status s = engine->Ingest({t.key, t.tick + shift, t.value});
-          if (s.ok()) {
-            ingested.fetch_add(1, std::memory_order_relaxed);
-          } else if (s.code() == StatusCode::kOutOfRange) {
-            // The all-locks read path force-seals lagging shards to the
-            // global clock, bouncing writers stuck behind it — part of
-            // what the snapshot redesign fixes. Count, don't die.
-            rejected.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            RC_CHECK(s.ok()) << s.ToString();
-          }
+          RC_CHECK(s.ok()) << s.ToString();
+          ingested.fetch_add(1, std::memory_order_relaxed);
           if (stop.load(std::memory_order_relaxed)) return;
         }
       }
     });
   }
 
-  ModeResult result;
+  CubeLoopResult result;
   const std::int64_t before = ingested.load();
   Stopwatch cube_timer;
   for (int round = 0; round < cube_rounds; ++round) {
-    auto cube = all_locks ? engine->ComputeCubeAllLocks(0, 8)
-                          : engine->ComputeCube(0, 8);
+    auto cube = engine->ComputeCube(0, 8);
     RC_CHECK(cube.ok()) << cube.status().ToString();
     result.o_cells = cube->o_layer().size();
   }
   result.cube_s = cube_timer.ElapsedSeconds();
   result.ingested_during_cube =
       static_cast<double>(ingested.load() - before);
-  result.rejected = rejected.load();
 
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& w : writers) w.join();
@@ -110,7 +100,7 @@ ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
 
 /// Phase 2: the O(changed-cells) figure. Seeds `num_cells` cells, seals,
 /// then per round dirties `dirty_pct`% of them at the open tick and takes
-/// both a delta and a full gather, checking they agree bit for bit.
+/// a delta gather, checking it against the reference bit for bit.
 void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   const std::int64_t num_cells = bench::ArgInt(argc, argv, "cells", 20'000);
   const std::int64_t dirty_pct = bench::ArgInt(argc, argv, "dirty", 10);
@@ -128,47 +118,43 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   spec.seed = 31;
 
   bench::PrintHeader(StrPrintf(
-      "Steady-state churn: delta vs full gather (%lld cells, %lld%% dirty "
-      "per round, %d rounds)",
+      "Steady-state churn: delta gather (%lld cells, %lld%% dirty per "
+      "round, %d rounds)",
       static_cast<long long>(num_cells), static_cast<long long>(dirty_pct),
       rounds));
 
   auto schema = MakeWorkloadSchemaPtr(spec);
   RC_CHECK(schema.ok());
-  StreamCubeEngine::Options options;
-  options.tilt_policy =
-      MakeUniformTiltPolicy({{"quarter", 8}, {"hour", 8}}, {4, 16});
-  options.policy = ExceptionPolicy(0.05);
+  const StreamCubeEngine::Options options = BenchOptions();
   auto pool = std::make_shared<ThreadPool>();
   ShardedStreamEngine engine(*schema, options, shards, pool);
+  ReferenceStream reference(*schema, options);
 
   StreamGenerator gen(spec);
   const auto& cells = gen.cells();
-  IngestReport seed = engine.IngestBatch(gen.GenerateStream());
+  const std::vector<StreamTuple> stream = gen.GenerateStream();
+  IngestReport seed = engine.IngestBatch(stream);
   RC_CHECK(seed.ok()) << seed.status.ToString();
+  RC_CHECK(reference.IngestBatch(stream).ok());
   RC_CHECK(engine.SealThrough(spec.series_length - 1).ok());
+  RC_CHECK(reference.SealThrough(spec.series_length - 1).ok());
   engine.GatherAlignedCells();  // warm the frozen blocks and caches
 
   const TimeTick open_tick = spec.series_length;  // inside the open quarter
   const std::int64_t dirty_n = num_cells * dirty_pct / 100;
-  double full_s = 0.0, delta_s = 0.0;
-  double full_bytes = 0.0, delta_bytes = 0.0;
-  // Gather results live across rounds so each timed gather also pays the
-  // release of the previous round's run — the steady-state cost of either
-  // mode, not just its allocation half.
-  ShardedStreamEngine::GatheredCells full, delta;
+  double delta_s = 0.0, delta_bytes = 0.0;
+  // The gather result lives across rounds so each timed gather also pays
+  // the release of the previous round's run — the steady-state cost, not
+  // just its allocation half.
+  ShardedStreamEngine::GatheredCells delta;
   for (int round = 0; round < rounds; ++round) {
     for (std::int64_t j = 0; j < dirty_n; ++j) {
       const auto& cell =
           cells[static_cast<size_t>((round * dirty_n + j) %
                                     num_cells)];
       RC_CHECK(engine.Ingest({cell.key, open_tick, 1.0}).ok());
+      RC_CHECK(reference.Ingest({cell.key, open_tick, 1.0}).ok());
     }
-    Stopwatch full_timer;
-    full = engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-    full_s += full_timer.ElapsedSeconds();
-    full_bytes += static_cast<double>(full.stats.bytes_copied);
-
     Stopwatch delta_timer;
     delta = engine.GatherAlignedCells();
     delta_s += delta_timer.ElapsedSeconds();
@@ -178,18 +164,19 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
         << " frames for " << dirty_n << " dirty cells";
 
     // Bit-identity: the delta gather is a caching strategy, not a new read.
-    auto full_window = SnapshotWindowOf(*full.cells, 0, 2);
+    auto expected_window = SnapshotWindowOf(reference.Run(), 0, 2);
     auto delta_window = SnapshotWindowOf(*delta.cells, 0, 2);
-    RC_CHECK(full_window.ok() && delta_window.ok());
-    RC_CHECK(full_window->size() == delta_window->size());
-    for (size_t i = 0; i < full_window->size(); ++i) {
-      RC_CHECK((*full_window)[i].key == (*delta_window)[i].key &&
-               (*full_window)[i].measure == (*delta_window)[i].measure)
+    RC_CHECK(expected_window.ok() && delta_window.ok());
+    RC_CHECK(expected_window->size() == delta_window->size());
+    for (size_t i = 0; i < expected_window->size(); ++i) {
+      RC_CHECK((*expected_window)[i].key == (*delta_window)[i].key &&
+               (*expected_window)[i].measure == (*delta_window)[i].measure)
           << "delta gather diverged at row " << i;
     }
   }
 
-  // Point queries: member-only gather vs a scan over a full snapshot.
+  // The series query gathers only the members.
+  const SnapshotCells run = reference.Run();
   const CuboidId o_id = engine.lattice().o_layer_id();
   const CellKey o_key =
       engine.lattice().ProjectMLayerKey(cells[0].key, o_id);
@@ -197,23 +184,18 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   auto member_series = engine.QueryCellSeries(o_id, o_key, 0);
   const double member_s = member_timer.ElapsedSeconds();
   RC_CHECK(member_series.ok()) << member_series.status().ToString();
-  Stopwatch scan_timer;
-  auto scan_gather =
-      engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-  auto scan_series = SnapshotCellSeriesOf(
-      *scan_gather.cells, engine.lattice(),
-      options.tilt_policy->num_levels(), o_id, o_key, 0);
-  const double scan_s = scan_timer.ElapsedSeconds();
-  RC_CHECK(scan_series.ok()) << scan_series.status().ToString();
-  RC_CHECK(*member_series == *scan_series)
-      << "member-only QueryCellSeries diverged from the full-snapshot scan";
+  auto expected_series =
+      SnapshotCellSeriesOf(run, engine.lattice(), reference.num_levels(),
+                           o_id, o_key, 0);
+  RC_CHECK(expected_series.ok()) << expected_series.status().ToString();
+  RC_CHECK(*member_series == *expected_series)
+      << "member-only QueryCellSeries diverged from the reference";
 
-  // Point phase — the index figure: the ingest-maintained per-cuboid
-  // member index (hash probe, O(matching members)) against the retained
-  // project-every-key scan (PointLookup::kScan, O(cells)), both through
-  // the same member-only gather, over many distinct o-layer cells.
-  // Bit-identity is RC_CHECKed per probe — the index is a lookup
-  // strategy, not a numerics change.
+  // Point phase — the index figure: member-only gathers through the
+  // ingest-maintained per-cuboid member index (hash probe, O(matching
+  // members)) over many distinct o-layer cells. Bit-identity with the
+  // reference's projected members is RC_CHECKed per probe — the index is
+  // a lookup strategy, not a numerics change.
   const int point_reps = std::max<int>(
       1, static_cast<int>(bench::ArgInt(argc, argv, "point_reps", 200)));
   std::vector<CellKey> probe_keys;
@@ -224,7 +206,7 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
     probe_keys.push_back(engine.lattice().ProjectMLayerKey(cell.key, o_id));
   }
   engine.GatherCellsMatching(o_id, probe_keys[0]);  // activate the index
-  double indexed_s = 0.0, point_scan_s = 0.0;
+  double indexed_s = 0.0;
   std::int64_t indexed_members = 0;
   for (const CellKey& key : probe_keys) {
     Stopwatch indexed_timer;
@@ -232,16 +214,13 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
     indexed_s += indexed_timer.ElapsedSeconds();
     indexed_members += static_cast<std::int64_t>(indexed.cells.size());
 
-    Stopwatch point_scan_timer;
-    auto scanned = engine.GatherCellsMatching(o_id, key, PointLookup::kScan);
-    point_scan_s += point_scan_timer.ElapsedSeconds();
-
-    RC_CHECK(indexed.cells.size() == scanned.cells.size())
+    const SnapshotCells expected = reference.Members(run, o_id, key);
+    RC_CHECK(indexed.cells.size() == expected.size())
         << "indexed member set diverged for " << key.ToString();
     for (size_t i = 0; i < indexed.cells.size(); ++i) {
-      RC_CHECK(indexed.cells[i].key == scanned.cells[i].key);
+      RC_CHECK(indexed.cells[i].key == expected[i].key);
       const TiltTimeFrame::SlotView a = indexed.cells[i].frame->RawSlots(0);
-      const TiltTimeFrame::SlotView b = scanned.cells[i].frame->RawSlots(0);
+      const TiltTimeFrame::SlotView b = expected[i].frame->RawSlots(0);
       RC_CHECK(a.size() == b.size());
       for (size_t s = 0; s < a.size(); ++s) {
         RC_CHECK(a[s].interval == b[s].interval &&
@@ -251,36 +230,22 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
       }
     }
   }
-  const double point_speedup =
-      indexed_s > 0 ? point_scan_s / indexed_s : 0.0;
+  const double avg_members =
+      static_cast<double>(indexed_members) / point_reps;
   const std::int64_t index_bytes = engine.MemberIndexBytes();
 
-  const double gather_speedup = delta_s > 0 ? full_s / delta_s : 0.0;
-  const double series_speedup = member_s > 0 ? scan_s / member_s : 0.0;
-  bench::PrintRow({"mode", "gather(s)", "bytes copied", "speedup"});
-  bench::PrintRow({"full", StrPrintf("%.4f", full_s),
-                   StrPrintf("%.0f", full_bytes), "1.00"});
-  bench::PrintRow({"delta", StrPrintf("%.4f", delta_s),
-                   StrPrintf("%.0f", delta_bytes),
-                   StrPrintf("%.2f", gather_speedup)});
-  std::printf("\nTakeSnapshot: %.2fx faster at %lld%% dirty; "
-              "QueryCellSeries (member-only): %.2fx vs full-snapshot scan\n",
-              gather_speedup, static_cast<long long>(dirty_pct),
-              series_speedup);
-  std::printf("point queries (indexed vs scan, %d probes, avg %.1f members):"
-              " %.2fx; index bytes %lld\n",
-              point_reps,
-              static_cast<double>(indexed_members) / point_reps,
-              point_speedup, static_cast<long long>(index_bytes));
+  bench::PrintRow({"gather(s)", "bytes copied", "series(s)", "point(s)"});
+  bench::PrintRow({StrPrintf("%.4f", delta_s), StrPrintf("%.0f", delta_bytes),
+                   StrPrintf("%.6f", member_s),
+                   StrPrintf("%.6f", indexed_s)});
+  std::printf("\npoint queries (indexed, %d probes, avg %.1f members); "
+              "index bytes %lld\n",
+              point_reps, avg_members, static_cast<long long>(index_bytes));
   json.Row({{"phase", "\"point\""},
             {"cells", StrPrintf("%lld", static_cast<long long>(num_cells))},
             {"reps", StrPrintf("%d", point_reps)},
             {"indexed_s", StrPrintf("%.6f", indexed_s)},
-            {"scan_s", StrPrintf("%.6f", point_scan_s)},
-            {"point_speedup", StrPrintf("%.3f", point_speedup)},
-            {"avg_members",
-             StrPrintf("%.2f",
-                       static_cast<double>(indexed_members) / point_reps)},
+            {"avg_members", StrPrintf("%.2f", avg_members)},
             {"index_bytes",
              StrPrintf("%lld", static_cast<long long>(index_bytes))}});
   json.Row({{"phase", "\"churn\""},
@@ -288,14 +253,9 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
             {"dirty_pct", StrPrintf("%lld",
                                     static_cast<long long>(dirty_pct))},
             {"rounds", StrPrintf("%d", rounds)},
-            {"full_gather_s", StrPrintf("%.6f", full_s)},
             {"delta_gather_s", StrPrintf("%.6f", delta_s)},
-            {"gather_speedup", StrPrintf("%.3f", gather_speedup)},
-            {"full_bytes_copied", StrPrintf("%.0f", full_bytes)},
             {"delta_bytes_copied", StrPrintf("%.0f", delta_bytes)},
-            {"series_member_s", StrPrintf("%.6f", member_s)},
-            {"series_full_scan_s", StrPrintf("%.6f", scan_s)},
-            {"series_speedup", StrPrintf("%.3f", series_speedup)}});
+            {"series_member_s", StrPrintf("%.6f", member_s)}});
 }
 
 void Run(int argc, char** argv) {
@@ -311,50 +271,41 @@ void Run(int argc, char** argv) {
   const int rounds = static_cast<int>(bench::ArgInt(argc, argv, "rounds", 5));
 
   bench::PrintHeader(StrPrintf(
-      "Snapshot reads vs all-locks baseline (%s, %d writer threads, "
+      "Snapshot reads under concurrent ingest (%s, %d writer threads, "
       "%d cube rounds)",
       spec.Name().c_str(), threads, rounds));
 
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
 
-  bench::PrintRow({"mode", "cube(s)", "ingest during cube", "ingest/s",
-                   "rejected", "o-cells"});
+  // Writers add no cells, so the o-layer population is the seeded one.
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  RC_CHECK(schema.ok());
+  ReferenceStream reference(*schema, BenchOptions());
+  RC_CHECK(reference.IngestBatch(stream).ok());
+  RC_CHECK(reference.SealThrough(spec.series_length - 1).ok());
+  auto expected = reference.Cube(0, 8);
+  RC_CHECK(expected.ok()) << expected.status().ToString();
+
   bench::JsonWriter json("snapshot_reads");
-  ModeResult baseline;
-  for (bool all_locks : {true, false}) {
-    ModeResult r = RunMode(all_locks, spec, stream, threads, rounds);
-    const char* mode = all_locks ? "all-locks" : "snapshot";
-    const double rate = r.ingested_during_cube / r.cube_s;
-    bench::PrintRow({mode, StrPrintf("%.3f", r.cube_s),
-                     StrPrintf("%.0f", r.ingested_during_cube),
-                     StrPrintf("%.0f", rate),
-                     StrPrintf("%lld", static_cast<long long>(r.rejected)),
-                     StrPrintf("%zu", r.o_cells)});
-    json.Row({{"mode", StrPrintf("\"%s\"", mode)},
-              {"threads", StrPrintf("%d", threads)},
-              {"cube_rounds", StrPrintf("%d", rounds)},
-              {"cube_s", StrPrintf("%.6f", r.cube_s)},
-              {"ingested_during_cube",
-               StrPrintf("%.0f", r.ingested_during_cube)},
-              {"ingest_per_s", StrPrintf("%.1f", rate)},
-              {"rejected", StrPrintf("%lld",
-                                     static_cast<long long>(r.rejected))},
-              {"o_cells", StrPrintf("%zu", r.o_cells)}});
-    if (all_locks) {
-      baseline = r;
-    } else {
-      RC_CHECK(r.o_cells == baseline.o_cells)
-          << "snapshot path changed the cube: " << r.o_cells << " vs "
-          << baseline.o_cells;
-      const double baseline_rate =
-          baseline.ingested_during_cube / baseline.cube_s;
-      std::printf("\nconcurrent ingest throughput: %.0f/s (snapshot) vs "
-                  "%.0f/s (all-locks), %.2fx\n",
-                  rate, baseline_rate,
-                  baseline_rate > 0 ? rate / baseline_rate : 0.0);
-    }
-  }
+  const CubeLoopResult r = RunCubeLoop(spec, stream, threads, rounds);
+  RC_CHECK(r.o_cells == expected->o_layer().size())
+      << "snapshot cube has " << r.o_cells << " o-cells, the reference "
+      << expected->o_layer().size();
+  const double rate = r.ingested_during_cube / r.cube_s;
+  bench::PrintRow({"mode", "cube(s)", "ingest during cube", "ingest/s",
+                   "o-cells"});
+  bench::PrintRow({"snapshot", StrPrintf("%.3f", r.cube_s),
+                   StrPrintf("%.0f", r.ingested_during_cube),
+                   StrPrintf("%.0f", rate), StrPrintf("%zu", r.o_cells)});
+  json.Row({{"mode", "\"snapshot\""},
+            {"threads", StrPrintf("%d", threads)},
+            {"cube_rounds", StrPrintf("%d", rounds)},
+            {"cube_s", StrPrintf("%.6f", r.cube_s)},
+            {"ingested_during_cube",
+             StrPrintf("%.0f", r.ingested_during_cube)},
+            {"ingest_per_s", StrPrintf("%.1f", rate)},
+            {"o_cells", StrPrintf("%zu", r.o_cells)}});
   RunChurn(argc, argv, json);
   json.Write();
 }

@@ -14,10 +14,14 @@
 ///   * QuerySpec      — every read, stream- or cube-side, through one
 ///                      Query() entry point returning a typed QueryResult.
 ///
-/// The pre-facade surface (StreamCubeEngine, CubeView, the batch cubing
-/// functions, generators and IO) is re-exported below: existing code keeps
-/// compiling against this header alone, and the batch path — cube files on
-/// disk, ComputeMoCubing over archived windows — remains first-class.
+/// The building blocks below the facade are re-exported too: the sharded
+/// engine (ShardedStreamEngine, whose reads the facade wraps), CubeView,
+/// the batch cubing functions, generators and IO. The batch path — cube
+/// files on disk, ComputeMoCubing over archived windows — remains
+/// first-class. StreamCubeEngine is one shard of the sharded engine: it
+/// ingests, seals and publishes runs of frozen frames, and has no read
+/// methods of its own (every read goes through the facade or
+/// ShardedStreamEngine).
 
 // ---- the facade --------------------------------------------------------
 #include "regcube/api/engine.h"
@@ -32,7 +36,7 @@
 #include "regcube/time/calendar.h"
 #include "regcube/time/tilt_policy.h"
 
-// ---- re-exported legacy engine + batch surface -------------------------
+// ---- re-exported engine layer + batch surface --------------------------
 #include "regcube/core/mo_cubing.h"
 #include "regcube/core/popular_path.h"
 #include "regcube/core/query.h"

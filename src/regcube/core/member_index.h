@@ -12,12 +12,6 @@
 
 namespace regcube {
 
-/// How a point lookup locates the member m-layer cells of a cuboid cell.
-/// kIndexed probes the ingest-maintained roll-up index (O(matching
-/// members)); kScan projects every cell's key (the O(cells) pre-index
-/// path, retained as the oracle for bit-identity tests and benches).
-enum class PointLookup { kIndexed, kScan };
-
 /// The per-shard, per-cuboid roll-up index behind sublinear point queries:
 /// for each cuboid of the lattice, a hash map from projected cell key to
 /// the ids of the m-layer cells that roll up into it. Membership is a pure

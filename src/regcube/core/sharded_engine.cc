@@ -70,7 +70,7 @@ std::int64_t RealignCellToClock(CellSnapshot& cell, TimeTick target,
 
 /// Aligns every block in `cells` to `target` (copy-on-write per block via
 /// RealignCellToClock). Parallel across `pool` when available — the
-/// O(all cells) half of boundary rounds and the full-gather baseline.
+/// O(all cells) half of boundary rounds.
 void AlignRunToClock(std::vector<CellSnapshot>& cells, TimeTick target,
                      const TiltPolicy& policy, ThreadPool* pool,
                      GatherStats* stats) {
@@ -546,10 +546,7 @@ Status ShardedStreamEngine::SealThrough(TimeTick t) {
   return Status::OK();
 }
 
-ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
-    GatherMode mode) {
-  if (mode == GatherMode::kFull) return GatherFull();
-
+ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells() {
   GatheredCells out;
   out.revision = revision_.load(std::memory_order_acquire);
 
@@ -625,129 +622,48 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
   return out;
 }
 
-ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherFull() {
-  GatheredCells out;
-  out.revision = revision_.load(std::memory_order_acquire);
-
-  const size_t n = shards_.size();
-  std::vector<std::vector<CellSnapshot>> slices(n);
-  std::vector<GatherStats> stats(n);
-  std::vector<Status> statuses(n);
-  std::vector<TimeTick> shard_now(n, 0);
-  auto gather_one = [&](std::int64_t idx) {
-    const size_t i = static_cast<size_t>(idx);
-    Shard& shard = *shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard_now[i] = shard.engine.now();
-    statuses[i] = shard.engine.ExportCellsFull(&slices[i], &stats[i]);
-  };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(static_cast<std::int64_t>(n), gather_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
-  }
-  for (Status& s : statuses) {
-    if (!s.ok()) {
-      out.status = std::move(s);
-      out.cells = std::make_shared<std::vector<CellSnapshot>>();
-      return out;
-    }
-  }
-
-  TimeTick target = clock_.load(std::memory_order_acquire);
-  for (TimeTick t : shard_now) target = std::max(target, t);
-  out.clock = target;
-
-  // Align every copy to the target, merge, sort canonically — the
-  // pre-redesign read cost, retained as the bench/tests baseline.
-  const TiltPolicy& policy = *options_.tilt_policy;
-  auto merged = std::make_shared<std::vector<CellSnapshot>>();
-  size_t total = 0;
-  for (const auto& slice : slices) total += slice.size();
-  merged->reserve(total);
-  for (auto& slice : slices) {
-    merged->insert(merged->end(), std::make_move_iterator(slice.begin()),
-                   std::make_move_iterator(slice.end()));
-  }
-  AlignRunToClock(*merged, target, policy, pool_.get(), &out.stats);
-  std::sort(merged->begin(), merged->end(), CellSnapshotCanonicalLess);
-  out.cells = std::move(merged);
-  for (const GatherStats& s : stats) out.stats.Merge(s);
-  out.stats.cells = static_cast<std::int64_t>(out.cells->size());
-  return out;
-}
-
 ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
-    CuboidId cuboid, const CellKey& key, PointLookup lookup) {
+    CuboidId cuboid, const CellKey& key) {
   MemberGather out;
   const size_t n = shards_.size();
   std::vector<std::vector<CellSnapshot>> slices(n);
   std::vector<TimeTick> shard_now(n, 0);
   std::vector<std::int64_t> totals(n, 0);
 
-  if (lookup == PointLookup::kScan) {
-    // Oracle path, fully under the shard locks: every key projected, every
-    // member frozen in place — the pre-index cost model, retained for
-    // bit-identity tests.
-    std::vector<Status> statuses(n);
-    auto gather_one = [&](std::int64_t idx) {
-      const size_t i = static_cast<size_t>(idx);
-      Shard& shard = *shards_[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard_now[i] = shard.engine.now();
-      totals[i] = shard.engine.num_cells();
-      statuses[i] = shard.engine.ExportMatchingCells(cuboid, key, &slices[i],
-                                                     nullptr, lookup);
-    };
-    if (pool_ != nullptr && n > 1) {
-      pool_->ParallelFor(static_cast<std::int64_t>(n), gather_one);
-    } else {
-      for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
+  // The shard lock covers only the member-index hash probe (no frame work
+  // at all); the members are then resolved against the shard's published
+  // run outside the lock. The probe-then-load order makes the RC_CHECK
+  // safe: a key the index held when we unlocked is in any publication at
+  // least that fresh (cells are never erased, and PublicationFor never
+  // serves a generation older than the last completed write).
+  std::vector<std::vector<CellKey>> members(n);
+  for (size_t i = 0; i < n; ++i) {
+    Shard& shard = *shards_[i];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard_now[i] = shard.engine.now();
+    totals[i] = shard.engine.num_cells();
+    shard.engine.AppendMemberKeys(cuboid, key, &members[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (members[i].empty()) continue;
+    Status status;
+    auto pub = PublicationFor(i, nullptr, &status);
+    if (pub == nullptr) {
+      out.status = std::move(status);
+      out.cells.clear();
+      return out;
     }
-    for (Status& s : statuses) {
-      if (!s.ok()) {
-        out.status = std::move(s);
-        out.cells.clear();
-        return out;
-      }
-    }
-  } else {
-    // Indexed path: the shard lock covers only the member-index hash probe
-    // (no frame work at all); the members are then resolved against the
-    // shard's published run outside the lock. The probe-then-load order
-    // makes the RC_CHECK safe: a key the index held when we unlocked is in
-    // any publication at least that fresh (cells are never erased, and
-    // PublicationFor never serves a generation older than the last
-    // completed write).
-    std::vector<std::vector<CellKey>> members(n);
-    for (size_t i = 0; i < n; ++i) {
-      Shard& shard = *shards_[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard_now[i] = shard.engine.now();
-      totals[i] = shard.engine.num_cells();
-      shard.engine.AppendMemberKeys(cuboid, key, &members[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (members[i].empty()) continue;
-      Status status;
-      auto pub = PublicationFor(i, nullptr, &status);
-      if (pub == nullptr) {
-        out.status = std::move(status);
-        out.cells.clear();
-        return out;
-      }
-      shard_now[i] = std::max(shard_now[i], pub->now);
-      slices[i].reserve(members[i].size());
-      for (const CellKey& member : members[i]) {
-        auto it = std::lower_bound(
-            pub->cells->begin(), pub->cells->end(), member,
-            [](const CellSnapshot& a, const CellKey& b) {
-              return CanonicalKeyLess(a.key, b);
-            });
-        RC_CHECK(it != pub->cells->end() && it->key == member)
-            << "member key missing from published run";
-        slices[i].push_back(*it);
-      }
+    shard_now[i] = std::max(shard_now[i], pub->now);
+    slices[i].reserve(members[i].size());
+    for (const CellKey& member : members[i]) {
+      auto it = std::lower_bound(
+          pub->cells->begin(), pub->cells->end(), member,
+          [](const CellSnapshot& a, const CellKey& b) {
+            return CanonicalKeyLess(a.key, b);
+          });
+      RC_CHECK(it != pub->cells->end() && it->key == member)
+          << "member key missing from published run";
+      slices[i].push_back(*it);
     }
   }
 
@@ -784,11 +700,6 @@ std::vector<std::vector<CellKey>> ShardedStreamEngine::MemberKeysForBatch(
     std::sort(list.begin(), list.end(), CanonicalKeyLess);
   }
   return members;
-}
-
-std::vector<CellKey> ShardedStreamEngine::MemberKeysFor(CuboidId cuboid,
-                                                        const CellKey& key) {
-  return std::move(MemberKeysForBatch(cuboid, {key}).front());
 }
 
 Result<std::vector<MLayerTuple>> ShardedStreamEngine::SnapshotWindow(int level,
@@ -848,39 +759,6 @@ std::int64_t ShardedStreamEngine::CubeMemoBytes() const {
   return cube_memo_ != nullptr ? cube_memo_->MemoryBytes() : 0;
 }
 
-Result<RegressionCube> ShardedStreamEngine::ComputeCubeAllLocks(int level,
-                                                                int k) {
-  auto locks = LockAll();
-  const std::uint64_t before = SumShardRevisionsLocked();
-  Status aligned = AlignLocked();
-  // The all-locks read force-seals lagging shards (the behavior the
-  // snapshot path retired); that mutation must move the global revision or
-  // revision-keyed caches would serve pre-seal state as current.
-  if (SumShardRevisionsLocked() != before) {
-    revision_.fetch_add(1, std::memory_order_release);
-  }
-  MirrorVersionsLocked();
-  RC_RETURN_IF_ERROR(aligned);
-  std::int64_t cells = 0;
-  for (const auto& shard : shards_) cells += shard->engine.num_cells();
-  if (cells == 0) {
-    return Status::FailedPrecondition("no stream data ingested yet");
-  }
-  std::vector<MLayerTuple> merged;
-  merged.reserve(static_cast<size_t>(cells));
-  for (auto& shard : shards_) {
-    if (shard->engine.num_cells() == 0) continue;
-    auto window = shard->engine.SnapshotWindow(level, k);
-    if (!window.ok()) return window.status();
-    merged.insert(merged.end(), window->begin(), window->end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const MLayerTuple& a, const MLayerTuple& b) {
-              return CanonicalKeyLess(a.key, b.key);
-            });
-  return ComputeCubeFromWindow(schema_, merged, options_, nullptr);
-}
-
 Result<ShardedStreamEngine::DeckSeries> ShardedStreamEngine::ObservationDeck(
     int level) {
   GatheredCells gathered = GatherAlignedCells();
@@ -914,8 +792,8 @@ Result<Isb> ShardedStreamEngine::QueryCell(CuboidId cuboid, const CellKey& key,
 
 Result<std::vector<Isb>> ShardedStreamEngine::QueryCellSeries(
     CuboidId cuboid, const CellKey& key, int level) {
-  // Validation precedes the gather, in the legacy kernel's order:
-  // cuboid, then level, then no-data / no-members.
+  // Validation precedes the gather, in the kernels' order: cuboid, then
+  // level, then no-data / no-members.
   RC_RETURN_IF_ERROR(ValidatePointQueryTarget(
       lattice_, cuboid, level, options_.tilt_policy->num_levels()));
   MemberGather gathered = GatherCellsMatching(cuboid, key);

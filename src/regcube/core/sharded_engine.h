@@ -60,18 +60,15 @@ struct MemoryBudgetConfig {
 /// touch the shard mutex unless the generation is stale (then a slow path
 /// takes the lock and republishes — which is also how sync-mode writes
 /// become visible). The shard mutex shrinks to structural edits:
-/// absorb/ingest, seal and epoch roll (SealThrough / ComputeCubeAllLocks
-/// force-align), and compaction re-pointing. Every gather folds the
-/// publications afresh — the engine keeps no merged run; the facade's
-/// revision-keyed snapshot is the one merged-run cache.
+/// absorb/ingest, seal (SealThrough), and compaction re-pointing. Every
+/// gather folds the publications afresh — the engine keeps no merged run;
+/// the facade's revision-keyed snapshot is the one merged-run cache.
 /// Alignment to the global clock happens on copies outside every lock; a
 /// block is re-materialized only when the clock crossed a tilt-unit
 /// boundary since it froze (otherwise advancing is observationally a
-/// no-op and the block is shared as-is). The pre-redesign
-/// hold-every-lock read survives as ComputeCubeAllLocks, kept as the
-/// baseline oracle for benches and bit-identity tests, and
-/// GatherAlignedCells(GatherMode::kFull) retains the copy-everything
-/// gather for the same purpose.
+/// no-op and the block is shared as-is). Every read is a pure function of
+/// the stream's tilt frames, which is what the test suite's replay
+/// reference (tests/reference_stream.h) checks bit for bit.
 ///
 /// Point queries copy O(matching members): GatherCellsMatching probes the
 /// member index under the shard lock (a hash probe, no frame copies),
@@ -182,30 +179,26 @@ class ShardedStreamEngine {
     Status status;
   };
 
-  /// kDelta shares frozen blocks for unchanged cells and serves clean
-  /// shards from their publications — O(changed cells) frame work plus
-  /// an O(cells) pointer merge. kFull deep-copies every frame and
-  /// bypasses every cache — the O(all cells) pre-redesign baseline,
-  /// bit-identical to kDelta, kept for benches and equivalence tests.
-  enum class GatherMode { kDelta, kFull };
-  GatheredCells GatherAlignedCells(GatherMode mode = GatherMode::kDelta);
+  /// Shares frozen blocks for unchanged cells and serves clean shards
+  /// from their publications — O(changed cells) frame work plus an
+  /// O(cells) pointer merge.
+  GatheredCells GatherAlignedCells();
 
   /// The member-only gather behind point queries: frozen views of just the
   /// m-layer cells that roll up into `key` of `cuboid`, aligned to the
-  /// global clock, in canonical key order. With PointLookup::kIndexed (the
-  /// default) each shard hash-probes its ingest-maintained per-cuboid
-  /// roll-up index under its lock — O(matching members), no cell scan;
-  /// kScan retains the project-every-key path as the bit-identity oracle.
-  /// `total_cells` distinguishes "engine empty" from "no member matches"
-  /// for the legacy error contract.
+  /// global clock, in canonical key order. Each shard hash-probes its
+  /// ingest-maintained per-cuboid roll-up index under its lock —
+  /// O(matching members), no cell scan — and the members are resolved
+  /// against its published run outside the lock. `total_cells`
+  /// distinguishes "engine empty" from "no member matches" for the error
+  /// contract. Pre: `cuboid` is a valid lattice id.
   struct MemberGather {
     SnapshotCells cells;  // the matching members only
     TimeTick clock = 0;
     std::int64_t total_cells = 0;  // all cells across shards at gather time
     Status status;  // non-OK when a member's fault-in failed (Unavailable)
   };
-  MemberGather GatherCellsMatching(CuboidId cuboid, const CellKey& key,
-                                   PointLookup lookup = PointLookup::kIndexed);
+  MemberGather GatherCellsMatching(CuboidId cuboid, const CellKey& key);
 
   /// The m-layer keys that roll up into each of `keys` in `cuboid`,
   /// merged across shards into canonical key order — the member feed the
@@ -213,9 +206,6 @@ class ShardedStreamEngine {
   /// lock is taken once per call, not once per key.
   std::vector<std::vector<CellKey>> MemberKeysForBatch(
       CuboidId cuboid, const std::vector<CellKey>& keys);
-
-  /// Single-key convenience over MemberKeysForBatch.
-  std::vector<CellKey> MemberKeysFor(CuboidId cuboid, const CellKey& key);
 
   /// Merged m-layer window over the most recent `k` sealed slots of tilt
   /// `level`, in canonical key order.
@@ -259,11 +249,6 @@ class ShardedStreamEngine {
   /// Analytic bytes retained by the cube memo — the "cube.memo" figure,
   /// readable without a tracker attached (0 for popular-path engines).
   std::int64_t CubeMemoBytes() const;
-
-  /// The retired pre-redesign read: holds every shard lock for the whole
-  /// cubing computation. Identical results to ComputeCube; kept only as
-  /// the baseline for bench_snapshot_reads and the bit-identity tests.
-  Result<RegressionCube> ComputeCubeAllLocks(int level, int k);
 
   /// Observation deck merged across shards (§4.2 semantics of the single
   /// engine).
@@ -435,8 +420,8 @@ class ShardedStreamEngine {
   void BumpClock(TimeTick t);
 
   /// Locks every shard in index order (the one lock order, so concurrent
-  /// barriers never deadlock). Only the write barrier and the AllLocks
-  /// baseline still use this.
+  /// barriers never deadlock). Only the barriers use this: seal,
+  /// checkpoint and tracker hand-over.
   std::vector<std::unique_lock<std::mutex>> LockAll() const;
 
   /// Pre: all shard locks held. Drives every shard's clock (and frame
@@ -480,7 +465,7 @@ class ShardedStreamEngine {
                                                          Status* status);
 
   /// Pre: all shard locks held. Re-mirrors every shard's version after a
-  /// barrier mutated the engines (seal, force-align, restore).
+  /// barrier mutated the engines (seal).
   void MirrorVersionsLocked();
 
   /// Current usage the governor compares against the budget: the
@@ -510,10 +495,6 @@ class ShardedStreamEngine {
   std::atomic<TimeTick> clock_;
   std::atomic<std::uint64_t> revision_{0};
   MemoryTracker* tracker_ = nullptr;
-
-  /// The copy-everything gather (GatherMode::kFull): per-shard full
-  /// exports, sorted, merged, aligned per cell. Bypasses every cache.
-  GatheredCells GatherFull();
 
   // The maintained cube (see ComputeCubeShared). Null for popular-path
   // engines — their cubes are not patchable, so they stay from-scratch.

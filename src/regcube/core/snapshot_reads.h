@@ -20,8 +20,7 @@ class ThreadPool;
 /// These functions are the single implementation behind both
 /// ShardedStreamEngine's read methods and the facade's CubeSnapshot, which
 /// is what keeps the two bit-identical: same canonical order, same
-/// floating-point reduction order, same error contract as the pre-redesign
-/// locked reads.
+/// floating-point reduction order, same error contract.
 
 /// CanonicalKeyLess (cube/cell.h) lifted to frozen cells — the one comparator every sort,
 /// merge and tandem walk of the gather path uses.
@@ -37,7 +36,7 @@ using SnapshotCells = std::vector<CellSnapshot>;
 
 /// The kernels' shared error vocabulary, exported so the member-only
 /// gather path (which pre-filters cells before calling a kernel) can
-/// preserve the exact legacy error contract.
+/// preserve the exact error contract.
 Status SnapshotNoDataError();
 Status SnapshotBadCuboidError(CuboidId cuboid);
 Status SnapshotBadLevelError(int level, int num_levels);

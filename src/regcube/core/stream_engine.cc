@@ -7,9 +7,7 @@
 #include "regcube/core/snapshot_reads.h"
 #include "regcube/common/logging.h"
 #include "regcube/common/memory_tracker.h"
-#include "regcube/common/str.h"
 #include "regcube/io/cube_io.h"
-#include "regcube/regression/aggregate.h"
 
 namespace regcube {
 
@@ -114,13 +112,6 @@ Result<TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state,
   return state.frame.get();
 }
 
-Result<TiltTimeFrame*> StreamCubeEngine::LiveAlignedFrame(const CellKey& key,
-                                                          CellState& state) {
-  RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveFrame(state));
-  AlignCellToClock(key, state);
-  return frame;
-}
-
 void StreamCubeEngine::EnsureIndexed(CuboidId cuboid) {
   if (member_index_.active(cuboid)) return;
   member_index_.Activate(cuboid);
@@ -145,25 +136,6 @@ void StreamCubeEngine::AccountMemberIndex() {
     }
   }
   member_index_tracked_ = bytes;
-}
-
-std::vector<std::pair<const CellKey*, StreamCubeEngine::CellState*>>
-StreamCubeEngine::MembersInCanonicalOrder(CuboidId cuboid,
-                                          const CellKey& key) {
-  EnsureIndexed(cuboid);
-  std::vector<std::pair<const CellKey*, CellState*>> members;
-  const auto* ids = member_index_.MembersOf(cuboid, key);
-  if (ids == nullptr) return members;
-  members.reserve(ids->size());
-  for (const MemberIndex::MemberId id : *ids) {
-    auto& [m_key, state] = cells_by_id_[id];
-    members.push_back({&m_key, state});
-  }
-  std::sort(members.begin(), members.end(),
-            [](const auto& a, const auto& b) {
-              return CanonicalKeyLess(*a.first, *b.first);
-            });
-  return members;
 }
 
 Status StreamCubeEngine::Ingest(const StreamTuple& tuple) {
@@ -201,53 +173,26 @@ Status StreamCubeEngine::SealThrough(TimeTick t) {
 
 void StreamCubeEngine::AlignFrames() {
   for (auto& [key, state] : cells_) {
-    AlignCellToClock(key, state);
+    if (state.frame == nullptr) {
+      // Spilled: alignment is deferred to fault-in. AdvanceTo over the
+      // skipped ticks is deterministic (missing ticks contribute zero), so
+      // the late advance yields bit-identical slots — and a seal sweep
+      // never has to touch the cold tier.
+      continue;
+    }
+    const TimeTick from = state.frame->next_tick();
+    if (from >= now_) continue;
+    Status s = state.frame->AdvanceTo(now_);
+    RC_CHECK(s.ok()) << s.ToString();
+    AccountCell(state);
+    // Only an advance that sealed a slot changes what any read can see;
+    // moving next_tick within an open unit leaves every slot untouched, so
+    // the cell's frozen block (and any revision-memoized snapshot) stays
+    // valid.
+    if (options_.tilt_policy->AnyUnitEndIn(from, now_)) {
+      MarkDirty(key, state);
+    }
   }
-}
-
-void StreamCubeEngine::AlignCellToClock(const CellKey& key, CellState& state) {
-  if (state.frame == nullptr) {
-    // Spilled: alignment is deferred to fault-in. AdvanceTo over the
-    // skipped ticks is deterministic (missing ticks contribute zero), so
-    // the late advance yields bit-identical slots — and a seal sweep never
-    // has to touch the cold tier.
-    return;
-  }
-  const TimeTick from = state.frame->next_tick();
-  if (from >= now_) return;
-  Status s = state.frame->AdvanceTo(now_);
-  RC_CHECK(s.ok()) << s.ToString();
-  AccountCell(state);
-  // Only an advance that sealed a slot changes what any read can see;
-  // moving next_tick within an open unit leaves every slot untouched, so
-  // the cell's frozen block (and any revision-memoized snapshot) stays
-  // valid.
-  if (options_.tilt_policy->AnyUnitEndIn(from, now_)) {
-    MarkDirty(key, state);
-  }
-}
-
-Result<std::vector<MLayerTuple>> StreamCubeEngine::SnapshotWindow(int level,
-                                                                  int k) {
-  if (cells_.empty()) {
-    return Status::FailedPrecondition("no stream data ingested yet");
-  }
-  AlignFrames();
-  std::vector<MLayerTuple> tuples;
-  tuples.reserve(cells_.size());
-  for (auto& [key, state] : cells_) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveAlignedFrame(key, state));
-    auto isb = frame->RegressLastSlots(level, k);
-    if (!isb.ok()) return isb.status();
-    tuples.push_back(MLayerTuple{key, *isb});
-  }
-  return tuples;
-}
-
-Result<RegressionCube> StreamCubeEngine::ComputeCube(int level, int k) {
-  auto tuples = SnapshotWindow(level, k);
-  if (!tuples.ok()) return tuples.status();
-  return ComputeCubeFromWindow(schema_, *tuples, options_);
 }
 
 Result<RegressionCube> ComputeCubeFromWindow(
@@ -265,119 +210,6 @@ Result<RegressionCube> ComputeCubeFromWindow(
   pp.path = options.path;
   pp.pool = pool;
   return ComputePopularPathCubing(std::move(schema), tuples, pp);
-}
-
-Result<StreamCubeEngine::DeckSeries> StreamCubeEngine::ObservationDeck(
-    int level) {
-  if (cells_.empty()) {
-    return Status::FailedPrecondition("no stream data ingested yet");
-  }
-  AlignFrames();
-  // Per o-layer cell, per slot index: moment sums across member frames
-  // (Theorem 3.2 applied slot-wise in moment space).
-  std::unordered_map<CellKey, std::vector<MomentSums>, CellKeyHash> acc;
-  const CuboidId o_id = lattice_.o_layer_id();
-  for (auto& [key, state] : cells_) {
-    const CellKey o_key = lattice_.ProjectMLayerKey(key, o_id);
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveAlignedFrame(key, state));
-    const TiltTimeFrame::SlotView slots = frame->RawSlots(level);
-    auto& dest = acc[o_key];
-    if (dest.size() < slots.size()) dest.resize(slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (dest[i].interval.empty()) {
-        dest[i] = slots[i];
-      } else {
-        RC_CHECK(dest[i].interval == slots[i].interval)
-            << "frames misaligned at slot " << i;
-        dest[i].sum_z += slots[i].sum_z;
-        dest[i].sum_tz += slots[i].sum_tz;
-      }
-    }
-  }
-  DeckSeries deck;
-  deck.reserve(acc.size());
-  for (auto& [key, moments] : acc) {
-    std::vector<Isb> series;
-    series.reserve(moments.size());
-    for (const MomentSums& m : moments) series.push_back(FitFromMoments(m));
-    deck.emplace(key, std::move(series));
-  }
-  return deck;
-}
-
-Result<std::vector<StreamCubeEngine::TrendChange>>
-StreamCubeEngine::DetectTrendChanges(int level, double threshold) {
-  auto deck = ObservationDeck(level);
-  if (!deck.ok()) return deck.status();
-  std::vector<TrendChange> changes;
-  for (const auto& [key, series] : *deck) {
-    if (series.size() < 2) continue;
-    const Isb& prev = series[series.size() - 2];
-    const Isb& cur = series[series.size() - 1];
-    const double delta = std::abs(cur.slope - prev.slope);
-    if (delta >= threshold) {
-      changes.push_back(TrendChange{key, prev, cur, delta});
-    }
-  }
-  std::sort(changes.begin(), changes.end(),
-            [](const TrendChange& a, const TrendChange& b) {
-              return a.slope_delta > b.slope_delta;
-            });
-  return changes;
-}
-
-Result<Isb> StreamCubeEngine::QueryCell(CuboidId cuboid, const CellKey& key,
-                                        int level, int k) {
-  RC_RETURN_IF_ERROR(ValidatePointQueryTarget(
-      lattice_, cuboid, level, options_.tilt_policy->num_levels()));
-  if (cells_.empty()) return SnapshotNoDataError();
-  // Index probe instead of a cell scan: only the matching members are
-  // touched (aligned, regressed, folded), in canonical key order — the
-  // same operand order the sharded/snapshot kernels use.
-  auto members = MembersInCanonicalOrder(cuboid, key);
-  if (members.empty()) {
-    return SnapshotNoMembersError(lattice_, cuboid, key);
-  }
-  Isb acc;
-  for (auto& [m_key, state] : members) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame,
-                        LiveAlignedFrame(*m_key, *state));
-    auto isb = frame->RegressLastSlots(level, k);
-    if (!isb.ok()) return isb.status();
-    AccumulateStandardDim(acc, *isb);
-  }
-  return acc;
-}
-
-Result<std::vector<Isb>> StreamCubeEngine::QueryCellSeries(
-    CuboidId cuboid, const CellKey& key, int level) {
-  RC_RETURN_IF_ERROR(ValidatePointQueryTarget(
-      lattice_, cuboid, level, options_.tilt_policy->num_levels()));
-  if (cells_.empty()) return SnapshotNoDataError();
-  auto members = MembersInCanonicalOrder(cuboid, key);
-  if (members.empty()) {
-    return SnapshotNoMembersError(lattice_, cuboid, key);
-  }
-  std::vector<MomentSums> acc;
-  for (auto& [m_key, state] : members) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame,
-                        LiveAlignedFrame(*m_key, *state));
-    const TiltTimeFrame::SlotView slots = frame->RawSlots(level);
-    if (acc.size() < slots.size()) acc.resize(slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (acc[i].interval.empty()) {
-        acc[i] = slots[i];
-      } else {
-        RC_CHECK(acc[i].interval == slots[i].interval);
-        acc[i].sum_z += slots[i].sum_z;
-        acc[i].sum_tz += slots[i].sum_tz;
-      }
-    }
-  }
-  std::vector<Isb> series;
-  series.reserve(acc.size());
-  for (const MomentSums& m : acc) series.push_back(FitFromMoments(m));
-  return series;
 }
 
 void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
@@ -496,52 +328,6 @@ Status StreamCubeEngine::RefreshPublishedRun(const FrozenSlice& base,
   for (auto& entry : dirty_cells_) entry.second->queued = false;
   dirty_cells_.clear();
   *out = std::move(next);
-  return Status::OK();
-}
-
-Status StreamCubeEngine::ExportCellsFull(std::vector<CellSnapshot>* out,
-                                         GatherStats* stats) {
-  out->reserve(out->size() + cells_.size());
-  for (auto& [key, state] : cells_) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * live, LiveFrame(state, stats));
-    auto block = std::make_shared<const TiltTimeFrame>(*live);
-    if (stats != nullptr) {
-      ++stats->materialized;
-      stats->bytes_copied += block->MemoryBytes();
-    }
-    out->push_back({key, std::move(block)});
-  }
-  if (stats != nullptr) stats->cells += num_cells();
-  return Status::OK();
-}
-
-Status StreamCubeEngine::ExportMatchingCells(CuboidId cuboid,
-                                             const CellKey& key,
-                                             std::vector<CellSnapshot>* out,
-                                             GatherStats* stats,
-                                             PointLookup lookup) {
-  FrozenPostGuard post{this};
-  if (lookup == PointLookup::kScan) {
-    // The retained O(cells) oracle: project every key, export matches.
-    for (auto& [m_key, state] : cells_) {
-      if (!(lattice_.ProjectMLayerKey(m_key, cuboid) == key)) continue;
-      RC_ASSIGN_OR_RETURN(std::shared_ptr<const TiltTimeFrame> frozen,
-                          FrozenFor(state, stats));
-      out->push_back({m_key, std::move(frozen)});
-      if (stats != nullptr) ++stats->cells;
-    }
-    return Status::OK();
-  }
-  EnsureIndexed(cuboid);
-  const auto* ids = member_index_.MembersOf(cuboid, key);
-  if (ids == nullptr) return Status::OK();
-  for (const MemberIndex::MemberId id : *ids) {
-    auto& [m_key, state] = cells_by_id_[id];
-    RC_ASSIGN_OR_RETURN(std::shared_ptr<const TiltTimeFrame> frozen,
-                        FrozenFor(*state, stats));
-    out->push_back({m_key, std::move(frozen)});
-    if (stats != nullptr) ++stats->cells;
-  }
   return Status::OK();
 }
 

@@ -79,12 +79,18 @@ struct GatherStats {
   }
 };
 
-/// The on-line analysis engine of §4.5: maintains one tilt time frame per
-/// m-layer cell, continuously absorbing the stream; when a window is
-/// sealed, the partially materialized cube (critical layers + exceptions)
-/// can be recomputed over any tilt-frame window with either cubing
-/// algorithm, and the observation deck / trend-change queries read the
-/// o-layer directly.
+/// One shard of the on-line analysis engine of §4.5: maintains one tilt
+/// time frame per m-layer cell, continuously absorbing the stream, and
+/// publishes them as immutable canonical-order runs of frozen frames —
+/// the only read door. Every query (windows, cubes, the observation deck,
+/// point queries) runs on those runs through the pure kernels of
+/// core/snapshot_reads; ShardedStreamEngine owns the shards and their
+/// publications. Besides ingest, seal and publish, a shard keeps the
+/// per-cuboid member index, the cold tier (spill, fault-in) and the
+/// checkpoint export.
+///
+/// Not thread-safe: the owning ShardedStreamEngine guards each shard with
+/// its own mutex.
 ///
 /// Tick semantics: ticks arrive in non-decreasing order per cell (enforced
 /// per frame); missing ticks contribute zero (additive stream semantics,
@@ -100,7 +106,7 @@ class StreamCubeEngine {
     /// First tick of the stream.
     TimeTick start_tick = 0;
 
-    /// Exception predicate used by ComputeCube.
+    /// Exception predicate the cube reads apply.
     ExceptionPolicy policy{0.0};
 
     Algorithm algorithm = Algorithm::kMoCubing;
@@ -136,20 +142,11 @@ class StreamCubeEngine {
     return static_cast<std::int64_t>(cells_.size());
   }
 
-  /// m-layer regression tuples over the most recent `k` sealed slots of
-  /// tilt level `level` — the cube computation input. Aligns all frames to
-  /// the engine clock first. OutOfRange if fewer than `k` slots are sealed.
-  Result<std::vector<MLayerTuple>> SnapshotWindow(int level, int k);
-
-  /// Recomputes the partially materialized cube over that window with the
-  /// configured algorithm.
-  Result<RegressionCube> ComputeCube(int level, int k);
-
   /// Observation deck (§4.2): for every o-layer cell, its sealed slot
-  /// series at tilt level `level` — "the layer an analyst takes as an
+  /// series at one tilt level — "the layer an analyst takes as an
   /// observation deck, watching the changes of the current stream data".
+  /// Computed by SnapshotDeckOf.
   using DeckSeries = std::unordered_map<CellKey, std::vector<Isb>, CellKeyHash>;
-  Result<DeckSeries> ObservationDeck(int level);
 
   /// A trend change at the o-layer: the regression "between two points
   /// represented by the current cell vs. the previous one" (§4.3).
@@ -159,24 +156,6 @@ class StreamCubeEngine {
     Isb current;
     double slope_delta = 0.0;  // |current.slope - previous.slope|
   };
-
-  /// O-layer cells whose slope moved by >= `threshold` between the last two
-  /// sealed slots of `level`, strongest change first.
-  Result<std::vector<TrendChange>> DetectTrendChanges(int level,
-                                                      double threshold);
-
-  /// On-the-fly regression of one cell of any lattice cuboid over the most
-  /// recent `k` sealed slots of tilt `level`, aggregated directly from the
-  /// member frames (no cube materialization). NotFound if no m-layer cell
-  /// rolls up into `key`.
-  Result<Isb> QueryCell(CuboidId cuboid, const CellKey& key, int level,
-                        int k);
-
-  /// The cell's whole sealed slot series at `level` (one ISB per retained
-  /// unit), for charting a single cell the way the observation deck charts
-  /// the o-layer.
-  Result<std::vector<Isb>> QueryCellSeries(CuboidId cuboid,
-                                           const CellKey& key, int level);
 
   // ---- the publish half of the snapshot read path -----------------------
 
@@ -204,34 +183,12 @@ class StreamCubeEngine {
   Status RefreshPublishedRun(const FrozenSlice& base, FrozenSlice* out,
                              GatherStats* stats);
 
-  /// Same contract, but deep-copies every frame unconditionally and leaves
-  /// the frozen cache untouched — the O(all-cells) baseline the delta path
-  /// is benchmarked (and bit-identity-tested) against. Non-const because a
-  /// full export must fault spilled cells back in; a fault-in failure
-  /// surfaces as a typed Unavailable (out may hold a partial run the
-  /// caller must discard).
-  Status ExportCellsFull(std::vector<CellSnapshot>* out, GatherStats* stats);
-
-  /// Frozen views of only the m-layer cells that roll up into `key` of
-  /// `cuboid` — the member-only gather behind point queries. With
-  /// PointLookup::kIndexed (the default) the ingest-maintained per-cuboid
-  /// roll-up index is hash-probed — O(matching members), no cell scan
-  /// (the cuboid's map is built once, on its first point query). kScan
-  /// retains the pre-index path — every key projected under the caller's
-  /// lock — as the oracle for bit-identity tests and benches. Both export
-  /// the same member set (sharing frozen blocks exactly like
-  /// ExportFrozenCells); only the lookup cost differs. Pre: `cuboid` is a
-  /// valid lattice id (callers validate; see SnapshotBadCuboidError).
-  /// Fault-in failures surface as typed Unavailable.
-  Status ExportMatchingCells(CuboidId cuboid, const CellKey& key,
-                             std::vector<CellSnapshot>* out,
-                             GatherStats* stats,
-                             PointLookup lookup = PointLookup::kIndexed);
-
   /// Appends the m-layer keys that roll up into `key` of `cuboid` (index
-  /// probe, activating the cuboid's map on first use) — the member feed
-  /// for the cube memo's seeded per-cuboid node indexes. Order is cell
-  /// creation order; callers canonicalize.
+  /// probe, activating the cuboid's map on first use — O(cells) once per
+  /// cuboid, then O(matching members)) — the member feed for point-query
+  /// gathers and the cube memo's seeded per-cuboid node indexes. Order is
+  /// cell creation order; callers canonicalize. Pre: `cuboid` is a valid
+  /// lattice id (callers validate; see ValidatePointQueryTarget).
   void AppendMemberKeys(CuboidId cuboid, const CellKey& key,
                         std::vector<CellKey>* out);
 
@@ -342,9 +299,6 @@ class StreamCubeEngine {
   /// Cells currently cold (frame on disk, BlockRef in RAM).
   std::int64_t SpilledCells() const { return spilled_cells_; }
 
-  const CubeSchema& schema() const { return *schema_; }
-  const CuboidLattice& lattice() const { return lattice_; }
-
  private:
   struct CellState {
     /// Null while the cell is spilled — then `spill` names the encoded
@@ -361,14 +315,10 @@ class StreamCubeEngine {
         : frame(std::move(f)) {}
   };
 
-  /// Advances every frame to the engine clock so slot structures align.
-  /// Bumps the revision (and dirties cells) only when a frame seals a slot.
+  /// Advances every resident frame to the engine clock so slot structures
+  /// align. Bumps the revision (and dirties a cell) only when its frame
+  /// seals a slot.
   void AlignFrames();
-
-  /// Advances one frame to the engine clock (the per-cell unit AlignFrames
-  /// loops over). Point queries align only the queried members this way,
-  /// so a probe never pays an O(cells) alignment pass.
-  void AlignCellToClock(const CellKey& key, CellState& state);
 
   CellState& CellFor(const CellKey& key);
 
@@ -380,12 +330,6 @@ class StreamCubeEngine {
   /// Re-registers the member index's bytes with the tracker after a
   /// mutation (activation or per-ingest append).
   void AccountMemberIndex();
-
-  /// Member cells of `key` in `cuboid` in canonical key order, resolved
-  /// through the index — the shared lookup behind the single-engine point
-  /// queries. Empty when nothing matches.
-  std::vector<std::pair<const CellKey*, CellState*>> MembersInCanonicalOrder(
-      CuboidId cuboid, const CellKey& key);
 
   /// Records an observable change to a cell: bumps the revision, stamps the
   /// cell, and — if the cell was clean — queues it on the dirty list the
@@ -425,11 +369,6 @@ class StreamCubeEngine {
   /// query/ingest caller and a later touch simply retries.
   Result<TiltTimeFrame*> LiveFrame(CellState& state,
                                    GatherStats* stats = nullptr);
-
-  /// LiveFrame + AlignCellToClock: the frame, resident and advanced to the
-  /// engine clock — what point queries and window reads consume.
-  Result<TiltTimeFrame*> LiveAlignedFrame(const CellKey& key,
-                                          CellState& state);
 
   /// Recomputes the cell's resident-byte contribution and folds the delta
   /// into frame_bytes_ (and the tracker). Call after any frame mutation,
@@ -478,8 +417,7 @@ class StreamCubeEngine {
 class ThreadPool;
 
 /// Runs the options' configured cubing algorithm over one m-layer window —
-/// the single dispatch point shared by StreamCubeEngine::ComputeCube and
-/// the snapshot read path. A non-null `pool` partitions the work across
+/// the single dispatch point behind every cube read (SnapshotCubeOf). A non-null `pool` partitions the work across
 /// it: per-cuboid H-cubing for m/o cubing, and each drill step's
 /// ComputeDrillChildren scans for popular-path cubing (the walk along the
 /// path itself stays sequential — each step's exceptions seed the next).

@@ -1,18 +1,17 @@
 // Facade contract tests: EngineBuilder validation, and every QuerySpec
-// kind round-tripping against the legacy call it subsumes (StreamCubeEngine
-// reads for stream kinds, CubeView reads for cube kinds).
+// kind answering bit for bit what the replay reference
+// (tests/reference_stream.h) computes from the same stream — its kernels
+// for stream kinds, CubeView over its from-scratch cube for cube kinds.
 
 #include "regcube/api/regcube.h"
 
 #include <memory>
 
 #include "gtest/gtest.h"
-#include "test_util.h"
+#include "reference_stream.h"
 
 namespace regcube {
 namespace {
-
-using testing_util::ExpectIsbNear;
 
 std::shared_ptr<const TiltPolicy> SmallPolicy() {
   // quarter = 4 ticks, hour = 16 ticks.
@@ -30,10 +29,10 @@ WorkloadSpec FacadeSpec(std::int64_t tuples = 50, std::int64_t ticks = 32) {
   return spec;
 }
 
-/// Facade engine and legacy engine fed the same sealed stream.
+/// Facade engine and replay reference fed the same sealed stream.
 struct Paired {
   Engine facade;
-  StreamCubeEngine legacy;
+  ReferenceStream reference;
 };
 
 Paired MakePaired(const WorkloadSpec& spec, double threshold = 0.02) {
@@ -51,14 +50,14 @@ Paired MakePaired(const WorkloadSpec& spec, double threshold = 0.02) {
   StreamCubeEngine::Options options;
   options.tilt_policy = policy;
   options.policy = ExceptionPolicy(threshold);
-  Paired pair{std::move(built).value(), StreamCubeEngine(*schema, options)};
+  Paired pair{std::move(built).value(), ReferenceStream(*schema, options)};
 
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
   EXPECT_TRUE(pair.facade.IngestBatch(stream).ok());
-  EXPECT_TRUE(pair.legacy.IngestBatch(stream).ok());
+  EXPECT_TRUE(pair.reference.IngestBatch(stream).ok());
   EXPECT_TRUE(pair.facade.SealThrough(spec.series_length - 1).ok());
-  EXPECT_TRUE(pair.legacy.SealThrough(spec.series_length - 1).ok());
+  EXPECT_TRUE(pair.reference.SealThrough(spec.series_length - 1).ok());
   return pair;
 }
 
@@ -150,20 +149,20 @@ TEST(EngineBuilderTest, BuildIsRepeatable) {
 
 // ---------------------------------------------------------- stream kinds
 
-TEST(ApiFacadeTest, CellMatchesLegacyQueryCell) {
+TEST(ApiFacadeTest, CellMatchesReference) {
   Paired pair = MakePaired(FacadeSpec());
-  const CuboidLattice& lattice = pair.legacy.lattice();
+  const CuboidLattice& lattice = pair.reference.lattice();
   StreamGenerator gen(FacadeSpec());
   const CellKey o_key =
       lattice.ProjectMLayerKey(gen.cells()[0].key, lattice.o_layer_id());
 
-  auto legacy = pair.legacy.QueryCell(lattice.o_layer_id(), o_key, 0, 8);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto expected = pair.reference.Cell(lattice.o_layer_id(), o_key, 0, 8);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   auto facade =
       pair.facade.Query(QuerySpec::Cell(lattice.o_layer_id(), o_key, 0, 8));
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
   EXPECT_EQ(facade->kind(), QueryKind::kCell);
-  ExpectIsbNear(*legacy, facade->cell(), 1e-9);
+  EXPECT_EQ(*expected, facade->cell());
 
   // Unknown cell surfaces NotFound through the facade too.
   CellKey bogus(2);
@@ -178,9 +177,10 @@ TEST(ApiFacadeTest, CellMatchesLegacyQueryCell) {
 TEST(ApiFacadeTest, CellRejectsOutOfRangeCuboidWithTypedError) {
   // The error contract, not an RC_CHECK abort: a cuboid id outside the
   // lattice surfaces InvalidArgument through every point-query door — the
-  // facade, the sharded engine behind it, and the legacy single engine.
+  // facade and the sharded engine behind it — exactly as the reference's
+  // kernels define it.
   Paired pair = MakePaired(FacadeSpec());
-  const CuboidId past_end = pair.legacy.lattice().num_cuboids();
+  const CuboidId past_end = pair.reference.lattice().num_cuboids();
   const CellKey key(2);
 
   for (CuboidId bad : {past_end, CuboidId{-1}}) {
@@ -194,10 +194,10 @@ TEST(ApiFacadeTest, CellRejectsOutOfRangeCuboidWithTypedError) {
                   .code(),
               StatusCode::kInvalidArgument)
         << "cuboid " << bad;
-    EXPECT_EQ(pair.legacy.QueryCell(bad, key, 0, 8).status().code(),
+    EXPECT_EQ(pair.reference.Cell(bad, key, 0, 8).status().code(),
               StatusCode::kInvalidArgument)
         << "cuboid " << bad;
-    EXPECT_EQ(pair.legacy.QueryCellSeries(bad, key, 0).status().code(),
+    EXPECT_EQ(pair.reference.CellSeries(bad, key, 0).status().code(),
               StatusCode::kInvalidArgument)
         << "cuboid " << bad;
   }
@@ -208,58 +208,50 @@ TEST(ApiFacadeTest, CellRejectsOutOfRangeCuboidWithTypedError) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ApiFacadeTest, CellSeriesMatchesLegacy) {
+TEST(ApiFacadeTest, CellSeriesMatchesReference) {
   Paired pair = MakePaired(FacadeSpec());
-  const CuboidLattice& lattice = pair.legacy.lattice();
+  const CuboidLattice& lattice = pair.reference.lattice();
   StreamGenerator gen(FacadeSpec());
   const CellKey o_key =
       lattice.ProjectMLayerKey(gen.cells()[0].key, lattice.o_layer_id());
 
-  auto legacy = pair.legacy.QueryCellSeries(lattice.o_layer_id(), o_key, 1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto expected = pair.reference.CellSeries(lattice.o_layer_id(), o_key, 1);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   auto facade = pair.facade.Query(
       QuerySpec::CellSeries(lattice.o_layer_id(), o_key, 1));
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-  ASSERT_EQ(facade->series().size(), legacy->size());
-  for (size_t i = 0; i < legacy->size(); ++i) {
-    ExpectIsbNear((*legacy)[i], facade->series()[i], 1e-9);
-  }
+  EXPECT_EQ(*expected, facade->series());
 }
 
-TEST(ApiFacadeTest, ObservationDeckMatchesLegacy) {
+TEST(ApiFacadeTest, ObservationDeckMatchesReference) {
   Paired pair = MakePaired(FacadeSpec());
-  auto legacy = pair.legacy.ObservationDeck(1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto expected = pair.reference.Deck(1);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   auto facade = pair.facade.Query(QuerySpec::ObservationDeck(1));
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-  ASSERT_EQ(facade->deck().size(), legacy->size());
-  for (const auto& [key, series] : *legacy) {
+  ASSERT_EQ(facade->deck().size(), expected->size());
+  for (const auto& [key, series] : *expected) {
     auto it = facade->deck().find(key);
     ASSERT_NE(it, facade->deck().end()) << key.ToString();
-    ASSERT_EQ(it->second.size(), series.size());
-    for (size_t i = 0; i < series.size(); ++i) {
-      ExpectIsbNear(series[i], it->second[i], 1e-9);
-    }
+    EXPECT_EQ(series, it->second) << key.ToString();
   }
 }
 
-TEST(ApiFacadeTest, TrendChangesMatchLegacy) {
+TEST(ApiFacadeTest, TrendChangesMatchReference) {
   Paired pair = MakePaired(FacadeSpec());
-  auto legacy = pair.legacy.DetectTrendChanges(0, 0.05);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto expected = pair.reference.TrendChanges(0, 0.05);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   auto facade = pair.facade.Query(QuerySpec::TrendChanges(0, 0.05));
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-  ASSERT_EQ(facade->trend_changes().size(), legacy->size());
-  // Same set of keys with the same deltas (order may tie-break differently).
-  for (const auto& expected : *legacy) {
-    bool found = false;
-    for (const auto& actual : facade->trend_changes()) {
-      if (actual.key == expected.key) {
-        EXPECT_NEAR(actual.slope_delta, expected.slope_delta, 1e-9);
-        found = true;
-      }
-    }
-    EXPECT_TRUE(found) << expected.key.ToString();
+  // Same changes in the same order (ties break by canonical key).
+  ASSERT_EQ(facade->trend_changes().size(), expected->size());
+  for (size_t i = 0; i < expected->size(); ++i) {
+    const auto& want = (*expected)[i];
+    const auto& got = facade->trend_changes()[i];
+    EXPECT_EQ(want.key, got.key) << "at " << i;
+    EXPECT_EQ(want.previous, got.previous) << "at " << i;
+    EXPECT_EQ(want.current, got.current) << "at " << i;
+    EXPECT_EQ(want.slope_delta, got.slope_delta) << "at " << i;
   }
 }
 
@@ -267,11 +259,11 @@ TEST(ApiFacadeTest, TrendChangesMatchLegacy) {
 
 TEST(ApiFacadeTest, CubeKindsMatchCubeView) {
   Paired pair = MakePaired(FacadeSpec());
-  auto cube = pair.legacy.ComputeCube(0, 8);
+  auto cube = pair.reference.Cube(0, 8);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   ExceptionPolicy policy(0.02);
   CubeView view(*cube, policy);
-  const CuboidLattice& lattice = pair.legacy.lattice();
+  const CuboidLattice& lattice = pair.reference.lattice();
 
   // kTopExceptions.
   auto top = pair.facade.Query(QuerySpec::TopExceptions(5, 0, 8));
@@ -280,7 +272,8 @@ TEST(ApiFacadeTest, CubeKindsMatchCubeView) {
   ASSERT_EQ(top->cells().size(), expected_top.size());
   for (size_t i = 0; i < expected_top.size(); ++i) {
     EXPECT_EQ(top->cells()[i].cuboid, expected_top[i].cuboid);
-    ExpectIsbNear(expected_top[i].isb, top->cells()[i].isb, 1e-9);
+    EXPECT_EQ(expected_top[i].key, top->cells()[i].key);
+    EXPECT_EQ(expected_top[i].isb, top->cells()[i].isb);
   }
 
   // kCubeCell for a retained cell.
@@ -289,7 +282,7 @@ TEST(ApiFacadeTest, CubeKindsMatchCubeView) {
   auto got = pair.facade.Query(
       QuerySpec::CubeCell(lattice.o_layer_id(), o_key, 0, 8));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectIsbNear(o_isb, got->cell(), 1e-9);
+  EXPECT_EQ(o_isb, got->cell());
 
   // kExceptionsAt / kDrillDown / kSupporters agree per exception root.
   for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
@@ -316,11 +309,11 @@ TEST(ApiFacadeTest, CubeCellOnTheFlyComputesPrunedCells) {
   // Threshold high enough that intermediate cells are pruned; on-the-fly
   // aggregation must still answer them, matching CubeView.
   Paired pair = MakePaired(FacadeSpec(), /*threshold=*/1e9);
-  auto cube = pair.legacy.ComputeCube(0, 8);
+  auto cube = pair.reference.Cube(0, 8);
   ASSERT_TRUE(cube.ok());
   ExceptionPolicy policy(1e9);
   CubeView view(*cube, policy);
-  const CuboidLattice& lattice = pair.legacy.lattice();
+  const CuboidLattice& lattice = pair.reference.lattice();
 
   // Find an intermediate cuboid (not m, not o).
   CuboidId mid = -1;
@@ -343,12 +336,12 @@ TEST(ApiFacadeTest, CubeCellOnTheFlyComputesPrunedCells) {
   ASSERT_TRUE(fly.ok()) << fly.status().ToString();
   auto expected = view.ComputeCellOnTheFly(mid, mid_key);
   ASSERT_TRUE(expected.ok());
-  ExpectIsbNear(*expected, fly->cell(), 1e-9);
+  EXPECT_EQ(*expected, fly->cell());
 }
 
 TEST(ApiFacadeTest, FreeQueryServesCubeKindsAndRejectsStreamKinds) {
   Paired pair = MakePaired(FacadeSpec());
-  auto cube = pair.legacy.ComputeCube(0, 8);
+  auto cube = pair.reference.Cube(0, 8);
   ASSERT_TRUE(cube.ok());
   ExceptionPolicy policy(0.02);
 
@@ -378,20 +371,22 @@ TEST(ApiFacadeTest, CubeCacheInvalidatedByWrites) {
   key.set(1, 0);
   for (TimeTick t = spec.series_length; t < spec.series_length + 16; ++t) {
     ASSERT_TRUE(pair.facade.Ingest({key, t, 1000.0 * static_cast<double>(t)}).ok());
-    ASSERT_TRUE(pair.legacy.Ingest({key, t, 1000.0 * static_cast<double>(t)}).ok());
+    ASSERT_TRUE(
+        pair.reference.Ingest({key, t, 1000.0 * static_cast<double>(t)}).ok());
   }
   ASSERT_TRUE(pair.facade.SealThrough(spec.series_length + 15).ok());
-  ASSERT_TRUE(pair.legacy.SealThrough(spec.series_length + 15).ok());
+  ASSERT_TRUE(pair.reference.SealThrough(spec.series_length + 15).ok());
 
   auto after = pair.facade.Query(QuerySpec::TopExceptions(3, 0, 4));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  auto legacy_cube = pair.legacy.ComputeCube(0, 4);
-  ASSERT_TRUE(legacy_cube.ok());
+  auto expected_cube = pair.reference.Cube(0, 4);
+  ASSERT_TRUE(expected_cube.ok());
   ExceptionPolicy policy(0.02);
-  auto expected = CubeView(*legacy_cube, policy).TopExceptions(3);
+  auto expected = CubeView(*expected_cube, policy).TopExceptions(3);
   ASSERT_EQ(after->cells().size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    ExpectIsbNear(expected[i].isb, after->cells()[i].isb, 1e-9);
+    EXPECT_EQ(expected[i].key, after->cells()[i].key);
+    EXPECT_EQ(expected[i].isb, after->cells()[i].isb);
   }
 }
 

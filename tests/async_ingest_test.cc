@@ -1,7 +1,7 @@
 // The async ingest subsystem: IngestQueue policy contracts (deterministic,
 // queue-level — no consumer running), Flush()'s happens-before barrier,
-// bitwise equivalence of async churn + Flush against the synchronous
-// oracle across shard counts, concurrent producers + snapshot readers
+// bitwise equivalence of async churn + Flush against the replay reference
+// across shard counts, concurrent producers + snapshot readers
 // (the TSan target), the "ingest.queue" memory accounting, and the
 // builder/facade doors.
 
@@ -23,7 +23,7 @@ using equivalence::ChurnEngineOptions;
 using equivalence::ChurnPlan;
 using equivalence::ChurnWorkload;
 using equivalence::ExpectCubesIdentical;
-using equivalence::ExpectGathersIdentical;
+using equivalence::ExpectGatherMatchesReference;
 using equivalence::FreshKeyOutside;
 using equivalence::Key2;
 using equivalence::RunChurnRounds;
@@ -175,10 +175,10 @@ IngestConfig AsyncConfig(std::int64_t capacity = 64) {
 
 // The tentpole equivalence claim: the same seeded churn (writes, open-slot
 // ticks, a structural fresh cell, periodic seals) driven through the async
-// queues lands the bit-identical engine state the synchronous path
-// produces, for every shard count. A tiny queue capacity forces plenty of
-// kBlock waits along the way.
-TEST(AsyncIngestEquivalence, ChurnPlusFlushMatchesSyncAcrossShardCounts) {
+// queues lands the bit-identical state the replay reference defines, for
+// every shard count. A tiny queue capacity forces plenty of kBlock waits
+// along the way.
+TEST(AsyncIngestEquivalence, ChurnPlusFlushMatchesReferenceAcrossShardCounts) {
   const auto spec = ChurnWorkload(60, 12, 77);
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
@@ -194,12 +194,9 @@ TEST(AsyncIngestEquivalence, ChurnPlusFlushMatchesSyncAcrossShardCounts) {
   plan.fresh_round = 4;
   plan.fresh_key = FreshKeyOutside(gen, 4);
 
-  ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), 1);
-  RunChurnRounds(oracle, gen.cells(), plan, [](int) {});
-  const auto expected =
-      oracle.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-  const RegressionCube expected_cube =
-      ScratchCube(*schema, oracle, ChurnEngineOptions(), 0, 3);
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  RunChurnRounds(reference, gen.cells(), plan, [](int) {});
+  const RegressionCube expected_cube = ScratchCube(reference, 0, 3);
 
   for (int shards : {1, 2, 8}) {
     SCOPED_TRACE(shards);
@@ -212,12 +209,10 @@ TEST(AsyncIngestEquivalence, ChurnPlusFlushMatchesSyncAcrossShardCounts) {
     });
     ASSERT_TRUE(engine.Flush().ok());
 
-    const auto actual =
-        engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-    ExpectGathersIdentical(actual, expected, 2);
-    ExpectCubesIdentical(expected_cube,
-                         ScratchCube(*schema, engine, ChurnEngineOptions(),
-                                     0, 3));
+    ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
+    auto cube = engine.ComputeCube(0, 3);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    ExpectCubesIdentical(expected_cube, *cube);
 
     const auto stats = engine.IngestStats();
     EXPECT_EQ(stats.total.dropped, 0);
@@ -236,21 +231,17 @@ TEST(AsyncIngestEquivalence, SealThroughDrainsQueuedTuplesFirst) {
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
 
-  ShardedStreamEngine sync_engine(*schema, ChurnEngineOptions(), 2);
+  ReferenceStream reference(*schema, ChurnEngineOptions());
   ShardedStreamEngine async_engine(*schema, ChurnEngineOptions(), 2,
                                    nullptr, AsyncConfig());
   const std::vector<StreamTuple> stream = gen.GenerateStream();
-  ASSERT_TRUE(sync_engine.IngestBatch(stream).ok());
-  ASSERT_TRUE(sync_engine.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
   // No explicit Flush: SealThrough itself must provide the barrier.
   ASSERT_TRUE(async_engine.IngestBatch(stream).ok());
   ASSERT_TRUE(async_engine.SealThrough(spec.series_length - 1).ok());
 
-  ExpectGathersIdentical(
-      async_engine.GatherAlignedCells(
-          ShardedStreamEngine::GatherMode::kFull),
-      sync_engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull),
-      2);
+  ExpectGatherMatchesReference(async_engine.GatherAlignedCells(), reference);
   EXPECT_EQ(async_engine.IngestStats().total.absorbed,
             static_cast<std::int64_t>(stream.size()));
 }
@@ -320,7 +311,7 @@ TEST(AsyncIngestEquivalence, LossyPoliciesKeepTheAccountingIdentity) {
 
 // The TSan target: many producers enqueueing disjoint cell slices while a
 // reader gathers and a Flush caller raises barriers — then the absorbed
-// state must still be bit-identical to the sync oracle fed the same
+// state must still be bit-identical to the replay reference fed the same
 // stream. Per-cell order is what matters, and each producer owns its
 // cells, so the concurrent interleaving is immaterial.
 TEST(AsyncIngestConcurrencyTest, ConcurrentProducersAndSnapshotReaders) {
@@ -373,11 +364,9 @@ TEST(AsyncIngestConcurrencyTest, ConcurrentProducersAndSnapshotReaders) {
   flusher.join();
   ASSERT_TRUE(engine.Flush().ok());
 
-  ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), 1);
-  ASSERT_TRUE(oracle.IngestBatch(stream).ok());
-  ExpectGathersIdentical(
-      engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull),
-      oracle.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull), 2);
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
   EXPECT_EQ(engine.IngestStats().total.absorbed,
             static_cast<std::int64_t>(stream.size()));
 }
@@ -389,8 +378,8 @@ TEST(AsyncIngestConcurrencyTest, ConcurrentProducersAndSnapshotReaders) {
 // or cell-count monotonicity (cells are never erased, so a reader's view
 // may only grow). Readers spin on the delta gather — the read behind
 // TakeSnapshot — while three writers push disjoint slices through the
-// async queues; the final state must still match the sync oracle bit for
-// bit.
+// async queues; the final state must still match the replay reference bit
+// for bit.
 TEST(AsyncIngestConcurrencyTest,
      PublishedGenerationsStayConsistentUnderChurn) {
   const auto spec = ChurnWorkload(48, 16, 71);
@@ -453,11 +442,9 @@ TEST(AsyncIngestConcurrencyTest,
   reader_a.join();
   reader_b.join();
 
-  ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), 1);
-  ASSERT_TRUE(oracle.IngestBatch(stream).ok());
-  ExpectGathersIdentical(
-      engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull),
-      oracle.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull), 2);
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
 }
 
 // --------------------------------------------------------------- accounting

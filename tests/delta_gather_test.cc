@@ -1,10 +1,10 @@
 // O(changed-cells) gather contracts: the delta gather (frozen blocks shared
-// for clean cells, dirty cells patched into each shard's publication) must stay
-// bit-identical to a from-scratch full gather and to ComputeCubeAllLocks
-// under randomized ingest interleaved with snapshots, for shard counts
-// {1, 2, 8}; seals that change nothing must not move the revision; point
-// queries routed through the member-only gather must match a full-snapshot
-// scan and keep the legacy error contract; concurrent churn + TakeSnapshot
+// for clean cells, dirty cells patched into each shard's publication) must
+// stay bit-identical to the replay reference — its run and its
+// from-scratch cube — under randomized ingest interleaved with snapshots,
+// for shard counts {1, 2, 8}; seals that change nothing must not move the
+// revision; point queries routed through the member-only gather must match
+// the reference and keep the error contract; concurrent churn + TakeSnapshot
 // must be race-free (this test runs in the TSan CI job); and the frozen /
 // gather-cache bytes must show up in the facade's memory tracker and move
 // with the sharded engine's tracker.
@@ -27,9 +27,11 @@ namespace {
 
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
-using equivalence::ExpectCellMapsIdentical;
-using equivalence::ExpectGathersIdentical;
+using equivalence::ExpectCubesIdentical;
+using equivalence::ExpectGatherMatchesReference;
 using equivalence::Key2;
+using equivalence::PairedStream;
+using equivalence::ScratchCube;
 using equivalence::SmallTiltPolicy;
 using equivalence::UnusedMLayerKey;
 
@@ -39,13 +41,12 @@ WorkloadSpec ChurnSpec(std::int64_t tuples = 120, std::int64_t ticks = 16) {
 
 // ------------------------------------------------------------ equivalence
 
-TEST(DeltaGatherTest, MatchesFullGatherUnderRandomizedChurn) {
+TEST(DeltaGatherTest, MatchesReferenceUnderRandomizedChurn) {
   WorkloadSpec spec = ChurnSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
-  const int num_levels = ChurnEngineOptions().tilt_policy->num_levels();
 
   // Churn rounds with advancing ticks: some cross quarter/hour unit
   // boundaries (forcing re-alignment of carried blocks), some stay inside
@@ -64,31 +65,20 @@ TEST(DeltaGatherTest, MatchesFullGatherUnderRandomizedChurn) {
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards, pool);
-    ASSERT_TRUE(engine.IngestBatch(stream).ok());
-    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+    ReferenceStream reference(*schema, ChurnEngineOptions());
+    PairedStream paired{engine, reference};
+    ASSERT_TRUE(paired.IngestBatch(stream).ok());
+    ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
 
-    equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
-      auto delta = engine.GatherAlignedCells();
-      auto full =
-          engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-      ExpectGathersIdentical(delta, full, num_levels);
+    equivalence::RunChurnRounds(paired, gen.cells(), plan, [&](int) {
+      ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
     });
 
-    // End-state: the delta-gathered window also matches the retained
-    // all-locks oracle bit for bit (m-layer and o-layer).
+    // End-state: the cube over the delta-gathered window matches
+    // from-scratch cubing over the reference bit for bit.
     auto snapshot_cube = engine.ComputeCube(0, 4);
-    auto locked_cube = engine.ComputeCubeAllLocks(0, 4);
     ASSERT_TRUE(snapshot_cube.ok()) << snapshot_cube.status().ToString();
-    ASSERT_TRUE(locked_cube.ok()) << locked_cube.status().ToString();
-    ExpectCellMapsIdentical(locked_cube->m_layer(), snapshot_cube->m_layer());
-    ExpectCellMapsIdentical(locked_cube->o_layer(), snapshot_cube->o_layer());
-
-    // The all-locks oracle force-sealed lagging shards; the next delta
-    // gather must reflect that too.
-    auto after = engine.GatherAlignedCells();
-    auto after_full =
-        engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-    ExpectGathersIdentical(after, after_full, num_levels);
+    ExpectCubesIdentical(ScratchCube(reference, 0, 4), *snapshot_cube);
   }
 }
 
@@ -171,11 +161,14 @@ TEST(DeltaGatherTest, NoOpSealKeepsRevisionAndMemoizedSnapshot) {
 
 // ------------------------------------------------------ point-query path
 
-TEST(DeltaGatherTest, MemberOnlyPointQueriesMatchSnapshotScan) {
+TEST(DeltaGatherTest, MemberOnlyPointQueriesMatchReference) {
   WorkloadSpec spec = ChurnSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
   for (int shards : {1, 2, 8}) {
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards);
     ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
@@ -186,21 +179,17 @@ TEST(DeltaGatherTest, MemberOnlyPointQueriesMatchSnapshotScan) {
     const CellKey o_key =
         lattice.ProjectMLayerKey(gen.cells()[0].key, o_id);
 
-    auto gathered =
-        engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-    auto scan_cell =
-        SnapshotCellOf(*gathered.cells, lattice, o_id, o_key, 0, 4);
+    auto expected_cell = reference.Cell(o_id, o_key, 0, 4);
     auto member_cell = engine.QueryCell(o_id, o_key, 0, 4);
-    ASSERT_TRUE(scan_cell.ok());
+    ASSERT_TRUE(expected_cell.ok());
     ASSERT_TRUE(member_cell.ok()) << member_cell.status().ToString();
-    EXPECT_EQ(*scan_cell, *member_cell);
+    EXPECT_EQ(*expected_cell, *member_cell);
 
-    auto scan_series = SnapshotCellSeriesOf(
-        *gathered.cells, lattice, 2, o_id, o_key, 1);
+    auto expected_series = reference.CellSeries(o_id, o_key, 1);
     auto member_series = engine.QueryCellSeries(o_id, o_key, 1);
-    ASSERT_TRUE(scan_series.ok());
+    ASSERT_TRUE(expected_series.ok());
     ASSERT_TRUE(member_series.ok());
-    EXPECT_EQ(*scan_series, *member_series);
+    EXPECT_EQ(*expected_series, *member_series);
   }
 }
 
@@ -244,7 +233,7 @@ TEST(DeltaGatherTest, MemberOnlyPointQueriesKeepErrorContract) {
   ASSERT_TRUE(schema.ok());
   ShardedStreamEngine empty(*schema, ChurnEngineOptions(), 4);
 
-  // Cuboid validation precedes the no-data check (legacy order).
+  // Cuboid validation precedes the no-data check.
   EXPECT_EQ(empty.QueryCell(-1, CellKey(2), 0, 1).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(empty.QueryCell(0, CellKey(2), 0, 1).status().code(),
@@ -326,10 +315,27 @@ TEST(DeltaGatherTest, ConcurrentChurnAndSnapshotLoop) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& r : readers) r.join();
 
-  // Quiesced end state: delta and full still agree bit for bit.
+  // Quiesced end state: every writer's rounds landed, exactly as a serial
+  // replay of the same writes defines them.
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  for (int round = 0; round < kRoundsPerWriter; ++round) {
+    for (const auto& cell : cells) {
+      ASSERT_TRUE(
+          reference.Ingest({cell.key, spec.series_length + round, 2.0}).ok());
+    }
+  }
   auto snap = engine.TakeSnapshot();
   auto final_window = snap->Window(0, 2);
   ASSERT_TRUE(final_window.ok());
+  auto expected_window = SnapshotWindowOf(reference.Run(), 0, 2);
+  ASSERT_TRUE(expected_window.ok());
+  ASSERT_EQ(final_window->size(), expected_window->size());
+  for (size_t i = 0; i < final_window->size(); ++i) {
+    EXPECT_EQ((*expected_window)[i].key, (*final_window)[i].key);
+    EXPECT_EQ((*expected_window)[i].measure, (*final_window)[i].measure);
+  }
 }
 
 // ------------------------------------------------------ memory accounting

@@ -1,15 +1,16 @@
 #ifndef REGCUBE_TESTS_EQUIVALENCE_HARNESS_H_
 #define REGCUBE_TESTS_EQUIVALENCE_HARNESS_H_
 
-// The shared randomized cross-engine equivalence harness. Every suite that
-// claims "maintained structure X is bit-identical to oracle Y under churn"
-// (delta gathers, the incremental cube memo, the member index, shard-count
-// invariance) drives the same seeded workload churn through these helpers
-// and compares against the same oracles (`GatherMode::kFull` exports,
-// `SnapshotCubeOf` from-scratch cubing, `ComputeCubeAllLocks`,
-// `PointLookup::kScan` member gathers), so a new maintained structure gets
-// the oracle treatment by adding one check callback instead of re-growing
-// a private copy of the driver.
+// The shared randomized equivalence harness. Every suite that claims
+// "maintained structure X answers exactly what the stream defines" (delta
+// gathers, the incremental cube memo, the member index, async ingest,
+// spill, shard-count invariance) drives the same seeded churn through
+// these helpers into the engine and into the one oracle,
+// ReferenceStream (tests/reference_stream.h): a from-scratch replay into
+// one tilt frame per cell, which shares nothing with the engine but
+// TiltTimeFrame and the pure kernels of core/snapshot_reads — no shard,
+// publication, dirty list, frozen block or member index. A new maintained
+// structure gets the oracle treatment by adding one check callback.
 //
 // Everything here asserts *bitwise* equality: the structures under test
 // are caching/indexing strategies, not numerics changes, so no tolerance
@@ -28,6 +29,7 @@
 #include "regcube/core/sharded_engine.h"
 #include "regcube/core/snapshot_reads.h"
 #include "regcube/gen/stream_generator.h"
+#include "reference_stream.h"
 
 namespace regcube {
 namespace equivalence {
@@ -182,6 +184,8 @@ inline void ExpectCellRunsIdentical(const SnapshotCells& a,
   }
 }
 
+/// Bitwise equality of two engines' gathers (e.g. a restored engine and
+/// the one that wrote the checkpoint).
 inline void ExpectGathersIdentical(
     const ShardedStreamEngine::GatheredCells& actual,
     const ShardedStreamEngine::GatheredCells& expected, int num_levels) {
@@ -189,14 +193,29 @@ inline void ExpectGathersIdentical(
   ExpectCellRunsIdentical(*actual.cells, *expected.cells, num_levels);
 }
 
-/// Bitwise equality of two member-only gathers (e.g. the indexed path vs
-/// the retained scan oracle).
-inline void ExpectMemberGathersIdentical(
-    const ShardedStreamEngine::MemberGather& actual,
-    const ShardedStreamEngine::MemberGather& expected, int num_levels) {
-  EXPECT_EQ(actual.clock, expected.clock);
-  EXPECT_EQ(actual.total_cells, expected.total_cells);
-  ExpectCellRunsIdentical(actual.cells, expected.cells, num_levels);
+/// Bitwise equality of an engine gather with the reference's run: same
+/// clock, same cells in canonical order, every sealed slot identical.
+inline void ExpectGatherMatchesReference(
+    const ShardedStreamEngine::GatheredCells& gathered,
+    const ReferenceStream& reference) {
+  ASSERT_TRUE(gathered.status.ok()) << gathered.status.ToString();
+  EXPECT_EQ(gathered.clock, reference.clock());
+  ExpectCellRunsIdentical(*gathered.cells, reference.Run(),
+                          reference.num_levels());
+}
+
+/// Bitwise equality of a member-only gather with the members the
+/// reference finds by projecting every key of `run` (its Run()).
+inline void ExpectMemberGatherMatchesReference(
+    const ShardedStreamEngine::MemberGather& gathered,
+    const ReferenceStream& reference, const SnapshotCells& run,
+    CuboidId cuboid, const CellKey& key) {
+  ASSERT_TRUE(gathered.status.ok()) << gathered.status.ToString();
+  EXPECT_EQ(gathered.clock, reference.clock());
+  EXPECT_EQ(gathered.total_cells, static_cast<std::int64_t>(run.size()));
+  ExpectCellRunsIdentical(gathered.cells,
+                          reference.Members(run, cuboid, key),
+                          reference.num_levels());
 }
 
 inline void ExpectCellMapsIdentical(const CellMap& expected,
@@ -230,18 +249,41 @@ inline void ExpectCubesIdentical(const RegressionCube& expected,
 
 // ------------------------------------------------------------------- oracles
 
-/// The from-scratch oracle over the engine's current gather — the exact
-/// computation the cube memo replaces.
-inline RegressionCube ScratchCube(std::shared_ptr<const CubeSchema> schema,
-                                  ShardedStreamEngine& engine,
-                                  const StreamCubeEngine::Options& options,
+/// The from-scratch oracle: cubing over the reference's window — the exact
+/// computation the cube memo replaces, over frames no engine cache
+/// touched.
+inline RegressionCube ScratchCube(const ReferenceStream& reference,
                                   int level, int k) {
-  auto run = engine.GatherAlignedCells();
-  auto cube = SnapshotCubeOf(std::move(schema), *run.cells, options, level, k,
-                             nullptr);
+  auto cube = reference.Cube(level, k);
   EXPECT_TRUE(cube.ok()) << cube.status().ToString();
   return std::move(cube).value();
 }
+
+/// Feeds a sync engine and its reference the same writes. Every verdict
+/// must agree: a tuple the engine refuses as late, the reference refuses
+/// too.
+struct PairedStream {
+  ShardedStreamEngine& engine;
+  ReferenceStream& reference;
+
+  Status Ingest(const StreamTuple& tuple) {
+    Status status = engine.Ingest(tuple);
+    EXPECT_EQ(reference.Ingest(tuple).code(), status.code())
+        << "tick " << tuple.tick << " of " << tuple.key.ToString();
+    return status;
+  }
+
+  IngestReport IngestBatch(const std::vector<StreamTuple>& tuples) {
+    IngestReport report = engine.IngestBatch(tuples);
+    EXPECT_EQ(reference.IngestBatch(tuples).ok(), report.ok());
+    return report;
+  }
+
+  Status SealThrough(TimeTick t) {
+    EXPECT_TRUE(reference.SealThrough(t).ok());
+    return engine.SealThrough(t);
+  }
+};
 
 // -------------------------------------------------------------- churn driver
 
@@ -275,15 +317,15 @@ struct ChurnPlan {
   CellKey fresh_key;
 };
 
-/// Runs the plan against `engine`, invoking `check(round)` after each
-/// round's writes. The workload is a pure function of the plan's seed, so
-/// every shard count (or engine flavor) driven with the same plan sees the
-/// identical churn and their results are comparable across engines.
-inline void RunChurnRounds(ShardedStreamEngine& engine,
-                           const std::vector<StreamGenerator::CellParams>&
-                               cells,
-                           const ChurnPlan& plan,
-                           const std::function<void(int round)>& check) {
+/// Runs the plan against `sink` — an engine, a ReferenceStream, or a
+/// PairedStream feeding both — invoking `check(round)` after each round's
+/// writes. The workload is a pure function of the plan's seed, so every
+/// sink driven with the same plan sees the identical churn.
+template <typename Sink>
+void RunChurnRounds(Sink& sink,
+                    const std::vector<StreamGenerator::CellParams>& cells,
+                    const ChurnPlan& plan,
+                    const std::function<void(int round)>& check) {
   Pcg32 rng(plan.seed, 7);
   for (int round = 0; round < plan.rounds; ++round) {
     const TimeTick tick =
@@ -293,18 +335,18 @@ inline void RunChurnRounds(ShardedStreamEngine& engine,
       const auto& cell = cells[static_cast<size_t>(
           rng.Uniform(static_cast<std::uint32_t>(cells.size())))];
       ASSERT_TRUE(
-          engine.Ingest({cell.key, tick, 0.25 * static_cast<double>(j + 1)})
+          sink.Ingest({cell.key, tick, 0.25 * static_cast<double>(j + 1)})
               .ok());
     }
     if (plan.open_every > 0 && round % plan.open_every == 1) {
-      ASSERT_TRUE(engine.Ingest({plan.open_key, plan.open_tick, 0.5}).ok());
+      ASSERT_TRUE(sink.Ingest({plan.open_key, plan.open_tick, 0.5}).ok());
     }
     if (round == plan.fresh_round) {
-      ASSERT_TRUE(engine.Ingest({plan.fresh_key, tick, 3.0}).ok());
+      ASSERT_TRUE(sink.Ingest({plan.fresh_key, tick, 3.0}).ok());
     }
     if (plan.seal_every > 0 &&
         round % plan.seal_every == plan.seal_every - 1) {
-      ASSERT_TRUE(engine.SealThrough(tick).ok());
+      ASSERT_TRUE(sink.SealThrough(tick).ok());
     }
     check(round);
   }

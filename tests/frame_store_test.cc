@@ -1,8 +1,9 @@
 // The memory-governed storage tier's contracts: the mmap frame store must
 // round-trip tilt-frame state bitwise (spill -> fault-in is lossless); an
 // engine running under a byte budget with a spill directory must stay
-// bit-identical to an unbounded all-RAM oracle through randomized churn
-// for shard counts {1, 2, 8} while actually spilling and faulting in;
+// bit-identical to the all-RAM replay reference through randomized churn
+// for shard counts {1, 2, 8} while actually spilling and faulting in; the
+// export.dirty rung must retire a publication whose patches it dropped;
 // Checkpoint -> OpenFrom must reproduce identical query results (including
 // after resumed ingest, and across a different shard count); and corrupt /
 // truncated checkpoint files must fail with the typed error contract
@@ -31,8 +32,10 @@ namespace {
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnPlan;
 using equivalence::ChurnWorkload;
+using equivalence::ExpectGatherMatchesReference;
 using equivalence::ExpectGathersIdentical;
 using equivalence::Key2;
+using equivalence::PairedStream;
 using equivalence::RunChurnRounds;
 using equivalence::SmallTiltPolicy;
 
@@ -48,23 +51,13 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-std::shared_ptr<const CubeSchema> TinySchema() {
-  auto schema = MakeWorkloadSchemaPtr(ChurnWorkload(4, 8, 1));
-  EXPECT_TRUE(schema.ok());
-  return *schema;
-}
-
 TiltFrameState MakeState(std::uint64_t seed, TimeTick ticks) {
-  StreamCubeEngine engine(TinySchema(), ChurnEngineOptions());
+  TiltTimeFrame frame(SmallTiltPolicy(), /*start_tick=*/0);
   Pcg32 rng(seed, 3);
-  const CellKey key = Key2(1, 2);
   for (TimeTick t = 0; t < ticks; ++t) {
-    EXPECT_TRUE(engine.Ingest({key, t, rng.NextDouble()}).ok());
+    EXPECT_TRUE(frame.Add(t, rng.NextDouble()).ok());
   }
-  std::vector<CellSnapshot> cells;
-  engine.ExportCellsFull(&cells, nullptr);
-  EXPECT_EQ(cells.size(), 1u);
-  return cells[0].frame->Snapshot();
+  return frame.Snapshot();
 }
 
 void ExpectStatesIdentical(const TiltFrameState& a, const TiltFrameState& b) {
@@ -143,8 +136,9 @@ TEST(FrameStoreTest, InvalidRefsAreTypedErrors) {
 
 // ---------------------------------------------- budgeted churn equivalence
 
-/// Drives the shared churn plan through a budgeted+spilling engine and an
-/// unbounded oracle in lockstep, comparing full gathers after every round.
+/// Drives the shared churn plan through a budgeted+spilling engine and the
+/// replay reference, then compares the engine's gathers with the
+/// reference's run.
 void RunBudgetedChurnEquivalence(int num_shards) {
   WorkloadSpec spec = ChurnWorkload(/*tuples=*/150, /*ticks=*/16,
                                     /*seed=*/71);
@@ -153,9 +147,9 @@ void RunBudgetedChurnEquivalence(int num_shards) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
 
-  ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), num_shards);
+  ReferenceStream reference(*schema, ChurnEngineOptions());
   ShardedStreamEngine budgeted(*schema, ChurnEngineOptions(), num_shards);
-  ASSERT_TRUE(oracle.IngestBatch(seeded).ok());
+  ASSERT_TRUE(reference.IngestBatch(seeded).ok());
   ASSERT_TRUE(budgeted.IngestBatch(seeded).ok());
 
   // A budget far below the seeded working set, so every enforcement walks
@@ -172,17 +166,16 @@ void RunBudgetedChurnEquivalence(int num_shards) {
   plan.advance_ticks = true;
   plan.base_tick = 16;
   plan.seal_every = 3;
-  const int num_levels = ChurnEngineOptions().tilt_policy->num_levels();
   // Gather every other round: gathers clean the dirty set (dirty cells
   // are pinned resident), so later enforcements always find cold clean
   // cells to spill — the steady-state read/write mix.
   RunChurnRounds(budgeted, gen.cells(), plan, [&](int round) {
     if (round % 2 == 1) (void)budgeted.GatherAlignedCells();
   });
-  // Re-drive the identical plan into the oracle (RunChurnRounds is a pure
-  // function of the plan, so the write sequences are identical; gathers
-  // are reads and change nothing observable).
-  RunChurnRounds(oracle, gen.cells(), plan, [](int) {});
+  // Re-drive the identical plan into the reference (RunChurnRounds is a
+  // pure function of the plan, so the write sequences are identical;
+  // gathers are reads and change nothing observable).
+  RunChurnRounds(reference, gen.cells(), plan, [](int) {});
 
   // Budget actually bit: enforcements ran, cells were spilled, fault-ins
   // brought them back for the interleaved gathers.
@@ -193,13 +186,11 @@ void RunBudgetedChurnEquivalence(int num_shards) {
   EXPECT_GT(spill.disk_bytes, 0);
 
   // Bit-identity: the gather faults in every still-cold cell and the
-  // result matches the all-RAM oracle exactly.
-  auto got = budgeted.GatherAlignedCells();
-  auto want = oracle.GatherAlignedCells();
-  ExpectGathersIdentical(got, want, num_levels);
+  // result matches the all-RAM reference exactly.
+  ExpectGatherMatchesReference(budgeted.GatherAlignedCells(), reference);
 
   // After the fault-ins, a second gather is served hot and still matches.
-  ExpectGathersIdentical(budgeted.GatherAlignedCells(), want, num_levels);
+  ExpectGatherMatchesReference(budgeted.GatherAlignedCells(), reference);
 }
 
 TEST(FrameStoreChurnTest, BudgetedEngineMatchesOracleOneShard) {
@@ -212,6 +203,64 @@ TEST(FrameStoreChurnTest, BudgetedEngineMatchesOracleTwoShards) {
 
 TEST(FrameStoreChurnTest, BudgetedEngineMatchesOracleEightShards) {
   RunBudgetedChurnEquivalence(8);
+}
+
+// ------------------------------------------------- export.dirty retire
+
+/// The export.dirty rung (40) drops the dirty lists it cleans, so a shard
+/// publication built before it can no longer be patched forward: the rung
+/// must retire it. The window is narrow — the gather.caches rung (21)
+/// already retired every publication earlier in the same ladder run — so
+/// a rung at 25 forces it open: a helper thread gathers (republishing and
+/// consuming the dirty lists), then writes a few cells. Its own
+/// enforcement try_lock just fails while this thread runs the ladder, so
+/// nothing re-enters. Rung 40 then cleans those cells; the next gather
+/// must still see their writes. The writes land in a slot the clock has
+/// already sealed (a pacer cell ran ahead), so a stale run shows.
+TEST(MemoryBudgetTest, ExportDirtyRungRetiresThePublicationItCleans) {
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/60, /*ticks=*/16,
+                                    /*seed=*/83);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 2);
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  PairedStream paired{engine, reference};
+
+  // A budget no engine can reach: every enforcement runs every rung.
+  MemoryBudgetConfig config;
+  config.budget_bytes = 1;
+  config.spill_dir = FreshDir("export_dirty_retire");
+  ASSERT_TRUE(engine.ConfigureStorage(config).ok());
+  bool armed = false;
+  int helper_runs = 0;
+  auto publish_then_write = [&](std::int64_t) -> std::int64_t {
+    if (!armed) return 0;
+    armed = false;
+    std::thread helper([&] {
+      ASSERT_TRUE(engine.GatherAlignedCells().status.ok());
+      for (size_t c = 0; c < 4; ++c) {
+        const StreamTuple late{gen.cells()[c].key, spec.series_length + 1,
+                               7.0 + static_cast<double>(c)};
+        ASSERT_TRUE(paired.Ingest(late).ok());
+      }
+      ++helper_runs;
+    });
+    helper.join();
+    return 0;
+  };
+  engine.governor()->AddRung(25, "test.publish_then_write",
+                             publish_then_write);
+
+  ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(paired.Ingest({Key2(15, 15), spec.series_length + 4, 1.0}).ok());
+  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
+
+  armed = true;
+  engine.MaybeEnforceBudget();
+  ASSERT_EQ(helper_runs, 1);
+  EXPECT_GT(engine.SpillStats().export_evictions, 0);
+  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
 }
 
 // ------------------------------------------------------- facade budget run

@@ -3,13 +3,15 @@
 //   1. decoder robustness — every truncation point and random byte flips of
 //      valid encodings must return Status, never crash or hang;
 //   2. engine-vs-batch — streams with random gaps, duplicate ticks and
-//      late-starting cells must produce the same cube as batch computation;
+//      late-starting cells must produce the same cube as batch computation
+//      (and bit for bit what the replay reference computes);
 //   3. cross-algorithm — random workloads, thresholds and paths keep the
 //      two algorithms' outputs in their proven relationship;
 //   4. facade point queries — randomly projected kCell/kCellSeries specs
 //      (valid members, zero-member keys, out-of-range cuboids/levels,
-//      stale keys re-probed after churn) must match the retained
-//      scan-path oracle bit for bit, errors included.
+//      stale keys re-probed after churn) must match the replay
+//      reference (members found by projecting every key) bit for bit,
+//      errors included.
 
 #include <algorithm>
 #include <array>
@@ -20,7 +22,7 @@
 #include "gtest/gtest.h"
 #include "regcube/core/mo_cubing.h"
 #include "regcube/core/popular_path.h"
-#include "regcube/core/stream_engine.h"
+#include "regcube/core/sharded_engine.h"
 #include "regcube/io/cube_io.h"
 #include "equivalence_harness.h"
 #include "test_util.h"
@@ -227,7 +229,9 @@ TEST_P(EngineFuzzTest, GappyStreamsMatchBatchComputation) {
   options.tilt_policy =
       MakeUniformTiltPolicy({{"q", 8}, {"h", 4}}, {4, 16});
   options.policy = ExceptionPolicy(0.01);
-  StreamCubeEngine engine(schema, options);
+  ShardedStreamEngine engine(schema, options, /*num_shards=*/1);
+  ReferenceStream replay(schema, options);
+  equivalence::PairedStream paired{engine, replay};
 
   // Effective dense series per cell (what the engine semantics define).
   std::unordered_map<CellKey, std::vector<double>, CellKeyHash> dense;
@@ -249,11 +253,11 @@ TEST_P(EngineFuzzTest, GappyStreamsMatchBatchComputation) {
       for (int i = 0; i < obs; ++i) {
         const double v = rng.NextDouble() * 4.0 - 1.0;
         dense[key][static_cast<size_t>(t)] += v;
-        ASSERT_TRUE(engine.Ingest({key, t, v}).ok());
+        ASSERT_TRUE(paired.Ingest({key, t, v}).ok());
       }
     }
   }
-  ASSERT_TRUE(engine.SealThrough(total - 1).ok());
+  ASSERT_TRUE(paired.SealThrough(total - 1).ok());
 
   // Batch reference from the dense series.
   std::vector<MLayerTuple> reference;
@@ -272,6 +276,13 @@ TEST_P(EngineFuzzTest, GappyStreamsMatchBatchComputation) {
     ASSERT_NE(it, expected.end());
     ExpectIsbNear(it->second, t.measure, 1e-8);
   }
+  auto replayed = SnapshotWindowOf(replay.Run(), 0, 8);
+  ASSERT_TRUE(replayed.ok());
+  ASSERT_EQ(replayed->size(), window->size());
+  for (size_t i = 0; i < window->size(); ++i) {
+    EXPECT_EQ((*replayed)[i].key, (*window)[i].key);
+    EXPECT_EQ((*replayed)[i].measure, (*window)[i].measure);
+  }
 
   // And the cube over that window matches the batch cube.
   auto engine_cube = engine.ComputeCube(0, 8);
@@ -281,6 +292,8 @@ TEST_P(EngineFuzzTest, GappyStreamsMatchBatchComputation) {
   ASSERT_TRUE(engine_cube.ok());
   ASSERT_TRUE(batch_cube.ok());
   ExpectCellMapsEqual(batch_cube->o_layer(), engine_cube->o_layer(), 1e-8);
+  equivalence::ExpectCubesIdentical(equivalence::ScratchCube(replay, 0, 8),
+                                    *engine_cube);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest, ::testing::Range(0, 12));
@@ -357,44 +370,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AlgorithmFuzzTest, ::testing::Range(0, 20));
 
 // --------------------------------------------------- facade point queries
 
-/// The scan-path oracle for Engine::Query(kCell): replays the sharded
-/// QueryCell contract (cuboid, level, no-data, no-members, kernel) but
-/// locates members with the retained O(cells) projection scan instead of
-/// the index.
-Result<Isb> ScanOracleCell(ShardedStreamEngine& engine, int num_levels,
-                           CuboidId cuboid, const CellKey& key, int level,
-                           int k) {
-  RC_RETURN_IF_ERROR(
-      ValidatePointQueryTarget(engine.lattice(), cuboid, level, num_levels));
-  auto gathered =
-      engine.GatherCellsMatching(cuboid, key, PointLookup::kScan);
-  if (gathered.total_cells == 0) return SnapshotNoDataError();
-  if (gathered.cells.empty()) {
-    return SnapshotNoMembersError(engine.lattice(), cuboid, key);
-  }
-  return SnapshotCellOf(gathered.cells, engine.lattice(), cuboid, key, level,
-                        k);
-}
-
-/// Same for kCellSeries (cuboid, then level, then no-data / no-members).
-Result<std::vector<Isb>> ScanOracleSeries(ShardedStreamEngine& engine,
-                                          int num_levels, CuboidId cuboid,
-                                          const CellKey& key, int level) {
-  RC_RETURN_IF_ERROR(
-      ValidatePointQueryTarget(engine.lattice(), cuboid, level, num_levels));
-  auto gathered =
-      engine.GatherCellsMatching(cuboid, key, PointLookup::kScan);
-  if (gathered.total_cells == 0) return SnapshotNoDataError();
-  if (gathered.cells.empty()) {
-    return SnapshotNoMembersError(engine.lattice(), cuboid, key);
-  }
-  return SnapshotCellSeriesOf(gathered.cells, engine.lattice(), num_levels,
-                              cuboid, key, level);
-}
-
 class FacadePointQueryFuzzTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
+TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchReference) {
   Pcg32 rng(static_cast<std::uint64_t>(GetParam()) + 11000);
   const int fanout = 3 + static_cast<int>(rng.Uniform(2));
   // Clamp to the m-layer key space ((fanout^2)^2 for 2 dims, 2 levels),
@@ -410,9 +388,9 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
 
-  // The facade engine under test and a scan-path oracle engine, fed the
-  // identical stream — engine state is deterministic, so agreeing answers
-  // must agree bit for bit, not merely numerically.
+  // The facade engine under test and the replay reference, fed the
+  // identical stream — reads are a function of the stream, so agreeing
+  // answers must agree bit for bit, not merely numerically.
   auto built = EngineBuilder()
                    .SetSchema(*schema)
                    .SetTiltPolicy(equivalence::SmallTiltPolicy())
@@ -421,16 +399,15 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
                    .Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   Engine facade = std::move(built).value();
-  ShardedStreamEngine oracle(*schema, equivalence::ChurnEngineOptions(),
-                             shards);
+  ReferenceStream reference(*schema, equivalence::ChurnEngineOptions());
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
   ASSERT_TRUE(facade.IngestBatch(stream).ok());
-  ASSERT_TRUE(oracle.IngestBatch(stream).ok());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
   ASSERT_TRUE(facade.SealThrough(spec.series_length - 1).ok());
-  ASSERT_TRUE(oracle.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
 
-  const CuboidLattice& lattice = oracle.lattice();
+  const CuboidLattice& lattice = reference.lattice();
   const int num_cuboids = static_cast<int>(lattice.num_cuboids());
   const int num_levels =
       equivalence::ChurnEngineOptions().tilt_policy->num_levels();
@@ -462,8 +439,7 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
       const int k = 1 + static_cast<int>(rng.Uniform(3));
 
       auto facade_cell = facade.Query(QuerySpec::Cell(cuboid, key, level, k));
-      auto oracle_cell =
-          ScanOracleCell(oracle, num_levels, cuboid, key, level, k);
+      auto oracle_cell = reference.Cell(cuboid, key, level, k);
       ASSERT_EQ(facade_cell.ok(), oracle_cell.ok())
           << "cuboid " << cuboid << " key " << key.ToString() << " level "
           << level << ": " << facade_cell.status().ToString() << " vs "
@@ -476,8 +452,7 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
 
       auto facade_series =
           facade.Query(QuerySpec::CellSeries(cuboid, key, level));
-      auto oracle_series =
-          ScanOracleSeries(oracle, num_levels, cuboid, key, level);
+      auto oracle_series = reference.CellSeries(cuboid, key, level);
       ASSERT_EQ(facade_series.ok(), oracle_series.ok())
           << "cuboid " << cuboid << " key " << key.ToString();
       if (facade_series.ok()) {
@@ -491,7 +466,7 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
 
   probe(20);
 
-  // Churn both engines identically (late + advancing data, a brand-new
+  // Churn engine and reference identically (late + advancing data, a brand-new
   // cell, a seal that rolls the epoch), then re-probe: previously indexed
   // keys are now stale and must refresh through the same dirty
   // bookkeeping every gather uses.
@@ -502,17 +477,17 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
           rng.Uniform(static_cast<std::uint32_t>(gen.cells().size())))];
       const StreamTuple tuple{cell.key, tick, 1.0 + j};
       ASSERT_TRUE(facade.Ingest(tuple).ok());
-      ASSERT_TRUE(oracle.Ingest(tuple).ok());
+      ASSERT_TRUE(reference.Ingest(tuple).ok());
     }
     if (round == 1) {
       const StreamTuple fresh{equivalence::FreshKeyOutside(gen, value_space),
                               tick, 3.0};
       ASSERT_TRUE(facade.Ingest(fresh).ok());
-      ASSERT_TRUE(oracle.Ingest(fresh).ok());
+      ASSERT_TRUE(reference.Ingest(fresh).ok());
     }
     if (round == 2) {
       ASSERT_TRUE(facade.SealThrough(tick).ok());
-      ASSERT_TRUE(oracle.SealThrough(tick).ok());
+      ASSERT_TRUE(reference.SealThrough(tick).ok());
     }
     probe(10);
   }

@@ -1,7 +1,7 @@
 // Incremental cube maintenance contracts: the maintained cube memo
 // (IncrementalCubeCache behind ShardedStreamEngine::ComputeCubeShared and
 // the facade's cube-side Query kinds) must be bit-identical to from-scratch
-// m/o H-cubing (and to the ComputeCubeAllLocks oracle) across shard counts
+// m/o H-cubing over the replay reference's window across shard counts
 // {1, 2, 8} under randomized churn; it must survive no-op seals and
 // boundary-free alignment without recomputing; churn must invalidate it
 // precisely (open-slot churn revalidates, sealed-window churn patches, a
@@ -39,6 +39,7 @@ using equivalence::ExpectCellMapsIdentical;
 using equivalence::ExpectCubesIdentical;
 using equivalence::FreshKeyOutside;
 using equivalence::Key2;
+using equivalence::PairedStream;
 using equivalence::ScratchCube;
 using equivalence::SmallTiltPolicy;
 
@@ -64,8 +65,10 @@ constexpr int kRollLevel = 0;
 constexpr int kRollK = 4;
 
 /// Ingests every cell of `cells` at `tick` as one batch (values a
-/// deterministic function of the cell and the tick).
-void IngestTick(ShardedStreamEngine& engine,
+/// deterministic function of the cell and the tick) into `sink` — an
+/// engine or a PairedStream.
+template <typename Sink>
+void IngestTick(Sink& sink,
                 const std::vector<StreamGenerator::CellParams>& cells,
                 TimeTick tick) {
   std::vector<StreamTuple> batch;
@@ -75,7 +78,7 @@ void IngestTick(ShardedStreamEngine& engine,
                      0.05 * static_cast<double>(tick);
     batch.push_back({cells[c].key, tick, z});
   }
-  ASSERT_TRUE(engine.IngestBatch(batch).ok());
+  ASSERT_TRUE(sink.IngestBatch(batch).ok());
 }
 
 /// Seeds every generated cell with its ticks 0..7, then drives the global
@@ -83,10 +86,10 @@ void IngestTick(ShardedStreamEngine& engine,
 /// the aligned view while every seeded cell's own frame still sits at tick
 /// 7 — late data at tick 7 then lands in the globally sealed slot [4,8),
 /// the out-of-order-across-cells shape the patch path exists for.
-void SeedLagging(ShardedStreamEngine& engine, StreamGenerator& gen,
+void SeedLagging(PairedStream& paired, StreamGenerator& gen,
                  TimeTick pacer_tick = 11) {
-  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(engine.Ingest({PacerKey(), pacer_tick, 1.0}).ok());
+  ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(paired.Ingest({PacerKey(), pacer_tick, 1.0}).ok());
 }
 
 // ------------------------------------------------------------ equivalence
@@ -100,8 +103,10 @@ TEST(IncrementalCubeTest, MaintainedCubeMatchesScratchUnderRandomizedChurn) {
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, LagOptions(), shards, pool);
+    ReferenceStream reference(*schema, LagOptions());
+    PairedStream paired{engine, reference};
     StreamGenerator gen(spec);
-    SeedLagging(engine, gen);
+    SeedLagging(paired, gen);
 
     // One fixed plan (seeded churn): every shard count sees the identical
     // stream, so the final cubes are comparable across engines. The plan
@@ -119,11 +124,10 @@ TEST(IncrementalCubeTest, MaintainedCubeMatchesScratchUnderRandomizedChurn) {
     plan.fresh_round = 6;
     plan.fresh_key = FreshKeyOutside(gen, 16);
 
-    equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
+    equivalence::RunChurnRounds(paired, gen.cells(), plan, [&](int) {
       auto maintained = engine.ComputeCubeShared(0, 2);
       ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
-      RegressionCube scratch =
-          ScratchCube(*schema, engine, LagOptions(), 0, 2);
+      RegressionCube scratch = ScratchCube(reference, 0, 2);
       ExpectCubesIdentical(scratch, **maintained);
     });
 
@@ -139,7 +143,7 @@ TEST(IncrementalCubeTest, MaintainedCubeMatchesScratchUnderRandomizedChurn) {
   ExpectCellMapsIdentical(o_layers[0], o_layers[2]);
 }
 
-TEST(IncrementalCubeTest, MatchesAllLocksOracleAcrossShardCounts) {
+TEST(IncrementalCubeTest, MatchesReferenceAcrossShardCounts) {
   WorkloadSpec spec = LagSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
@@ -148,18 +152,20 @@ TEST(IncrementalCubeTest, MatchesAllLocksOracleAcrossShardCounts) {
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(2);
     ShardedStreamEngine engine(*schema, LagOptions(), shards, pool);
+    ReferenceStream reference(*schema, LagOptions());
+    PairedStream paired{engine, reference};
     StreamGenerator gen(spec);
-    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+    ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+    ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
 
-    // Barrier-style flow: everyone is at one clock, so the all-locks
-    // oracle's align is a no-op and all three doors must agree bitwise.
+    // Barrier-style flow: everyone is at one clock, and the maintained cube
+    // and the by-value door agree with the reference bitwise.
     auto maintained = engine.ComputeCubeShared(0, 2);
     ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
-    auto locked = engine.ComputeCubeAllLocks(0, 2);
-    ASSERT_TRUE(locked.ok()) << locked.status().ToString();
-    ExpectCubesIdentical(*locked, **maintained);
-    RegressionCube scratch = ScratchCube(*schema, engine, LagOptions(), 0, 2);
+    auto by_value = engine.ComputeCube(0, 2);
+    ASSERT_TRUE(by_value.ok()) << by_value.status().ToString();
+    ExpectCubesIdentical(*by_value, **maintained);
+    RegressionCube scratch = ScratchCube(reference, 0, 2);
     ExpectCubesIdentical(scratch, **maintained);
     cubes.push_back((**maintained).Clone());
   }
@@ -224,14 +230,16 @@ TEST(IncrementalCubeTest, SealedWindowChurnPatchesInsteadOfRebuilding) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   ShardedStreamEngine engine(*schema, LagOptions(), 4);
+  ReferenceStream reference(*schema, LagOptions());
+  PairedStream paired{engine, reference};
   StreamGenerator gen(spec);
-  SeedLagging(engine, gen);
+  SeedLagging(paired, gen);
 
   ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
 
   // Late data into the globally sealed [4,8): exactly the patch shape.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine.Ingest({gen.cells()[static_cast<size_t>(i)].key, 7,
+    ASSERT_TRUE(paired.Ingest({gen.cells()[static_cast<size_t>(i)].key, 7,
                                5.0 + i})
                     .ok());
   }
@@ -242,8 +250,7 @@ TEST(IncrementalCubeTest, SealedWindowChurnPatchesInsteadOfRebuilding) {
   EXPECT_EQ(stats.rebuilds, 1);
   EXPECT_GT(stats.patched_cells, 0);
   EXPECT_LE(stats.patched_cells, 3);
-  ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
-                       **patched);
+  ExpectCubesIdentical(ScratchCube(reference, 0, 2), **patched);
 }
 
 TEST(IncrementalCubeTest, StructuralChangesRebuild) {
@@ -251,19 +258,20 @@ TEST(IncrementalCubeTest, StructuralChangesRebuild) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   ShardedStreamEngine engine(*schema, LagOptions(), 4);
+  ReferenceStream reference(*schema, LagOptions());
+  PairedStream paired{engine, reference};
   StreamGenerator gen(spec);
-  SeedLagging(engine, gen);
+  SeedLagging(paired, gen);
 
   ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
 
   // A brand-new cell is a structural change: patching cannot reproduce a
   // freshly built tree's chain order, so the memo rebuilds.
-  ASSERT_TRUE(engine.Ingest({FreshKeyOutside(gen, 16), 7, 2.0}).ok());
+  ASSERT_TRUE(paired.Ingest({FreshKeyOutside(gen, 16), 7, 2.0}).ok());
   auto rebuilt = engine.ComputeCubeShared(0, 2);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(engine.cube_memo_stats().rebuilds, 2);
-  ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
-                       **rebuilt);
+  ExpectCubesIdentical(ScratchCube(reference, 0, 2), **rebuilt);
 
   // The by-value export door never evicts a live memo of a different
   // window: ComputeCube(0, 1) computes from scratch on the side, and the
@@ -289,11 +297,10 @@ TEST(IncrementalCubeTest, StructuralChangesRebuild) {
 
   // Rolling the window epoch (a new level-0 slot seals) is not structural:
   // the population is unchanged, so the memo rolls in place.
-  ASSERT_TRUE(engine.SealThrough(12).ok());  // seals [8,12)
+  ASSERT_TRUE(paired.SealThrough(12).ok());  // seals [8,12)
   auto rolled = engine.ComputeCubeShared(0, 2);
   ASSERT_TRUE(rolled.ok());
-  ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
-                       **rolled);
+  ExpectCubesIdentical(ScratchCube(reference, 0, 2), **rolled);
   const auto stats = engine.cube_memo_stats();
   EXPECT_EQ(stats.rolls, 1);
   EXPECT_EQ(stats.rebuilds, 4);
@@ -305,14 +312,16 @@ TEST(IncrementalCubeTest, PatchedCubeIsImmutableForHolders) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   ShardedStreamEngine engine(*schema, LagOptions(), 2);
+  ReferenceStream reference(*schema, LagOptions());
+  PairedStream paired{engine, reference};
   StreamGenerator gen(spec);
-  SeedLagging(engine, gen);
+  SeedLagging(paired, gen);
 
   auto before = engine.ComputeCubeShared(0, 2);
   ASSERT_TRUE(before.ok());
   const CellMap m_before = (*before)->m_layer();  // deep copy for comparison
 
-  ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, 7, 9.0}).ok());
+  ASSERT_TRUE(paired.Ingest({gen.cells()[0].key, 7, 9.0}).ok());
   auto after = engine.ComputeCubeShared(0, 2);
   ASSERT_TRUE(after.ok());
 
@@ -333,10 +342,12 @@ TEST(IncrementalCubeTest, EverySealRollsTheMemoInPlaceAcrossShardCounts) {
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, RollOptions(), shards, pool);
+    ReferenceStream reference(*schema, RollOptions());
+    PairedStream paired{engine, reference};
     StreamGenerator gen(spec);
     const auto& cells = gen.cells();
-    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+    ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+    ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
     ASSERT_TRUE(engine.ComputeCubeShared(kRollLevel, kRollK).ok());
 
     // Every round seals one new tick, so every cell's window moves. Odd
@@ -351,13 +362,12 @@ TEST(IncrementalCubeTest, EverySealRollsTheMemoInPlaceAcrossShardCounts) {
         batch.push_back({cells[c].key, tick,
                          0.3 * static_cast<double>((c + round) % 5)});
       }
-      ASSERT_TRUE(engine.IngestBatch(batch).ok());
-      ASSERT_TRUE(engine.SealThrough(tick).ok());
+      ASSERT_TRUE(paired.IngestBatch(batch).ok());
+      ASSERT_TRUE(paired.SealThrough(tick).ok());
       auto rolled = engine.ComputeCubeShared(kRollLevel, kRollK);
       ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
-      ExpectCubesIdentical(
-          ScratchCube(*schema, engine, RollOptions(), kRollLevel, kRollK),
-          **rolled);
+      ExpectCubesIdentical(ScratchCube(reference, kRollLevel, kRollK),
+                           **rolled);
     }
     const auto stats = engine.cube_memo_stats();
     EXPECT_EQ(stats.rolls, kRounds);
@@ -381,15 +391,16 @@ TEST(IncrementalCubeTest, RollsInterleaveWithPatchesAndResumeAfterARebuild) {
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, RollOptions(), shards, pool);
+    ReferenceStream reference(*schema, RollOptions());
+    PairedStream paired{engine, reference};
     StreamGenerator gen(spec);
     const auto& cells = gen.cells();
     const CellKey fresh = FreshKeyOutside(gen, 16);
     auto check = [&] {
       auto maintained = engine.ComputeCubeShared(kRollLevel, kRollK);
       ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
-      ExpectCubesIdentical(
-          ScratchCube(*schema, engine, RollOptions(), kRollLevel, kRollK),
-          **maintained);
+      ExpectCubesIdentical(ScratchCube(reference, kRollLevel, kRollK),
+                           **maintained);
     };
     // The pacer runs one tick ahead of the population: each round's tick
     // is globally sealed while every population frame still sits on it,
@@ -397,22 +408,22 @@ TEST(IncrementalCubeTest, RollsInterleaveWithPatchesAndResumeAfterARebuild) {
     auto late = [&](TimeTick tick, int round) {
       for (size_t c = static_cast<size_t>(round) % 5; c < cells.size();
            c += cells.size() / 3) {
-        ASSERT_TRUE(engine.Ingest({cells[c].key, tick, 2.5 + round}).ok());
+        ASSERT_TRUE(paired.Ingest({cells[c].key, tick, 2.5 + round}).ok());
       }
     };
-    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-    ASSERT_TRUE(engine.Ingest({PacerKey(), spec.series_length, 1.0}).ok());
+    ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+    ASSERT_TRUE(paired.Ingest({PacerKey(), spec.series_length, 1.0}).ok());
     check();  // rebuild
     late(spec.series_length - 1, 0);
     check();  // a patch seeds the member rows before the first roll
 
     for (int round = 0; round < kRounds; ++round) {
       const TimeTick tick = spec.series_length + round;
-      IngestTick(engine, cells, tick);
+      IngestTick(paired, cells, tick);
       if (round == kFreshRound) {
-        ASSERT_TRUE(engine.Ingest({fresh, tick, 3.0}).ok());
+        ASSERT_TRUE(paired.Ingest({fresh, tick, 3.0}).ok());
       }
-      ASSERT_TRUE(engine.Ingest({PacerKey(), tick + 1, 1.0}).ok());
+      ASSERT_TRUE(paired.Ingest({PacerKey(), tick + 1, 1.0}).ok());
       check();  // roll (rebuild on the fresh round)
       if (round == kFreshRound) {
         EXPECT_EQ(engine.cube_memo_stats().rebuilds, 2);
@@ -442,19 +453,19 @@ TEST(IncrementalCubeTest, RollsWithoutAPackedCodec) {
   StreamGenerator gen(spec);
   ShardedStreamEngine engine(schema, RollOptions(), 2,
                              std::make_shared<ThreadPool>(2));
-  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  ReferenceStream reference(schema, RollOptions());
+  PairedStream paired{engine, reference};
+  ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
   ASSERT_TRUE(engine.ComputeCubeShared(kRollLevel, kRollK).ok());
   constexpr int kRounds = 20;
   for (int round = 0; round < kRounds; ++round) {
     const TimeTick tick = spec.series_length + round;
-    IngestTick(engine, gen.cells(), tick);
-    ASSERT_TRUE(engine.SealThrough(tick).ok());
+    IngestTick(paired, gen.cells(), tick);
+    ASSERT_TRUE(paired.SealThrough(tick).ok());
     auto rolled = engine.ComputeCubeShared(kRollLevel, kRollK);
     ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
-    ExpectCubesIdentical(
-        ScratchCube(schema, engine, RollOptions(), kRollLevel, kRollK),
-        **rolled);
+    ExpectCubesIdentical(ScratchCube(reference, kRollLevel, kRollK), **rolled);
   }
   EXPECT_EQ(engine.cube_memo_stats().rolls, kRounds);
   EXPECT_EQ(engine.cube_memo_stats().rebuilds, 1);
@@ -676,15 +687,17 @@ TEST(IncrementalCubeTest, FacadeCubeQueriesRideTheMemoAndAccountMemory) {
   // (priority 10) returns every byte of it.
   MemoryTracker tracker;
   ShardedStreamEngine sharded(*schema, RollOptions(), 2);
+  ReferenceStream reference(*schema, RollOptions());
+  PairedStream paired{sharded, reference};
   sharded.set_memory_tracker(&tracker);
-  ASSERT_TRUE(sharded.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(sharded.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
   ASSERT_TRUE(sharded.ComputeCubeShared(kRollLevel, kRollK).ok());
   EXPECT_EQ(tracker.category_bytes("cube.memo"), sharded.CubeMemoBytes());
   for (TimeTick tick = spec.series_length; tick < spec.series_length + 2;
        ++tick) {
-    IngestTick(sharded, gen.cells(), tick);
-    ASSERT_TRUE(sharded.SealThrough(tick).ok());
+    IngestTick(paired, gen.cells(), tick);
+    ASSERT_TRUE(paired.SealThrough(tick).ok());
     ASSERT_TRUE(sharded.ComputeCubeShared(kRollLevel, kRollK).ok());
     EXPECT_EQ(tracker.category_bytes("cube.memo"), sharded.CubeMemoBytes());
   }
@@ -710,9 +723,7 @@ TEST(IncrementalCubeTest, FacadeCubeQueriesRideTheMemoAndAccountMemory) {
   // Same window, same cube: what the rolled memo held beyond the rebuilt
   // one is its stored tree and member rows.
   EXPECT_GT(rolled_bytes, rebuilt_bytes);
-  ExpectCubesIdentical(
-      ScratchCube(*schema, sharded, RollOptions(), kRollLevel, kRollK),
-      **rebuilt);
+  ExpectCubesIdentical(ScratchCube(reference, kRollLevel, kRollK), **rebuilt);
 }
 
 // ------------------------------------------------------------ error contract
@@ -722,21 +733,21 @@ TEST(IncrementalCubeTest, ErrorContractMatchesFromScratch) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   ShardedStreamEngine engine(*schema, LagOptions(), 2);
+  ReferenceStream reference(*schema, LagOptions());
+  PairedStream paired{engine, reference};
 
-  // Empty engine: the legacy no-data error.
+  // Empty engine: the no-data error.
   auto empty = engine.ComputeCubeShared(0, 2);
   EXPECT_EQ(empty.status().code(), StatusCode::kFailedPrecondition);
 
   StreamGenerator gen(spec);
-  SeedLagging(engine, gen);
+  SeedLagging(paired, gen);
 
   // More slots than are sealed: the window error propagates verbatim, and
   // the failed attempt must not poison the memo for valid queries.
   auto too_deep = engine.ComputeCubeShared(0, 64);
   EXPECT_FALSE(too_deep.ok());
-  auto run = engine.GatherAlignedCells();
-  auto scratch = SnapshotCubeOf(*schema, *run.cells, LagOptions(), 0, 64,
-                                nullptr);
+  auto scratch = reference.Cube(0, 64);
   EXPECT_EQ(too_deep.status().code(), scratch.status().code());
   EXPECT_EQ(too_deep.status().message(), scratch.status().message());
 
@@ -752,11 +763,20 @@ TEST(IncrementalCubeTest, ConcurrentChurnAndCubeQueriesAreRaceFree) {
   ASSERT_TRUE(schema.ok());
   auto pool = std::make_shared<ThreadPool>(3);
   ShardedStreamEngine engine(*schema, LagOptions(), 4, pool);
+  ReferenceStream reference(*schema, LagOptions());
+  PairedStream paired{engine, reference};
   StreamGenerator gen(spec);
   const auto& cells = gen.cells();
-  SeedLagging(engine, gen);
+  SeedLagging(paired, gen);
   ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
 
+  // Each writer logs what it attempted and whether the engine took it; the
+  // reference replays the logs after the join.
+  struct Attempt {
+    StreamTuple tuple;
+    bool ok;
+  };
+  std::vector<std::vector<Attempt>> logs(2);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
@@ -766,7 +786,9 @@ TEST(IncrementalCubeTest, ConcurrentChurnAndCubeQueriesAreRaceFree) {
       for (int round = 0; !stop.load(std::memory_order_relaxed); ++round) {
         for (size_t c = static_cast<size_t>(w); c < cells.size(); c += 2) {
           const TimeTick tick = (c % 3 == 0) ? 7 : 8;
-          Status s = engine.Ingest({cells[c].key, tick, 1.0 + round});
+          const StreamTuple tuple{cells[c].key, tick, 1.0 + round};
+          Status s = engine.Ingest(tuple);
+          logs[static_cast<size_t>(w)].push_back({tuple, s.ok()});
           if (!s.ok()) {
             // A cell that moved to the open slot rejects later tick-7
             // writes; that is the monotonicity contract, not a bug.
@@ -791,7 +813,14 @@ TEST(IncrementalCubeTest, ConcurrentChurnAndCubeQueriesAreRaceFree) {
   stop.store(true);
   for (auto& t : writers) t.join();
 
-  RegressionCube scratch = ScratchCube(*schema, engine, LagOptions(), 0, 2);
+  // Each cell has one writer, so replaying the logs one after the other
+  // keeps every cell's tick order: the verdicts must agree too.
+  for (const auto& log : logs) {
+    for (const Attempt& attempt : log) {
+      EXPECT_EQ(reference.Ingest(attempt.tuple).ok(), attempt.ok);
+    }
+  }
+  RegressionCube scratch = ScratchCube(reference, 0, 2);
   auto final_cube = engine.ComputeCubeShared(0, 2);
   ASSERT_TRUE(final_cube.ok());
   ExpectCubesIdentical(scratch, **final_cube);

@@ -1,7 +1,7 @@
 // Member-index contracts: the ingest-maintained per-cuboid roll-up index
-// behind sublinear point queries must be bit-identical to the retained
-// O(cells) scan path (PointLookup::kScan) across shard counts {1, 2, 8}
-// under randomized churn; it must stay coherent across seals, window-epoch
+// behind sublinear point queries must find exactly the members the replay
+// reference finds by projecting every key, bit for bit, across shard
+// counts {1, 2, 8} under randomized churn; it must stay coherent across seals, window-epoch
 // rolls and brand-new cells (activation backfills the population, ingest
 // maintains it from then on); the seeded per-cuboid node indexes the cube
 // memo consumes must reproduce the chain-scan index exactly, order
@@ -30,8 +30,9 @@ namespace {
 
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
-using equivalence::ExpectMemberGathersIdentical;
+using equivalence::ExpectMemberGatherMatchesReference;
 using equivalence::Key2;
+using equivalence::PairedStream;
 using equivalence::SmallTiltPolicy;
 using equivalence::UnusedMLayerKey;
 
@@ -41,41 +42,38 @@ WorkloadSpec IndexSpec(std::int64_t tuples = 120, std::int64_t ticks = 16) {
 
 /// Probes every cuboid of the lattice with a handful of keys — present
 /// members, a key matching zero members, and both critical layers — and
-/// checks the indexed gather against the scan oracle bit for bit, plus the
-/// engine's point queries against kernels over a full-snapshot scan.
-void ExpectIndexMatchesScanEverywhere(ShardedStreamEngine& engine,
-                                      StreamGenerator& gen, int num_levels) {
+/// checks the indexed gather against the reference's projected members bit
+/// for bit, plus the engine's point queries against the kernels over the
+/// reference's run (same canonical operand order, so bitwise — not merely
+/// close).
+void ExpectIndexMatchesReferenceEverywhere(ShardedStreamEngine& engine,
+                                           const ReferenceStream& reference,
+                                           StreamGenerator& gen) {
   const CuboidLattice& lattice = engine.lattice();
   const CellKey missing = UnusedMLayerKey(gen);
-  auto full =
-      engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
+  const SnapshotCells run = reference.Run();
   for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
     for (const CellKey& m_key :
          {gen.cells()[0].key, gen.cells()[gen.cells().size() / 2].key,
           missing}) {
       const CellKey key = lattice.ProjectMLayerKey(m_key, c);
-      auto indexed = engine.GatherCellsMatching(c, key);
-      auto scanned =
-          engine.GatherCellsMatching(c, key, PointLookup::kScan);
-      ExpectMemberGathersIdentical(indexed, scanned, num_levels);
+      ExpectMemberGatherMatchesReference(engine.GatherCellsMatching(c, key),
+                                         reference, run, c, key);
 
-      // The public point queries must agree with the snapshot kernels
-      // over the copy-everything gather (same canonical operand order, so
-      // bitwise — not merely close).
       auto member_cell = engine.QueryCell(c, key, 0, 2);
-      auto scan_cell = SnapshotCellOf(*full.cells, lattice, c, key, 0, 2);
-      ASSERT_EQ(member_cell.ok(), scan_cell.ok()) << key.ToString();
+      auto expected_cell = SnapshotCellOf(run, lattice, c, key, 0, 2);
+      ASSERT_EQ(member_cell.ok(), expected_cell.ok()) << key.ToString();
       if (member_cell.ok()) {
-        EXPECT_EQ(*member_cell, *scan_cell) << key.ToString();
+        EXPECT_EQ(*member_cell, *expected_cell) << key.ToString();
       } else {
-        EXPECT_EQ(member_cell.status().code(), scan_cell.status().code());
+        EXPECT_EQ(member_cell.status().code(), expected_cell.status().code());
       }
       auto member_series = engine.QueryCellSeries(c, key, 1);
-      auto scan_series =
-          SnapshotCellSeriesOf(*full.cells, lattice, num_levels, c, key, 1);
-      ASSERT_EQ(member_series.ok(), scan_series.ok());
+      auto expected_series = SnapshotCellSeriesOf(
+          run, lattice, reference.num_levels(), c, key, 1);
+      ASSERT_EQ(member_series.ok(), expected_series.ok());
       if (member_series.ok()) {
-        EXPECT_EQ(*member_series, *scan_series);
+        EXPECT_EQ(*member_series, *expected_series);
       }
     }
   }
@@ -83,13 +81,12 @@ void ExpectIndexMatchesScanEverywhere(ShardedStreamEngine& engine,
 
 // ------------------------------------------------------------ equivalence
 
-TEST(MemberIndexTest, IndexedGatherMatchesScanUnderRandomizedChurn) {
+TEST(MemberIndexTest, IndexedGatherMatchesReferenceUnderRandomizedChurn) {
   WorkloadSpec spec = IndexSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
-  const int num_levels = ChurnEngineOptions().tilt_policy->num_levels();
 
   // Advancing-tick churn with periodic seals and a brand-new mid-churn
   // cell: the index is probed every round, across unit-boundary crossings
@@ -106,14 +103,16 @@ TEST(MemberIndexTest, IndexedGatherMatchesScanUnderRandomizedChurn) {
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards, pool);
-    ASSERT_TRUE(engine.IngestBatch(stream).ok());
-    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+    ReferenceStream reference(*schema, ChurnEngineOptions());
+    PairedStream paired{engine, reference};
+    ASSERT_TRUE(paired.IngestBatch(stream).ok());
+    ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
 
     // Pre-churn probe activates every cuboid's map, so the churn rounds
     // exercise the maintained (not freshly built) index.
-    ExpectIndexMatchesScanEverywhere(engine, gen, num_levels);
-    equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
-      ExpectIndexMatchesScanEverywhere(engine, gen, num_levels);
+    ExpectIndexMatchesReferenceEverywhere(engine, reference, gen);
+    equivalence::RunChurnRounds(paired, gen.cells(), plan, [&](int) {
+      ExpectIndexMatchesReferenceEverywhere(engine, reference, gen);
     });
   }
 }
@@ -124,8 +123,10 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
   ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 4);
-  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  PairedStream paired{engine, reference};
+  ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
 
   const CuboidLattice& lattice = engine.lattice();
   const CuboidId o_id = lattice.o_layer_id();
@@ -138,17 +139,15 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
   // Late data into the open unit must be visible through the index path
   // immediately (member states are live; frozen blocks refresh per cell).
   ASSERT_TRUE(
-      engine.Ingest({gen.cells()[0].key, spec.series_length, 9.0}).ok());
+      paired.Ingest({gen.cells()[0].key, spec.series_length, 9.0}).ok());
   auto after_write = engine.QueryCell(o_id, o_key, 0, 2);
   ASSERT_TRUE(after_write.ok());
 
   // An epoch roll (seal across the quarter boundary) moves every member's
-  // window; the indexed answer must track the scan oracle bit for bit.
-  ASSERT_TRUE(engine.SealThrough(spec.series_length + 4).ok());
-  auto rolled = engine.GatherCellsMatching(o_id, o_key);
-  auto rolled_scan =
-      engine.GatherCellsMatching(o_id, o_key, PointLookup::kScan);
-  ExpectMemberGathersIdentical(rolled, rolled_scan, 2);
+  // window; the indexed answer must track the reference bit for bit.
+  ASSERT_TRUE(paired.SealThrough(spec.series_length + 4).ok());
+  ExpectMemberGatherMatchesReference(engine.GatherCellsMatching(o_id, o_key),
+                                     reference, reference.Run(), o_id, o_key);
   auto after_roll = engine.QueryCell(o_id, o_key, 0, 2);
   ASSERT_TRUE(after_roll.ok());
   EXPECT_FALSE(*after_roll == *before)
@@ -159,17 +158,15 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
   // parent gains a member without any rebuild.
   const CellKey fresh = equivalence::FreshKeyOutside(gen, 16);
   const CellKey fresh_o = lattice.ProjectMLayerKey(fresh, o_id);
-  auto no_member =
-      engine.GatherCellsMatching(o_id, fresh_o, PointLookup::kScan);
   const size_t members_before =
       engine.GatherCellsMatching(o_id, fresh_o).cells.size();
-  EXPECT_EQ(members_before, no_member.cells.size());
-  ASSERT_TRUE(engine.Ingest({fresh, spec.series_length + 5, 1.0}).ok());
+  EXPECT_EQ(members_before,
+            reference.Members(reference.Run(), o_id, fresh_o).size());
+  ASSERT_TRUE(paired.Ingest({fresh, spec.series_length + 5, 1.0}).ok());
   auto grown = engine.GatherCellsMatching(o_id, fresh_o);
-  auto grown_scan =
-      engine.GatherCellsMatching(o_id, fresh_o, PointLookup::kScan);
   EXPECT_EQ(grown.cells.size(), members_before + 1);
-  ExpectMemberGathersIdentical(grown, grown_scan, 2);
+  ExpectMemberGatherMatchesReference(grown, reference, reference.Run(), o_id,
+                                     fresh_o);
 }
 
 // ----------------------------------------------------- seeded node indexes
@@ -211,7 +208,8 @@ TEST(MemberIndexTest, SeededNodeIndexReproducesChainScanExactly) {
     for (const auto& [cell_key, chain_nodes] : index_cells) {
       // Member keys via the engine's index, canonical order — exactly the
       // feed the memo's MemberLookup hands SeedCellNodesFromMembers.
-      const std::vector<CellKey> members = engine.MemberKeysFor(c, cell_key);
+      const std::vector<CellKey> members =
+          engine.MemberKeysForBatch(c, {cell_key}).front();
       ASSERT_FALSE(members.empty()) << cell_key.ToString();
       auto seeded = SeedCellNodesFromMembers(*tree, lattice, c, members);
       ASSERT_TRUE(seeded.has_value()) << cell_key.ToString();
@@ -317,31 +315,30 @@ TEST(MemberIndexTest, OutOfRangeCuboidReturnsTypedError) {
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
 
-  // Single engine: typed Status, not an RC_CHECK abort — on the empty
-  // engine (cuboid validation precedes the no-data check) and after data.
-  StreamCubeEngine single(*schema, ChurnEngineOptions());
+  // Typed Status, not an RC_CHECK abort — on the empty engine (cuboid
+  // validation precedes the no-data check) and after data, through the
+  // indexed path at any shard count.
   const CuboidId past_end = CuboidLattice(**schema).num_cuboids();
-  EXPECT_EQ(single.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(single.QueryCell(-1, CellKey(2), 0, 2).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(single.QueryCellSeries(past_end, CellKey(2), 0).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(single.QueryCell(0, CellKey(2), 0, 2).status().code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(single.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(single.SealThrough(spec.series_length - 1).ok());
-  EXPECT_EQ(single.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
-            StatusCode::kInvalidArgument);
-  // Bad level on the series query is typed too.
-  EXPECT_EQ(single.QueryCellSeries(0, CellKey(2), 99).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // Sharded engine keeps the same contract through the indexed path.
-  ShardedStreamEngine sharded(*schema, ChurnEngineOptions(), 4);
-  ASSERT_TRUE(sharded.IngestBatch(gen.GenerateStream()).ok());
-  EXPECT_EQ(sharded.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
-            StatusCode::kInvalidArgument);
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards);
+    EXPECT_EQ(engine.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.QueryCell(-1, CellKey(2), 0, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        engine.QueryCellSeries(past_end, CellKey(2), 0).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.QueryCell(0, CellKey(2), 0, 2).status().code(),
+              StatusCode::kFailedPrecondition);
+    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+    EXPECT_EQ(engine.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    // Bad level on the series query is typed too.
+    EXPECT_EQ(engine.QueryCellSeries(0, CellKey(2), 99).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 // ------------------------------------------------- concurrency (TSan'd)
@@ -420,10 +417,26 @@ TEST(MemberIndexTest, ConcurrentIngestAndPointQueriesAreRaceFree) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& r : readers) r.join();
 
-  // Quiesced end state: indexed and scan paths still agree bit for bit.
-  auto indexed = engine.GatherCellsMatching(o_id, o_key);
-  auto scanned = engine.GatherCellsMatching(o_id, o_key, PointLookup::kScan);
-  ExpectMemberGathersIdentical(indexed, scanned, 2);
+  // Quiesced end state: the indexed gather finds exactly the members of a
+  // serial replay of the same writes (each cell has one writer, so its
+  // tick order is the replay's), bit for bit.
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  for (int round = 0; round < kRounds; ++round) {
+    const TimeTick tick = spec.series_length + round;
+    for (const auto& cell : cells) {
+      ASSERT_TRUE(reference.Ingest({cell.key, tick, 2.0}).ok());
+    }
+    if (static_cast<size_t>(round) < fresh_keys.size()) {
+      ASSERT_TRUE(reference
+                      .Ingest({fresh_keys[static_cast<size_t>(round)], tick,
+                               1.0})
+                      .ok());
+    }
+  }
+  ExpectMemberGatherMatchesReference(engine.GatherCellsMatching(o_id, o_key),
+                                     reference, reference.Run(), o_id, o_key);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // built with packing disabled (or on a schema too wide to pack) must
 // produce the same cells through the same fold order, FindLeaf's packed
 // probe must agree with the attribute-walk oracle on hits and misses, and
-// the engine-level maintained cube must match from-scratch cubing under
-// high-cardinality deep-lattice churn across shard counts {1, 2, 8}.
+// the engine-level maintained cube must match from-scratch cubing over the
+// replay reference under high-cardinality deep-lattice churn across shard
+// counts {1, 2, 8}.
 //
 // The randomized churn and the oracle comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
@@ -30,6 +31,7 @@ using equivalence::ExpectCellMapsIdentical;
 using equivalence::ExpectCubesIdentical;
 using equivalence::FreshKeyOutsideDims;
 using equivalence::KeyN;
+using equivalence::PairedStream;
 using equivalence::ScratchCube;
 using testing_util::MakeSmallWorkload;
 using testing_util::SmallWorkload;
@@ -238,9 +240,11 @@ TEST(PackedEquivalenceTest, DeepLatticeChurnMatchesScratchAcrossShardCounts) {
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, options, shards, pool);
+    ReferenceStream reference(*schema, options);
+    PairedStream paired{engine, reference};
     StreamGenerator gen(spec);
-    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-    ASSERT_TRUE(engine.Ingest({pacer, 11, 1.0}).ok());
+    ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+    ASSERT_TRUE(paired.Ingest({pacer, 11, 1.0}).ok());
 
     // One fixed plan: every shard count sees the identical churn — late
     // data into the sealed slot (patch), open-slot writes (revalidate),
@@ -259,10 +263,10 @@ TEST(PackedEquivalenceTest, DeepLatticeChurnMatchesScratchAcrossShardCounts) {
     plan.fresh_round = 3;
     plan.fresh_key = FreshKeyOutsideDims(gen, 3, 512);
 
-    equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
+    equivalence::RunChurnRounds(paired, gen.cells(), plan, [&](int) {
       auto maintained = engine.ComputeCubeShared(0, 2);
       ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
-      RegressionCube scratch = ScratchCube(*schema, engine, options, 0, 2);
+      RegressionCube scratch = ScratchCube(reference, 0, 2);
       ExpectCubesIdentical(scratch, **maintained);
     });
 

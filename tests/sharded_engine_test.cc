@@ -22,7 +22,7 @@ namespace {
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
 using equivalence::ExpectCellMapsIdentical;
-using testing_util::ExpectIsbNear;
+using equivalence::ExpectCubesIdentical;
 
 WorkloadSpec ShardSpec(std::int64_t tuples = 60, std::int64_t ticks = 32) {
   return ChurnWorkload(tuples, ticks, /*seed=*/17, /*fanout=*/3);
@@ -131,30 +131,26 @@ TEST(ShardedEngineTest, QueriesIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedEngineTest, MatchesSingleEngineWithinTolerance) {
-  // Against the unsharded legacy engine the contract is numerical (the
-  // reduction order differs), not bitwise.
+TEST(ShardedEngineTest, MatchesReferenceBitwiseAtEveryShardCount) {
+  // Against the replay reference the contract is bitwise too: both window
+  // the cells in canonical key order, so the reduction order is the same.
   WorkloadSpec spec = ShardSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
-  StreamCubeEngine single(*schema, ShardOptions());
+  ReferenceStream reference(*schema, ShardOptions());
   StreamGenerator gen(spec);
-  ASSERT_TRUE(single.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(single.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(reference.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  auto expected = reference.Cube(0, 8);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  auto sharded = MakeSealed(spec, 4);
-  auto single_cube = single.ComputeCube(0, 8);
-  auto sharded_cube = sharded->ComputeCube(0, 8);
-  ASSERT_TRUE(single_cube.ok());
-  ASSERT_TRUE(sharded_cube.ok());
-  ASSERT_EQ(single_cube->o_layer().size(), sharded_cube->o_layer().size());
-  for (const auto& [key, isb] : single_cube->o_layer()) {
-    auto it = sharded_cube->o_layer().find(key);
-    ASSERT_NE(it, sharded_cube->o_layer().end());
-    ExpectIsbNear(isb, it->second, 1e-9);
+  for (int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE(shards);
+    auto sharded = MakeSealed(spec, shards);
+    auto cube = sharded->ComputeCube(0, 8);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    ExpectCubesIdentical(*expected, *cube);
   }
-  EXPECT_EQ(single_cube->exceptions().total_cells(),
-            sharded_cube->exceptions().total_cells());
 }
 
 TEST(ShardedEngineTest, ConcurrentIngestIsDeterministicAfterSeal) {

@@ -1,6 +1,6 @@
 // CubeSnapshot contract tests: a held snapshot is immune to concurrent
-// writers, snapshot results are bit-identical to the pre-redesign locked
-// read path for shard counts {1, 2, 8}, the facade memoizes snapshots by
+// writers, snapshot results are bit-identical to the replay reference for
+// shard counts {1, 2, 8}, the facade memoizes snapshots by
 // revision, and IngestBatch reports the absorbed prefix on failure.
 
 #include "regcube/api/regcube.h"
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "reference_stream.h"
 #include "test_util.h"
 
 namespace regcube {
@@ -147,26 +148,28 @@ TEST(SnapshotTest, ResultsIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(SnapshotTest, MatchesRetiredAllLocksReadPath) {
-  // The pre-redesign read (every shard lock held for the whole cubing run)
-  // survives as ComputeCubeAllLocks; the snapshot path must reproduce it
-  // bit for bit on the same engine, for every shard count.
+TEST(SnapshotTest, MatchesReferenceAcrossShardCounts) {
+  // The snapshot path must reproduce from-scratch cubing over a replay of
+  // the same stream bit for bit, for every shard count.
   WorkloadSpec spec = SnapSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
+  ReferenceStream reference(*schema, ShardOptions());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  auto expected = reference.Cube(0, 8);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, ShardOptions(), shards, pool);
     ASSERT_TRUE(engine.IngestBatch(stream).ok());
     ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
 
-    auto locked = engine.ComputeCubeAllLocks(0, 8);
-    ASSERT_TRUE(locked.ok()) << locked.status().ToString();
     auto snapshot = engine.ComputeCube(0, 8);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    ExpectCubesIdentical(*locked, *snapshot);
+    ExpectCubesIdentical(*expected, *snapshot);
   }
 }
 

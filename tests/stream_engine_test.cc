@@ -1,9 +1,17 @@
+// The on-line engine's read path against brute-force fits of the
+// generator's raw series (windows, cubes, the observation deck, trend
+// changes, point queries, key mapping, late cells, the error contract),
+// run on a one-shard ShardedStreamEngine — the same method names and
+// error contract at any shard count — plus the shard engine's own memory
+// accounting.
+
 #include "regcube/core/stream_engine.h"
 
 #include <memory>
 
 #include "gtest/gtest.h"
 #include "regcube/common/memory_tracker.h"
+#include "regcube/core/sharded_engine.h"
 #include "regcube/gen/stream_generator.h"
 #include "test_util.h"
 
@@ -38,7 +46,7 @@ TEST(StreamEngineTest, SnapshotMatchesDirectFitOfWindow) {
 
   StreamCubeEngine::Options options;
   options.tilt_policy = SmallPolicy();
-  StreamCubeEngine engine(*schema, options);
+  ShardedStreamEngine engine(*schema, options, /*num_shards=*/1);
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
   EXPECT_EQ(engine.num_cells(), spec.num_tuples);
@@ -72,7 +80,7 @@ TEST(StreamEngineTest, ComputeCubeMatchesBatchAlgorithm) {
   StreamCubeEngine::Options options;
   options.tilt_policy = SmallPolicy();
   options.policy = ExceptionPolicy(0.02);
-  StreamCubeEngine engine(*schema, options);
+  ShardedStreamEngine engine(*schema, options, /*num_shards=*/1);
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
 
@@ -100,7 +108,7 @@ TEST(StreamEngineTest, PopularPathAlgorithmSelectable) {
   options.tilt_policy = SmallPolicy();
   options.policy = ExceptionPolicy(0.02);
   options.algorithm = StreamCubeEngine::Algorithm::kPopularPath;
-  StreamCubeEngine engine(*schema, options);
+  ShardedStreamEngine engine(*schema, options, /*num_shards=*/1);
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
   auto cube = engine.ComputeCube(0, 4);
@@ -116,7 +124,7 @@ TEST(StreamEngineTest, ObservationDeckAggregatesOLayer) {
 
   StreamCubeEngine::Options options;
   options.tilt_policy = SmallPolicy();
-  StreamCubeEngine engine(*schema, options);
+  ShardedStreamEngine engine(*schema, options, /*num_shards=*/1);
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
 
@@ -160,7 +168,7 @@ TEST(StreamEngineTest, DetectTrendChangesFindsInjectedBreak) {
 
   StreamCubeEngine::Options options;
   options.tilt_policy = SmallPolicy();
-  StreamCubeEngine engine(schema, options);
+  ShardedStreamEngine engine(schema, options, /*num_shards=*/1);
 
   CellKey steady(1), breaker(1);
   steady.set(0, 0);
@@ -196,7 +204,7 @@ TEST(StreamEngineTest, KeyMapperRollsPrimitiveKeysUp) {
     m.set(0, h->Parent(2, primitive[0]));
     return m;
   };
-  StreamCubeEngine engine(schema, options);
+  ShardedStreamEngine engine(schema, options, /*num_shards=*/1);
 
   CellKey u0(1), u1(1);
   u0.set(0, 0);  // both map to group 0
@@ -218,7 +226,7 @@ TEST(StreamEngineTest, ErrorsSurfaceCleanly) {
   ASSERT_TRUE(schema.ok());
   StreamCubeEngine::Options options;
   options.tilt_policy = SmallPolicy();
-  StreamCubeEngine engine(*schema, options);
+  ShardedStreamEngine engine(*schema, options, /*num_shards=*/1);
 
   // No data yet.
   EXPECT_EQ(engine.SnapshotWindow(0, 1).status().code(),
@@ -241,7 +249,7 @@ TEST(StreamEngineTest, LateCellsBackfillWithZeros) {
   ASSERT_TRUE(schema.ok());
   StreamCubeEngine::Options options;
   options.tilt_policy = SmallPolicy();
-  StreamCubeEngine engine(*schema, options);
+  ShardedStreamEngine engine(*schema, options, /*num_shards=*/1);
 
   CellKey early(2), late(2);
   early.set(0, 0);
@@ -276,7 +284,7 @@ TEST(StreamEngineTest, QueryCellMatchesCubeCells) {
   StreamCubeEngine::Options options;
   options.tilt_policy = SmallPolicy();
   options.policy = ExceptionPolicy(0.0);  // retain everything
-  StreamCubeEngine engine(*schema, options);
+  ShardedStreamEngine engine(*schema, options, /*num_shards=*/1);
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
 
@@ -313,7 +321,7 @@ TEST(StreamEngineTest, QueryCellSeriesMatchesPerSlotQueries) {
 
   StreamCubeEngine::Options options;
   options.tilt_policy = SmallPolicy();
-  StreamCubeEngine engine(*schema, options);
+  ShardedStreamEngine engine(*schema, options, /*num_shards=*/1);
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
 
@@ -372,18 +380,9 @@ TEST(StreamEngineTest, FrozenBytesPostedPerCallAndBalancedAcrossTrackers) {
   ASSERT_TRUE(engine.RefreshPublishedRun(run, &run, nullptr).ok());
   EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
 
-  // A member gather re-freezes only the members it exports.
+  // A seal dirties every cell; the refresh after the drop below re-freezes
+  // them.
   ASSERT_TRUE(engine.SealThrough(47).ok());
-  const CuboidLattice& lattice = engine.lattice();
-  const CellKey o_key =
-      lattice.ProjectMLayerKey(gen.cells()[0].key, lattice.o_layer_id());
-  std::vector<CellSnapshot> members;
-  ASSERT_TRUE(engine
-                  .ExportMatchingCells(lattice.o_layer_id(), o_key, &members,
-                                       nullptr)
-                  .ok());
-  ASSERT_FALSE(members.empty());
-  EXPECT_EQ(first.category_bytes(kFrozen), engine.FrozenBytes());
 
   // Moving trackers hands the bytes over; detaching returns them.
   MemoryTracker second;
