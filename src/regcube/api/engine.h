@@ -280,9 +280,9 @@ class EngineBuilder {
   /// Warm restart: builds an engine from a Checkpoint() directory. Reads
   /// the manifest, adopts its start tick, validates it against this
   /// builder's schema/tilt policy, maps the frame files read-only and
-  /// restores every cell as lazily-spilled state — the first query is
-  /// served by fault-ins straight from the mapped files, and ingest
-  /// resumes where the checkpointed stream stopped. The shard count may
+  /// restores every cell as spilled state — the first query views the
+  /// blocks in the mapped files (no fault-in), a write faults its cell
+  /// in, and ingest resumes where the checkpointed stream stopped. The shard count may
   /// differ from the writer's. Composes with SetMemoryBudget/SetSpillDir.
   Result<Engine> OpenFrom(const std::string& dir) const;
 

@@ -14,7 +14,7 @@ CubeSnapshot::CubeSnapshot(std::shared_ptr<const CubeSchema> schema,
       pool_(std::move(pool)),
       gathered_(std::move(gathered)) {
   for (const CellSnapshot& cell : *gathered_.cells) {
-    pinned_frame_bytes_ += cell.frame->MemoryBytes();
+    pinned_frame_bytes_ += cell.frame->OwnedBytes();
   }
 }
 

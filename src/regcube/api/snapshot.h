@@ -99,9 +99,9 @@ class CubeSnapshot {
 
   /// What the underlying gather paid for this snapshot: frames
   /// materialized vs shared, and — with a cold tier configured — how many
-  /// spilled frames had to be faulted back in (`fault_ins` /
-  /// `fault_in_bytes`). The observability hook the spill tests and benches
-  /// read to prove a snapshot's provenance.
+  /// spilled frames it viewed in place (`cold_views`; a read never faults
+  /// a cell in). The observability hook the spill tests and benches read
+  /// to prove a snapshot's provenance.
   const GatherStats& gather_stats() const { return gathered_.stats; }
 
   /// The tick every frozen frame is aligned to.
@@ -112,7 +112,8 @@ class CubeSnapshot {
     return static_cast<std::int64_t>(gathered_.cells->size());
   }
 
-  /// Bytes of frozen frame blocks this snapshot keeps alive. The blocks
+  /// Bytes of frozen frame blocks this snapshot keeps alive (views of
+  /// spilled blocks count nothing: they are page cache). The blocks
   /// are refcount-shared with the shards' frozen caches, so while the
   /// shards hold them too they are already accounted there — but a live
   /// snapshot pins them past any engine-side eviction, and the memory
@@ -152,7 +153,7 @@ class CubeSnapshot {
   // The gather this snapshot froze: cells in canonical key order, aligned
   // to its clock, at its revision; a non-OK status poisons every query.
   ShardedStreamEngine::GatheredCells gathered_;
-  std::int64_t pinned_frame_bytes_ = 0;  // Σ frozen frame MemoryBytes()
+  std::int64_t pinned_frame_bytes_ = 0;  // Σ frozen frame OwnedBytes()
   mutable CubeMemo memo_;  // logically immutable: a memo of the derived cube
 };
 

@@ -268,7 +268,7 @@ ShardWriter::AbsorbResult ShardedStreamEngine::AbsorbDrained(
       // Eager publish: the successor generation (only this batch's cells
       // re-frozen) is swapped in before MarkAbsorbed resolves the batch,
       // so a reader returning from Flush() takes the mutex-free path to
-      // the flushed data. Best-effort — on a fault-in failure the old
+      // the flushed data. Best-effort — on a cold-read failure the old
       // generation stays up and readers republish on their slow path.
       Status published = PublishLocked(shard, nullptr);
       (void)published;
@@ -503,10 +503,11 @@ Status ShardedStreamEngine::AlignLocked() {
     target = std::max(target, shard->engine.now());
   }
   BumpClock(target);
+  // Every shard seals, also one whose clock already reached the target:
+  // its lagging cells must advance too, or whether a late tick is refused
+  // would depend on which shard its cell hashes to.
   for (auto& shard : shards_) {
-    if (shard->engine.now() < target) {
-      RC_RETURN_IF_ERROR(shard->engine.SealThrough(target - 1));
-    }
+    RC_RETURN_IF_ERROR(shard->engine.SealThrough(target - 1));
   }
   return Status::OK();
 }
@@ -569,7 +570,7 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells() {
     for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
   }
 
-  // A failed republish (fault-in error on a spilled cell) poisons the
+  // A failed republish (read error on a spilled cell) poisons the
   // whole run: return the typed error. Nothing was lost — the failing
   // shard kept its dirty list and its publication, so the retry repeats
   // exactly the failed work; fresh shards still serve their publications
@@ -861,7 +862,7 @@ Status ShardedStreamEngine::ConfigureStorage(const MemoryBudgetConfig& config) {
   }
   budget_config_ = config;
   if (!config.spill_dir.empty()) {
-    auto store = FrameStore::Open(config.spill_dir);
+    auto store = FrameStore::Open(config.spill_dir, options_.tilt_policy);
     if (!store.ok()) return store.status();
     frame_store_ = std::move(*store);
     frame_store_->set_fault_injector(fault_injector_);
@@ -940,9 +941,9 @@ void ShardedStreamEngine::set_fault_injector(FaultInjector* injector) {
 
 std::int64_t ShardedStreamEngine::ExportDirtyRung(std::int64_t excess) {
   // Deliberately NOT a gather: rung 21 just retired the publications, so
-  // a gather here would be a full export that faults every spilled cell
-  // back in — undoing rung 30's work while claiming to help. Cleaning
-  // the dirty queues touches only resident cells and costs no I/O.
+  // a gather here would be a full export — a copy of every resident cell,
+  // allocated while the engine is over budget. Cleaning the dirty queues
+  // touches only resident cells and costs no I/O.
   ScopedFlag in_rung(tl_in_budget_rung);
   std::int64_t cleaned = 0;
   for (auto& shard : shards_) {
@@ -1066,7 +1067,7 @@ Status ShardedStreamEngine::CheckpointTo(const std::string& dir) {
   auto write_one = [&](std::int64_t idx) {
     const size_t i = static_cast<size_t>(idx);
     std::vector<std::pair<CellKey, std::string>> cells;
-    Status s = shards_[i]->engine.ExportEncodedFrames(&cells);
+    Status s = shards_[i]->engine.ExportFrameRecords(&cells);
     if (s.ok()) {
       counts[i] = static_cast<std::int64_t>(cells.size());
       s = WriteFile(CheckpointShardFilePath(dir, static_cast<int>(i)),
@@ -1088,10 +1089,13 @@ Status ShardedStreamEngine::CheckpointTo(const std::string& dir) {
   manifest.num_levels = options_.tilt_policy->num_levels();
   manifest.start_tick = options_.start_tick;
   TimeTick clock = clock_.load(std::memory_order_acquire);
+  TimeTick sealed = options_.start_tick;
   for (const auto& shard : shards_) {
     clock = std::max(clock, shard->engine.now());
+    sealed = std::max(sealed, shard->engine.sealed());
   }
   manifest.clock = clock;
+  manifest.sealed = sealed;
   for (std::int64_t c : counts) manifest.num_cells += c;
   // The manifest is the commit point: written (atomically) last, so a
   // directory with a valid manifest always has complete shard files.
@@ -1128,7 +1132,7 @@ Status ShardedStreamEngine::RestoreFrom(const std::string& dir) {
   if (frame_store_ == nullptr) {
     // No spill dir configured: an attach-only store maps the checkpoint
     // files; later evictions just stop at the cache rungs.
-    auto store = FrameStore::Open("");
+    auto store = FrameStore::Open("", options_.tilt_policy);
     if (!store.ok()) return store.status();
     frame_store_ = std::move(*store);
     frame_store_->set_fault_injector(fault_injector_);
@@ -1161,7 +1165,7 @@ Status ShardedStreamEngine::RestoreFrom(const std::string& dir) {
   BumpClock(manifest->clock);
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->engine.RestoreClock(manifest->clock);
+    shard->engine.RestoreClock(manifest->clock, manifest->sealed);
     // Restored cells are not on the dirty list, so a run published before
     // the restore (even an empty one) cannot be patched into the restored
     // state: retire it, and the next read exports in full.

@@ -171,8 +171,8 @@ class ShardedStreamEngine {
     TimeTick clock = 0;          // tick the cells are aligned to
     std::uint64_t revision = 0;  // engine revision when gathering began
     GatherStats stats;           // what this gather paid
-    /// Non-OK when a shard's publish failed (a spilled cell could not be
-    /// faulted in). `cells` is then empty-but-valid and no shard lost
+    /// Non-OK when a shard's publish failed (a spilled cell's block could
+    /// not be read). `cells` is then empty-but-valid and no shard lost
     /// state — the failing shard kept its dirty list and its previous
     /// generation, and a shard that did republish keeps its new one — so
     /// a retry gathers exactly the same data.
@@ -196,7 +196,7 @@ class ShardedStreamEngine {
     SnapshotCells cells;  // the matching members only
     TimeTick clock = 0;
     std::int64_t total_cells = 0;  // all cells across shards at gather time
-    Status status;  // non-OK when a member's fault-in failed (Unavailable)
+    Status status;  // non-OK when a member's cold read failed (Unavailable)
   };
   MemberGather GatherCellsMatching(CuboidId cuboid, const CellKey& key);
 
@@ -352,18 +352,18 @@ class ShardedStreamEngine {
   regcube::SpillStats SpillStats() const;
 
   /// Persists the whole engine under `dir`: flushes queued ingest, then —
-  /// holding every shard lock — encodes each shard's cells in parallel on
-  /// the pool into one "frames-<i>.rcs" file per shard (spilled cells are
-  /// copied raw, no fault-in), and writes the manifest last as the commit
-  /// point. The directory can be re-opened with RestoreFrom (or the api
+  /// holding every shard lock — writes each shard's cells' tilt-frame
+  /// records in parallel on the pool into one "frames-<i>.rcs" file per
+  /// shard (spilled cells' records are copied, no fault-in), and writes the
+  /// manifest (clock and sealed watermark) last as the commit point. The directory can be re-opened with RestoreFrom (or the api
   /// EngineBuilder::OpenFrom) for a warm restart.
   Status CheckpointTo(const std::string& dir);
 
   /// Warm restart: validates the manifest against this engine's schema and
-  /// tilt policy, maps every shard file read-only, and installs each
-  /// checkpointed cell as lazily-spilled state — no frame is decoded until
-  /// first touched, so the first query after restart is served by
-  /// fault-ins straight from the mapped files. Keys are re-routed by the
+  /// tilt policy, maps every shard file read-only (every record checked
+  /// against the policy's layout), and installs each checkpointed cell as
+  /// spilled state — the first query after restart views the blocks in
+  /// the mapped files, and only a write faults a cell in. Keys are re-routed by the
   /// *current* shard hash, so the shard count may differ from the writer's.
   /// Pre: the engine is freshly built and empty; call before any ingest.
   Status RestoreFrom(const std::string& dir);
@@ -444,7 +444,7 @@ class ShardedStreamEngine {
 
   /// Pre: shard.mu held. Refreshes the shard's run from its current
   /// publication and stores a new generation (and the version mirror).
-  /// The one place a shard's run is built and accounted. On a fault-in
+  /// The one place a shard's run is built and accounted. On a cold-read
   /// failure the old generation stays published (stale → readers take the
   /// slow path and retry the refresh) and the error is returned.
   Status PublishLocked(Shard& shard, GatherStats* stats);

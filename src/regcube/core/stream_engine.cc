@@ -7,7 +7,6 @@
 #include "regcube/core/snapshot_reads.h"
 #include "regcube/common/logging.h"
 #include "regcube/common/memory_tracker.h"
-#include "regcube/io/cube_io.h"
 
 namespace regcube {
 
@@ -29,19 +28,24 @@ StreamCubeEngine::StreamCubeEngine(std::shared_ptr<const CubeSchema> schema,
       lattice_(*schema_),
       options_(std::move(options)),
       now_(options_.start_tick),
+      sealed_(options_.start_tick),
       member_index_(&lattice_) {
   RC_CHECK(schema_ != nullptr);
   RC_CHECK(options_.tilt_policy != nullptr);
 }
 
 void StreamCubeEngine::MarkDirty(const CellKey& key, CellState& state) {
+  QueueForRefresh(key, state);
+  state.last_modified = ++revision_;
+}
+
+void StreamCubeEngine::QueueForRefresh(const CellKey& key, CellState& state) {
   // Queue the cell for the next export's patch pass at most once; while it
-  // is queued, further writes change nothing the export needs to know.
+  // is queued, further changes add nothing the export needs to know.
   if (!state.queued) {
     dirty_cells_.push_back({key, &state});
     state.queued = true;
   }
-  state.last_modified = ++revision_;
 }
 
 StreamCubeEngine::CellState& StreamCubeEngine::CellFor(const CellKey& key) {
@@ -86,29 +90,26 @@ void StreamCubeEngine::AccountCell(CellState& state) {
   state.tracked_bytes = bytes;
 }
 
-Result<TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state,
-                                                   GatherStats* stats) {
+Result<TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state) {
   if (state.frame != nullptr) return state.frame.get();
   // Fault-in. A failed read (injected fault, lost mapping) leaves the cell
-  // spilled and its ref intact: the typed error propagates to whatever
-  // query or ingest touched the cell, and the next touch retries — never
-  // an abort, never a partially-restored frame.
+  // spilled and its ref intact: the typed error propagates to the ingest
+  // that touched the cell, and the next write retries — never an abort,
+  // never a partially-restored frame.
   if (store_ == nullptr) {
     return Status::Internal("spilled cell without a frame store");
   }
-  auto decoded = store_->ReadFrame(state.spill);
-  if (!decoded.ok()) return decoded.status();
-  auto frame = TiltTimeFrame::FromSnapshot(options_.tilt_policy, *decoded);
+  auto frame = store_->ReadFrame(state.spill);
   if (!frame.ok()) return frame.status();
+  // The seals this cell missed while cold. Reads of its view already
+  // align a copy to the clock, so the advance changes nothing a read
+  // sees; it makes the write below refuse what the resident frame would.
+  Status advanced = frame->AdvanceTo(sealed_);
+  RC_CHECK(advanced.ok()) << advanced.ToString();
   state.frame = std::make_unique<TiltTimeFrame>(*std::move(frame));
-  if (stats != nullptr) {
-    ++stats->fault_ins;
-    stats->fault_in_bytes += state.spill.size;
-  }
   store_->Release(state.spill);
   state.spill = BlockRef{};
   --spilled_cells_;
-  AccountCell(state);
   return state.frame.get();
 }
 
@@ -143,9 +144,10 @@ Status StreamCubeEngine::Ingest(const StreamTuple& tuple) {
       options_.key_mapper ? options_.key_mapper(tuple.key) : tuple.key;
   CellState& state = CellFor(key);
   RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveFrame(state));
-  RC_RETURN_IF_ERROR(frame->Add(tuple.tick, tuple.value));
+  const Status added = frame->Add(tuple.tick, tuple.value);
+  AccountCell(state);  // a fault-in changes the bytes even if Add refuses
+  RC_RETURN_IF_ERROR(added);
   MarkDirty(key, state);
-  AccountCell(state);
   now_ = std::max(now_, tuple.tick);
   return Status::OK();
 }
@@ -172,12 +174,14 @@ Status StreamCubeEngine::SealThrough(TimeTick t) {
 }
 
 void StreamCubeEngine::AlignFrames() {
+  sealed_ = now_;
   for (auto& [key, state] : cells_) {
     if (state.frame == nullptr) {
-      // Spilled: alignment is deferred to fault-in. AdvanceTo over the
-      // skipped ticks is deterministic (missing ticks contribute zero), so
-      // the late advance yields bit-identical slots — and a seal sweep
-      // never has to touch the cold tier.
+      // Spilled: alignment is deferred to the write that faults it in
+      // (LiveFrame advances to sealed_). AdvanceTo over the skipped ticks
+      // is deterministic (missing ticks contribute zero), so the late
+      // advance yields bit-identical slots — and a seal sweep never has to
+      // touch the cold tier.
       continue;
     }
     const TimeTick from = state.frame->next_tick();
@@ -242,9 +246,11 @@ void StreamCubeEngine::set_frame_store(FrameStore* store, int shard_index) {
 
 void StreamCubeEngine::PublishFrozen(
     CellState& state, std::shared_ptr<const TiltTimeFrame> block) {
+  // Views are charged nothing: their blocks are the cold tier's page
+  // cache, not RAM the budget owns.
   const std::int64_t old_bytes =
-      state.frozen != nullptr ? state.frozen->MemoryBytes() : 0;
-  frozen_bytes_ += block->MemoryBytes() - old_bytes;
+      state.frozen != nullptr ? state.frozen->OwnedBytes() : 0;
+  frozen_bytes_ += block->OwnedBytes() - old_bytes;
   state.frozen = std::move(block);
 }
 
@@ -261,17 +267,27 @@ void StreamCubeEngine::PostFrozenBytes() {
 
 Result<std::shared_ptr<const TiltTimeFrame>> StreamCubeEngine::FrozenFor(
     CellState& state, GatherStats* stats) {
-  if (state.frozen == nullptr ||
-      state.frozen_revision != state.last_modified) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * live, LiveFrame(state, stats));
-    auto block = std::make_shared<const TiltTimeFrame>(*live);
+  if (state.frozen != nullptr &&
+      state.frozen_revision == state.last_modified) {
+    return state.frozen;
+  }
+  std::shared_ptr<const TiltTimeFrame> block;
+  if (state.frame == nullptr) {
+    // Cold: view the spilled block in place instead of faulting it in.
+    if (store_ == nullptr) {
+      return Status::Internal("spilled cell without a frame store");
+    }
+    RC_ASSIGN_OR_RETURN(block, store_->ViewFrame(state.spill));
+    if (stats != nullptr) ++stats->cold_views;
+  } else {
+    block = std::make_shared<const TiltTimeFrame>(*state.frame);
     if (stats != nullptr) {
       ++stats->materialized;
       stats->bytes_copied += block->MemoryBytes();
     }
-    PublishFrozen(state, std::move(block));
-    state.frozen_revision = state.last_modified;
   }
+  PublishFrozen(state, std::move(block));
+  state.frozen_revision = state.last_modified;
   return state.frozen;
 }
 
@@ -349,55 +365,64 @@ StreamCubeEngine::SpillSweep StreamCubeEngine::SpillColdFrames(
   // Cold-first: resident cells that are clean (not queued for the next
   // export — a dirty cell would be faulted straight back in), least
   // recently modified first.
-  std::vector<CellState*> candidates;
+  std::vector<std::pair<const CellKey*, CellState*>> candidates;
   candidates.reserve(cells_.size());
   for (auto& [key, state] : cells_) {
     if (state.frame == nullptr || state.queued) continue;
-    candidates.push_back(&state);
+    candidates.push_back({&key, &state});
   }
   std::sort(candidates.begin(), candidates.end(),
-            [](const CellState* a, const CellState* b) {
-              return a->last_modified < b->last_modified;
+            [](const auto& a, const auto& b) {
+              return a.second->last_modified < b.second->last_modified;
             });
-  for (CellState* state : candidates) {
-    if (sweep.bytes >= target_bytes) break;
-    // Bounded retry with a short backoff: a transiently failing disk
-    // (injected fault, momentary ENOSPC) gets a few more chances before
-    // the sweep gives up and leaves everything resident. Either way no
-    // state is lost — a cell spills only after its append succeeded.
-    constexpr int kMaxAttempts = 3;
-    Result<BlockRef> ref = Status::Internal("unset");
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      if (attempt > 0) {
-        ++spill_retries_;
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(50ll << attempt));
-      }
-      ref = store_->AppendFrame(shard_index_, state->frame->Snapshot());
-      if (ref.ok() || ref.status().code() != StatusCode::kUnavailable) {
-        break;  // success, or an error a retry cannot fix
-      }
+  // The sweep: the coldest cells until their RAM covers the target.
+  std::vector<const TiltTimeFrame*> frames;
+  std::int64_t freed = 0;
+  for (const auto& [key, state] : candidates) {
+    if (freed >= target_bytes) break;
+    freed += state->frame->MemoryBytes() +
+             (state->frozen != nullptr ? state->frozen->OwnedBytes() : 0);
+    frames.push_back(state->frame.get());
+  }
+  if (frames.empty()) return sweep;
+  // One write for the whole sweep, retried a bounded number of times with
+  // a short backoff: a transiently failing disk (injected fault, momentary
+  // ENOSPC) gets a few more chances before the sweep gives up and leaves
+  // everything resident. Either way no state is lost — cells spill only
+  // after the append succeeded.
+  constexpr int kMaxAttempts = 3;
+  Result<std::vector<BlockRef>> refs = Status::Internal("unset");
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    if (attempt > 0) {
+      ++spill_retries_;
+      std::this_thread::sleep_for(std::chrono::microseconds(50ll << attempt));
     }
-    if (!ref.ok()) {
-      // Disk trouble even after retries: count it, stop the sweep, leave
-      // the rest resident.
-      ++spill_io_errors_;
-      break;
+    refs = store_->AppendFrames(shard_index_, frames);
+    if (refs.ok() || refs.status().code() != StatusCode::kUnavailable) {
+      break;  // success, or an error a retry cannot fix
     }
-    sweep.bytes += state->frame->MemoryBytes();
+  }
+  if (!refs.ok()) {
+    ++spill_io_errors_;
+    return sweep;
+  }
+  for (size_t i = 0; i < frames.size(); ++i) {
+    auto [key, state] = candidates[i];
     if (state->frozen != nullptr) {
-      const std::int64_t frozen = state->frozen->MemoryBytes();
-      frozen_bytes_ -= frozen;
+      frozen_bytes_ -= state->frozen->OwnedBytes();
       state->frozen = nullptr;
       state->frozen_revision = 0;
-      sweep.bytes += frozen;
     }
     state->frame.reset();
-    state->spill = *ref;
+    state->spill = (*refs)[i];
     ++spilled_cells_;
-    ++sweep.cells;
     AccountCell(*state);
+    // The published run may still hold this cell's owned copy: the next
+    // refresh swaps a view in, so the spill frees the RAM for real.
+    QueueForRefresh(*key, *state);
   }
+  sweep.cells = static_cast<std::int64_t>(frames.size());
+  sweep.bytes = freed;
   PostFrozenBytes();
   return sweep;
 }
@@ -425,15 +450,25 @@ void StreamCubeEngine::RepointSpilledBlocks(
   for (auto& [key, state] : cells_) {
     if (state.frame != nullptr || state.spill.file != from_file) continue;
     auto it = moved.find(state.spill.offset);
-    if (it != moved.end()) state.spill = it->second;
+    if (it == moved.end()) continue;
+    state.spill = it->second;
+    // Its view (charged nothing) reads the old segment: drop it and let
+    // the next refresh view the new one, so the old mapping can go.
+    if (state.frozen != nullptr && state.frozen->is_view()) {
+      state.frozen = nullptr;
+      state.frozen_revision = 0;
+      QueueForRefresh(key, state);
+    }
   }
 }
 
 std::int64_t StreamCubeEngine::DropFrozenBlocks() {
   std::int64_t freed = 0;
   for (auto& [key, state] : cells_) {
-    if (state.frozen == nullptr) continue;
-    const std::int64_t bytes = state.frozen->MemoryBytes();
+    // Views stay: they hold no RAM the budget charges, and dropping them
+    // would only make the next export view the same blocks again.
+    if (state.frozen == nullptr || state.frozen->is_view()) continue;
+    const std::int64_t bytes = state.frozen->OwnedBytes();
     frozen_bytes_ -= bytes;
     state.frozen = nullptr;
     state.frozen_revision = 0;
@@ -459,7 +494,7 @@ Status StreamCubeEngine::RestoreCell(const CellKey& key, const BlockRef& ref) {
   state.spill = ref;
   // Creation is observable; the cell is NOT dirty-queued — the caller
   // retires its published run, so the next export is a full one and picks
-  // the cell up there (faulting it in from the checkpoint mapping).
+  // the cell up there (a view into the checkpoint mapping).
   state.last_modified = ++revision_;
   const auto id = static_cast<MemberIndex::MemberId>(cells_by_id_.size());
   cells_by_id_.push_back({it->first, &state});
@@ -470,15 +505,17 @@ Status StreamCubeEngine::RestoreCell(const CellKey& key, const BlockRef& ref) {
   return Status::OK();
 }
 
-Status StreamCubeEngine::ExportEncodedFrames(
+Status StreamCubeEngine::ExportFrameRecords(
     std::vector<std::pair<CellKey, std::string>>* out) {
   out->reserve(out->size() + cells_.size());
   for (auto& [key, state] : cells_) {
     if (state.frame != nullptr) {
-      out->push_back({key, EncodeTiltFrameState(state.frame->Snapshot())});
+      std::string record(state.frame->RecordBytes(), '\0');
+      state.frame->WriteRecord(reinterpret_cast<std::byte*>(record.data()));
+      out->push_back({key, std::move(record)});
     } else {
-      // Cold cells are copied block-to-block — no decode/re-encode, no
-      // fault-in: checkpointing a mostly-cold engine stays cheap.
+      // Cold cells are copied record-to-record — no fault-in:
+      // checkpointing a mostly-cold engine stays cheap.
       auto raw = store_->ReadRawBlock(state.spill);
       if (!raw.ok()) return raw.status();
       out->push_back({key, *std::move(raw)});

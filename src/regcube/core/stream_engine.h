@@ -66,16 +66,14 @@ struct GatherStats {
   std::int64_t materialized = 0;  // frames deep-copied (dirty or re-aligned)
   std::int64_t bytes_copied = 0;  // bytes retained by those copies
   std::int64_t shards_reused = 0; // shards served wholesale from their cache
-  std::int64_t fault_ins = 0;       // spilled frames read back for this gather
-  std::int64_t fault_in_bytes = 0;  // encoded bytes those fault-ins decoded
+  std::int64_t cold_views = 0;    // spilled frames viewed in place (no copy)
 
   void Merge(const GatherStats& other) {
     cells += other.cells;
     materialized += other.materialized;
     bytes_copied += other.bytes_copied;
     shards_reused += other.shards_reused;
-    fault_ins += other.fault_ins;
-    fault_in_bytes += other.fault_in_bytes;
+    cold_views += other.cold_views;
   }
 };
 
@@ -129,13 +127,20 @@ class StreamCubeEngine {
   /// many tuples were absorbed before it.
   IngestReport IngestBatch(const std::vector<StreamTuple>& tuples);
 
-  /// Declares that no data with tick <= `t` remains in flight: every frame
-  /// seals all units ending at or before `t` ("the aggregated data will
-  /// trigger the cube computation once every 15 minutes").
+  /// Declares that no data with tick <= `t` remains in flight: the clock
+  /// moves to at least t + 1 and every frame seals through it ("the
+  /// aggregated data will trigger the cube computation once every 15
+  /// minutes"). The clock it reaches becomes the sealed watermark.
   Status SealThrough(TimeTick t);
 
   /// Latest tick ingested or sealed.
   TimeTick now() const { return now_; }
+
+  /// The clock the last SealThrough advanced every frame to. A spilled
+  /// frame is not advanced by the seal; a write that faults it in
+  /// advances it to this watermark first, so it refuses exactly the
+  /// ticks the resident frame would have.
+  TimeTick sealed() const { return sealed_; }
 
   /// Number of distinct m-layer cells seen.
   std::int64_t num_cells() const {
@@ -237,14 +242,17 @@ class StreamCubeEngine {
 
   /// Evicts clean (not dirty-queued) cells to the frame store, least
   /// recently modified first, until ~`target_bytes` of RAM is released or
-  /// candidates run out. The governor's last rung. A spilled cell keeps
-  /// only its BlockRef; reads fault it back in transparently, and deferred
-  /// alignment at fault-in is bit-identical to eager alignment (AdvanceTo
-  /// over missing ticks is deterministic), so queries cannot observe the
-  /// spill. A failed append is retried a bounded number of times with a
-  /// short backoff (counted in SpillRetries); if the write keeps failing
-  /// the cell stays resident, the error is counted in SpillIoErrors, and
-  /// the sweep stops — degradation, never data loss.
+  /// candidates run out: the chosen frames' records go out in one write.
+  /// The governor's last rung. A spilled cell keeps only its BlockRef and
+  /// drops its frozen copy; reads view its block in place (FrozenFor), and
+  /// the cell is queued so the next refresh swaps a view into the
+  /// published run too. Only a write faults it back in. Reads align a
+  /// lagging block on a private copy, and AdvanceTo over missing ticks is
+  /// deterministic, so queries cannot observe the spill. A failed append
+  /// is retried a bounded number of times with a short backoff (counted
+  /// in SpillRetries); if the write keeps failing the cells stay
+  /// resident, the error is counted in SpillIoErrors — degradation, never
+  /// data loss.
   SpillSweep SpillColdFrames(std::int64_t target_bytes);
 
   /// Turns every dirty-queued cell clean without exporting anything: the
@@ -260,9 +268,11 @@ class StreamCubeEngine {
   /// every BlockRef that names a rewritten block is re-pointed at its copy
   /// in the new segment. Must run under the same lock that guards this
   /// engine's locked reads (the sharded engine holds the shard mutex
-  /// across CompactShardSegment + this call). Published runs need no
-  /// re-pointing: they carry materialized frames, not refs, so readers on
-  /// the mutex-free publish path never see a retired segment.
+  /// across CompactShardSegment + this call). Views into the old segment
+  /// stay valid (each holds the old mapping); a relocated cell drops its
+  /// cached view and is queued, so the next refresh views the new segment
+  /// and the old mapping is unmapped once published runs and snapshots
+  /// let go of it.
   void RepointSpilledBlocks(
       const std::vector<FrameStore::Relocation>& relocations);
 
@@ -272,28 +282,33 @@ class StreamCubeEngine {
   /// Spill write retries that were attempted (successful or not).
   std::int64_t SpillRetries() const { return spill_retries_; }
 
-  /// Drops every cached frozen block (they are rebuilt on demand from the
+  /// Drops every cached frozen copy (they are rebuilt on demand from the
   /// live frames) and returns the bytes released — an eviction rung above
-  /// spilling: cheap to rebuild, no disk round trip.
+  /// spilling: cheap to rebuild, no disk round trip. Views of spilled
+  /// blocks stay: they are charged nothing.
   std::int64_t DropFrozenBlocks();
 
-  /// Installs one checkpointed cell as lazily-spilled state: the key is
-  /// registered (indexes, revision) but the frame stays in the mapped file
-  /// until first touched. The warm-restart door — OpenFrom's first query
-  /// is served by fault-ins from the checkpoint mapping. The cell is not
-  /// dirty-queued, so the caller must retire any run published before the
-  /// restore. Pre: a frame store is attached; the key must be new.
+  /// Installs one checkpointed cell as spilled state: the key is
+  /// registered (indexes, revision) but the frame stays in the mapped file.
+  /// The warm-restart door — OpenFrom's first query views the blocks in
+  /// the checkpoint mapping, and only a write faults a cell in. The cell
+  /// is not dirty-queued, so the caller must retire any run published
+  /// before the restore. Pre: a frame store is attached; the key must be
+  /// new.
   Status RestoreCell(const CellKey& key, const BlockRef& ref);
 
-  /// Moves the clock forward to `t` (no-op if already past) without
-  /// touching any frame — restores the engine clock after RestoreCell.
-  void RestoreClock(TimeTick t) { now_ = std::max(now_, t); }
+  /// Moves the clock and the sealed watermark forward to `now` and
+  /// `sealed` (no-op where already past) without touching any frame —
+  /// restores both after RestoreCell.
+  void RestoreClock(TimeTick now, TimeTick sealed) {
+    now_ = std::max(now_, now);
+    sealed_ = std::max(sealed_, sealed);
+  }
 
-  /// Appends (key, encoded tilt-frame payload) for every cell — resident
-  /// frames encode their live state, spilled cells copy their raw block
-  /// straight from the store (no decode/re-encode). The checkpoint
-  /// writer's per-shard collection step.
-  Status ExportEncodedFrames(
+  /// Appends (key, tilt-frame record) for every cell — resident frames
+  /// write their record, spilled cells copy their stored record straight
+  /// from the store. The checkpoint writer's per-shard collection step.
+  Status ExportFrameRecords(
       std::vector<std::pair<CellKey, std::string>>* out);
 
   /// Cells currently cold (frame on disk, BlockRef in RAM).
@@ -301,13 +316,15 @@ class StreamCubeEngine {
 
  private:
   struct CellState {
-    /// Null while the cell is spilled — then `spill` names the encoded
-    /// frame in the store and LiveFrame faults it back in on first touch.
+    /// Null while the cell is spilled — then `spill` names the frame's
+    /// record in the store, reads view it, and LiveFrame faults it back in
+    /// on the next write.
     std::unique_ptr<TiltTimeFrame> frame;
     BlockRef spill;                   // valid iff frame == nullptr
     std::int64_t tracked_bytes = 0;   // this cell's share of frame_bytes_
     std::uint64_t last_modified = 0;  // revision of the last observable change
-    std::shared_ptr<const TiltTimeFrame> frozen;  // immutable copy of `frame`
+    // Immutable copy of `frame`, or a view of the spilled block.
+    std::shared_ptr<const TiltTimeFrame> frozen;
     std::uint64_t frozen_revision = 0;  // last_modified captured in `frozen`
     bool queued = false;  // on dirty_cells_, awaiting the next export
 
@@ -316,8 +333,8 @@ class StreamCubeEngine {
   };
 
   /// Advances every resident frame to the engine clock so slot structures
-  /// align. Bumps the revision (and dirties a cell) only when its frame
-  /// seals a slot.
+  /// align, and records the clock as the sealed watermark. Bumps the
+  /// revision (and dirties a cell) only when its frame seals a slot.
   void AlignFrames();
 
   CellState& CellFor(const CellKey& key);
@@ -335,6 +352,11 @@ class StreamCubeEngine {
   /// cell, and — if the cell was clean — queues it on the dirty list the
   /// next export patches from.
   void MarkDirty(const CellKey& key, CellState& state);
+
+  /// Queues a cell whose content did not change but whose frozen block
+  /// did (a spill or relocation swaps in a view), so the next refresh
+  /// replaces its published entry. The revision does not move.
+  void QueueForRefresh(const CellKey& key, CellState& state);
 
   /// Replaces a cell's frozen block and moves frozen_bytes_ by the
   /// difference. The tracker is not touched here: the caller posts the
@@ -355,20 +377,21 @@ class StreamCubeEngine {
     ~FrozenPostGuard() { engine->PostFrozenBytes(); }
   };
 
-  /// The cell's current frozen block, refreshed from the live frame if the
-  /// cell changed since the last freeze (counted into `stats`). A spilled
-  /// cell that cannot be faulted in yields a typed Unavailable.
+  /// The cell's current frozen block, refreshed if the cell changed since
+  /// the last freeze: a copy of the live frame (counted into `stats`), or
+  /// for a spilled cell a view of its block — never a fault-in. A view
+  /// that cannot be made (the store's read fails) yields a typed
+  /// Unavailable.
   Result<std::shared_ptr<const TiltTimeFrame>> FrozenFor(CellState& state,
                                                          GatherStats* stats);
 
-  /// The cell's live frame, faulting it in from the frame store if it is
-  /// spilled (fault-ins counted into `stats` when given). The single choke
-  /// point every read/write path goes through, which is what makes spill
-  /// transparent. A failed fault-in (typed Unavailable from the store)
+  /// The cell's live frame for a write, faulting it in from the frame
+  /// store if it is spilled: one memcpy, then an advance to the sealed
+  /// watermark (the seals it missed while cold). The caller accounts the
+  /// cell afterwards. A failed fault-in (typed Unavailable from the store)
   /// leaves the cell spilled and intact: the error propagates to the
-  /// query/ingest caller and a later touch simply retries.
-  Result<TiltTimeFrame*> LiveFrame(CellState& state,
-                                   GatherStats* stats = nullptr);
+  /// ingest caller and a later write retries.
+  Result<TiltTimeFrame*> LiveFrame(CellState& state);
 
   /// Recomputes the cell's resident-byte contribution and folds the delta
   /// into frame_bytes_ (and the tracker). Call after any frame mutation,
@@ -380,6 +403,7 @@ class StreamCubeEngine {
   Options options_;
   std::unordered_map<CellKey, CellState, CellKeyHash> cells_;
   TimeTick now_;
+  TimeTick sealed_;  // the clock the last AlignFrames advanced frames to
   std::uint64_t revision_ = 0;
   std::int64_t frozen_bytes_ = 0;
   std::int64_t frozen_tracked_ = 0;  // frozen bytes registered with tracker_

@@ -8,7 +8,6 @@ namespace {
 
 constexpr std::uint32_t kTuplesMagic = 0x31544752;  // "RGT1"
 constexpr std::uint32_t kCubeMagic = 0x31434752;    // "RGC1"
-constexpr std::uint32_t kFrameMagic = 0x31464752;   // "RGF1"
 
 /// Rejects element counts that cannot possibly fit in the remaining input
 /// (corrupt data must not drive a giant reserve()).
@@ -78,20 +77,6 @@ Result<CellMap> DecodeCellMap(ByteReader* r, int expected_dims) {
     }
   }
   return cells;
-}
-
-void EncodeMoments(ByteWriter* w, const MomentSums& m) {
-  EncodeInterval(w, m.interval);
-  w->WriteDouble(m.sum_z);
-  w->WriteDouble(m.sum_tz);
-}
-
-Result<MomentSums> DecodeMoments(ByteReader* r) {
-  MomentSums m;
-  RC_ASSIGN_OR_RETURN(m.interval, DecodeInterval(r));
-  RC_ASSIGN_OR_RETURN(m.sum_z, r->ReadDouble());
-  RC_ASSIGN_OR_RETURN(m.sum_tz, r->ReadDouble());
-  return m;
 }
 
 Status ExpectMagic(ByteReader* r, std::uint32_t magic, const char* what) {
@@ -184,54 +169,6 @@ Result<RegressionCube> DecodeRegressionCube(
   }
   return cube;
 }
-
-std::string EncodeTiltFrameState(const TiltFrameState& state) {
-  ByteWriter w;
-  w.WriteU32(kFrameMagic);
-  w.WriteI64(state.start_tick);
-  w.WriteI64(state.next_tick);
-  w.WriteU32(static_cast<std::uint32_t>(state.levels.size()));
-  for (const TiltFrameState::Level& level : state.levels) {
-    w.WriteU32(static_cast<std::uint32_t>(level.slots.size()));
-    for (const MomentSums& slot : level.slots) EncodeMoments(&w, slot);
-    EncodeMoments(&w, level.pending);
-    w.WriteU8(level.pending_active ? 1 : 0);
-    w.WriteI64(level.pending_start);
-  }
-  return w.Release();
-}
-
-Result<TiltFrameState> DecodeTiltFrameState(std::string_view data) {
-  ByteReader r(data);
-  RC_RETURN_IF_ERROR(ExpectMagic(&r, kFrameMagic, "tilt frame"));
-  TiltFrameState state;
-  RC_ASSIGN_OR_RETURN(state.start_tick, r.ReadI64());
-  RC_ASSIGN_OR_RETURN(state.next_tick, r.ReadI64());
-  RC_ASSIGN_OR_RETURN(std::uint32_t num_levels, r.ReadU32());
-  RC_RETURN_IF_ERROR(CheckCount(r, num_levels, 4 + 32 + 9));
-  state.levels.resize(num_levels);
-  for (std::uint32_t li = 0; li < num_levels; ++li) {
-    TiltFrameState::Level& level = state.levels[li];
-    RC_ASSIGN_OR_RETURN(std::uint32_t num_slots, r.ReadU32());
-    RC_RETURN_IF_ERROR(CheckCount(r, num_slots, 32));
-    level.slots.reserve(num_slots);
-    for (std::uint32_t s = 0; s < num_slots; ++s) {
-      RC_ASSIGN_OR_RETURN(MomentSums m, DecodeMoments(&r));
-      level.slots.push_back(m);
-    }
-    RC_ASSIGN_OR_RETURN(level.pending, DecodeMoments(&r));
-    RC_ASSIGN_OR_RETURN(std::uint8_t active, r.ReadU8());
-    level.pending_active = active != 0;
-    RC_ASSIGN_OR_RETURN(level.pending_start, r.ReadI64());
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("trailing bytes after tilt frame");
-  }
-  return state;
-}
-
-
-std::uint32_t TiltFrameStateMagic() { return kFrameMagic; }
 
 void EncodeCellKey(ByteWriter* w, const CellKey& key) {
   w->WriteU8(static_cast<std::uint8_t>(key.num_dims()));

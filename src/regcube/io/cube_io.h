@@ -10,7 +10,6 @@
 #include "regcube/core/regression_cube.h"
 #include "regcube/htree/htree.h"
 #include "regcube/io/binary_io.h"
-#include "regcube/time/tilt_frame.h"
 
 namespace regcube {
 
@@ -22,8 +21,9 @@ namespace regcube {
 ///
 /// Encoded artifacts:
 ///  * m-layer tuple sets  — a computed analysis window (4 numbers/cell);
-///  * regression cubes    — both critical layers + exception cells;
-///  * tilt-frame states   — per-cell stream checkpoints (restart recovery).
+///  * regression cubes    — both critical layers + exception cells.
+/// Tilt frames are stored as their own in-memory block behind a small
+/// header (TiltTimeFrame::WriteRecord), not through a codec here.
 
 /// m-layer tuples ("RGT1").
 std::string EncodeMLayerTuples(const std::vector<MLayerTuple>& tuples);
@@ -34,15 +34,6 @@ Result<std::vector<MLayerTuple>> DecodeMLayerTuples(std::string_view data);
 std::string EncodeRegressionCube(const RegressionCube& cube);
 Result<RegressionCube> DecodeRegressionCube(
     std::shared_ptr<const CubeSchema> schema, std::string_view data);
-
-/// Tilt-frame checkpoint ("RGF1").
-std::string EncodeTiltFrameState(const TiltFrameState& state);
-Result<TiltFrameState> DecodeTiltFrameState(std::string_view data);
-
-/// The leading magic word of an encoded tilt-frame state — the cheap
-/// per-block integrity probe the frame store runs when attaching a
-/// checkpoint file.
-std::uint32_t TiltFrameStateMagic();
 
 /// Cell-key codec shared by the tuple/cube formats and the frame store's
 /// checkpoint tables (u8 dimension count + u32 per value; decode rejects

@@ -23,11 +23,18 @@ constexpr std::uint32_t kTableMagic = 0x31544352;  // "RCT1" footer
 constexpr std::uint32_t kManifestMagic = 0x314D4352;  // "RCM1"
 // Version 2 added a per-block FNV-1a checksum to the checkpoint cell
 // table, so a torn write inside a payload fails at attach instead of
-// decoding differently.
-constexpr std::uint32_t kFormatVersion = 2;
+// decoding differently. Version 3 stores every block as a tilt-frame
+// record (the frame's in-memory block behind a header, host layout) and
+// the sealed watermark in the manifest.
+constexpr std::uint32_t kFormatVersion = 3;
 
-// header: magic u32 + version u32 + shard u32 + reserved u32.
+// header: magic u32 + version u32 + shard u32 + reserved u32. A multiple
+// of 8, so records that follow it back to back stay 8-byte aligned.
 constexpr std::int64_t kFileHeaderBytes = 16;
+// Records are viewed in place, so they sit at 8-byte aligned offsets.
+constexpr std::int64_t kRecordAlign = 8;
+// A growing segment's mapping reserves at least this much, and doubles.
+constexpr std::int64_t kMinMapBytes = 1 << 20;
 // footer: table_offset u64 + cell count u64 + table magic u32.
 constexpr std::int64_t kFooterBytes = 20;
 
@@ -73,21 +80,35 @@ Status MakeDirs(const std::string& dir) {
 
 }  // namespace
 
-Result<std::unique_ptr<FrameStore>> FrameStore::Open(const std::string& dir) {
+Result<std::unique_ptr<FrameStore>> FrameStore::Open(
+    const std::string& dir, std::shared_ptr<const TiltPolicy> policy) {
+  RC_CHECK(policy != nullptr);
   if (!dir.empty()) {
     RC_RETURN_IF_ERROR(MakeDirs(dir));
   }
-  return std::unique_ptr<FrameStore>(new FrameStore(dir));
+  return std::unique_ptr<FrameStore>(new FrameStore(dir, std::move(policy)));
+}
+
+FrameStore::FrameStore(std::string dir,
+                       std::shared_ptr<const TiltPolicy> policy)
+    : dir_(std::move(dir)),
+      policy_(std::move(policy)),
+      record_bytes_(static_cast<std::int64_t>(
+          TiltTimeFrame::RecordBytesFor(*policy_))) {}
+
+FrameStore::Mapping::~Mapping() {
+  ::munmap(const_cast<char*>(data), size);
 }
 
 FrameStore::~FrameStore() {
   std::lock_guard<std::mutex> lock(mu_);
   for (MappedFile& f : files_) {
-    if (f.map != nullptr) ::munmap(f.map, f.map_size);
     if (f.fd >= 0) ::close(f.fd);
     // Spill segments are scratch state of one engine run: meaningless
-    // after the owning engine is gone, so remove them. Attached
-    // checkpoint files belong to their directory and are left alone.
+    // after the owning engine is gone, so remove them. A view that
+    // outlives the store keeps its mapping (and so the unlinked file's
+    // pages). Attached checkpoint files belong to their directory and are
+    // left alone.
     if (f.writable) ::unlink(f.path.c_str());
   }
   files_.clear();
@@ -139,33 +160,41 @@ Result<std::int32_t> FrameStore::SegmentForLocked(int shard) {
 
 Status FrameStore::EnsureMappedLocked(std::int32_t id, std::int64_t need) {
   MappedFile& f = files_[static_cast<std::size_t>(id)];
-  if (f.map != nullptr && static_cast<std::int64_t>(f.map_size) >= need) {
+  if (f.map != nullptr && static_cast<std::int64_t>(f.map->size) >= need) {
     return Status::OK();
   }
   RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kMmap));
-  if (f.map != nullptr) {
-    ::munmap(f.map, f.map_size);
-    f.map = nullptr;
-    f.map_size = 0;
+  // An appending segment maps ahead of its end (pages past EOF are never
+  // touched: every read is bounds-checked against file_size), doubling,
+  // so steady spilling remaps rarely. The old mapping is not unmapped
+  // here: views still reading it hold it.
+  std::int64_t size = f.file_size;
+  if (f.writable) {
+    const std::int64_t previous =
+        f.map != nullptr ? static_cast<std::int64_t>(f.map->size) : 0;
+    size = std::max({need, 2 * previous, kMinMapBytes});
   }
-  const auto size = static_cast<std::size_t>(f.file_size);
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, f.fd, 0);
+  void* map = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ,
+                     MAP_SHARED, f.fd, 0);
   if (map == MAP_FAILED) {
     return Status::Internal(StrPrintf("mmap of %s (%lld bytes) failed",
                                       f.path.c_str(),
-                                      static_cast<long long>(f.file_size)));
+                                      static_cast<long long>(size)));
   }
-  f.map = map;
-  f.map_size = size;
+  auto mapping = std::make_shared<Mapping>();
+  mapping->data = static_cast<const char*>(map);
+  mapping->size = static_cast<std::size_t>(size);
+  f.map = std::move(mapping);
   return Status::OK();
 }
 
-Result<std::string_view> FrameStore::ViewLocked(const BlockRef& ref) {
+Result<const FrameStore::MappedFile*> FrameStore::CheckRefLocked(
+    const BlockRef& ref) {
   if (ref.file < 0 || ref.file >= static_cast<std::int32_t>(files_.size())) {
     return Status::InvalidArgument(
         StrPrintf("block ref names unknown store file %d", ref.file));
   }
-  MappedFile& f = files_[static_cast<std::size_t>(ref.file)];
+  const MappedFile& f = files_[static_cast<std::size_t>(ref.file)];
   if (f.retired) {
     return Status::InvalidArgument(StrPrintf(
         "block ref [%lld, +%lld) names a compacted-away segment",
@@ -189,54 +218,81 @@ Result<std::string_view> FrameStore::ViewLocked(const BlockRef& ref) {
         f.path.c_str()));
   }
   RC_RETURN_IF_ERROR(EnsureMappedLocked(ref.file, ref.offset + ref.size));
-  return std::string_view(static_cast<const char*>(f.map) + ref.offset,
-                          static_cast<std::size_t>(ref.size));
+  return &f;
 }
 
-Result<BlockRef> FrameStore::AppendFrame(int shard,
-                                         const TiltFrameState& state) {
-  const std::string payload = EncodeTiltFrameState(state);
+Result<std::vector<BlockRef>> FrameStore::AppendFrames(
+    int shard, const std::vector<const TiltTimeFrame*>& frames) {
+  std::vector<BlockRef> refs;
+  if (frames.empty()) return refs;
+  // One buffer, one write: the sweep's records back to back.
+  const std::size_t total =
+      frames.size() * static_cast<std::size_t>(record_bytes_);
+  auto buffer = std::make_unique_for_overwrite<std::byte[]>(total);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    RC_CHECK_EQ(static_cast<std::int64_t>(frames[i]->RecordBytes()),
+                record_bytes_);
+    frames[i]->WriteRecord(buffer.get() +
+                           i * static_cast<std::size_t>(record_bytes_));
+  }
   std::lock_guard<std::mutex> lock(mu_);
   RC_ASSIGN_OR_RETURN(std::int32_t id, SegmentForLocked(shard));
   RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kWrite));
   MappedFile& f = files_[static_cast<std::size_t>(id)];
   const std::int64_t offset = f.file_size;
-  if (::pwrite(f.fd, payload.data(), payload.size(),
-               static_cast<off_t>(offset)) !=
-      static_cast<ssize_t>(payload.size())) {
+  if (::pwrite(f.fd, buffer.get(), total, static_cast<off_t>(offset)) !=
+      static_cast<ssize_t>(total)) {
     return Status::Unavailable(
         StrPrintf("short write to spill segment %s", f.path.c_str()));
   }
-  const auto size = static_cast<std::int64_t>(payload.size());
-  f.file_size += size;
-  f.refs[offset] = BlockMeta{1, size};
-  f.live_bytes += size;
-  spilled_blocks_ += 1;
-  spilled_bytes_ += size;
-  return BlockRef{id, offset, size};
+  f.file_size += static_cast<std::int64_t>(total);
+  refs.reserve(frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::int64_t at =
+        offset + static_cast<std::int64_t>(i) * record_bytes_;
+    f.refs[at] = BlockMeta{1, record_bytes_};
+    refs.push_back(BlockRef{id, at, record_bytes_});
+  }
+  f.live_bytes += static_cast<std::int64_t>(total);
+  spilled_blocks_ += static_cast<std::int64_t>(frames.size());
+  spilled_bytes_ += static_cast<std::int64_t>(total);
+  return refs;
 }
 
-Result<TiltFrameState> FrameStore::ReadFrame(const BlockRef& ref) {
+Result<TiltTimeFrame> FrameStore::ReadFrame(const BlockRef& ref) {
   const std::int64_t start_ns = NowNs();
   std::lock_guard<std::mutex> lock(mu_);
   RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kRead));
-  RC_ASSIGN_OR_RETURN(std::string_view payload, ViewLocked(ref));
-  // Decode under the mutex: a concurrent append's remap must never pull
-  // the mapping out from under this view.
-  auto state = DecodeTiltFrameState(payload);
-  if (!state.ok()) return state.status();
+  RC_ASSIGN_OR_RETURN(const MappedFile* f, CheckRefLocked(ref));
+  auto frame = TiltTimeFrame::FromRecord(
+      policy_, std::string_view(f->map->data + ref.offset,
+                                static_cast<std::size_t>(ref.size)));
+  if (!frame.ok()) return frame.status();
   fault_ins_ += 1;
   fault_in_bytes_ += ref.size;
   RecordFaultInLocked(NowNs() - start_ns);
-  return state;
+  return frame;
+}
+
+Result<std::shared_ptr<const TiltTimeFrame>> FrameStore::ViewFrame(
+    const BlockRef& ref) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kRead));
+  RC_ASSIGN_OR_RETURN(const MappedFile* f, CheckRefLocked(ref));
+  return TiltTimeFrame::ViewRecord(
+      policy_,
+      std::string_view(f->map->data + ref.offset,
+                       static_cast<std::size_t>(ref.size)),
+      f->map);
 }
 
 Result<std::string> FrameStore::ReadRawBlock(const BlockRef& ref) const {
   auto* self = const_cast<FrameStore*>(this);
   std::lock_guard<std::mutex> lock(mu_);
   RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kRead));
-  RC_ASSIGN_OR_RETURN(std::string_view payload, self->ViewLocked(ref));
-  return std::string(payload);
+  RC_ASSIGN_OR_RETURN(const MappedFile* f, self->CheckRefLocked(ref));
+  return std::string(f->map->data + ref.offset,
+                     static_cast<std::size_t>(ref.size));
 }
 
 void FrameStore::Release(const BlockRef& ref) {
@@ -318,7 +374,7 @@ Result<std::vector<FrameStore::Relocation>> FrameStore::CompactShardSegment(
   for (const auto& [offset, meta] : live) {
     fault = CheckFaultLocked(FaultOp::kWrite);
     if (!fault.ok()) return fail(fd, tmp_path, std::move(fault));
-    const char* src = static_cast<const char*>(old_f.map) + offset;
+    const char* src = old_f.map->data + offset;
     if (::pwrite(fd, src, static_cast<std::size_t>(meta.size),
                  static_cast<off_t>(new_size)) !=
         static_cast<ssize_t>(meta.size)) {
@@ -348,17 +404,16 @@ Result<std::vector<FrameStore::Relocation>> FrameStore::CompactShardSegment(
   nf.refs = std::move(new_refs);
   nf.live_bytes = copied;
 
-  // Retire the old slot in place: its fd and mapping are gone, its refs
-  // are cleared, and any stale BlockRef that still names it keeps failing
+  // Retire the old slot in place: its fd is closed and its mapping
+  // dropped (unmapped once the last view into it drops), its refs are
+  // cleared, and any stale BlockRef that still names it keeps failing
   // typed (slots are never reused). The path now belongs to the
   // successor, so the retired record must not unlink it at destruction.
   compaction_.reclaimed_bytes += old_f.garbage_bytes;
   compaction_.compacted_bytes += copied;
   ++compaction_.compactions;
-  if (old_f.map != nullptr) ::munmap(old_f.map, old_f.map_size);
   if (old_f.fd >= 0) ::close(old_f.fd);
-  old_f.map = nullptr;
-  old_f.map_size = 0;
+  old_f.map.reset();
   old_f.fd = -1;
   old_f.retired = true;
   old_f.writable = false;
@@ -431,41 +486,45 @@ FrameStore::AttachCheckpointFile(const std::string& path) {
   std::vector<CheckpointEntry> entries;
   entries.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(cell_count, data.size() / 16)));
-  const auto frame_magic = TiltFrameStateMagic();
   for (std::uint64_t i = 0; i < cell_count; ++i) {
     CheckpointEntry e;
     RC_ASSIGN_OR_RETURN(e.key, DecodeCellKey(&r));
     RC_ASSIGN_OR_RETURN(std::uint64_t offset, r.ReadU64());
     RC_ASSIGN_OR_RETURN(std::uint64_t size, r.ReadU64());
     RC_ASSIGN_OR_RETURN(std::uint64_t checksum, r.ReadU64());
-    if (offset < static_cast<std::uint64_t>(kFileHeaderBytes) || size < 4 ||
-        offset + size > table_offset) {
+    if (offset < static_cast<std::uint64_t>(kFileHeaderBytes) || size == 0 ||
+        size > table_offset || offset > table_offset - size) {
       return Status::OutOfRange(StrPrintf(
           "%s: cell %llu block [%llu, +%llu) outside payload region",
           path.c_str(), static_cast<unsigned long long>(i),
           static_cast<unsigned long long>(offset),
           static_cast<unsigned long long>(size)));
     }
-    // Cheap per-block integrity probe: every payload must lead with the
-    // tilt-frame magic. Full decode is deferred to fault-in.
-    const std::string_view payload = std::string_view(data).substr(offset,
-                                                                   size);
-    ByteReader block(payload);
-    RC_ASSIGN_OR_RETURN(std::uint32_t lead, block.ReadU32());
-    if (lead != frame_magic) {
+    if (offset % kRecordAlign != 0) {
       return Status::InvalidArgument(StrPrintf(
-          "%s: cell %llu payload at %llu is not a tilt-frame block",
-          path.c_str(), static_cast<unsigned long long>(i),
+          "%s: cell %llu record at %llu is not 8-byte aligned", path.c_str(),
+          static_cast<unsigned long long>(i),
           static_cast<unsigned long long>(offset)));
     }
-    // The checksum catches what the magic cannot: a torn write anywhere
-    // inside the payload would otherwise decode into different numbers
-    // silently.
+    // The checksum catches what the record checks cannot: a torn write
+    // inside a slot would otherwise restore different numbers silently.
+    const std::string_view payload =
+        std::string_view(data).substr(offset, size);
     if (Fnv1a64(payload) != checksum) {
       return Status::InvalidArgument(StrPrintf(
           "%s: cell %llu payload at %llu fails its checksum (torn write?)",
           path.c_str(), static_cast<unsigned long long>(i),
           static_cast<unsigned long long>(offset)));
+    }
+    // Every record must restore under this store's policy: magic, layout
+    // fingerprint, length and level headers are all checked here, so a
+    // file written under another tilt layout fails before any query.
+    auto restored = TiltTimeFrame::FromRecord(policy_, payload);
+    if (!restored.ok()) {
+      return Status(restored.status().code(),
+                    StrPrintf("%s: cell %llu: %s", path.c_str(),
+                              static_cast<unsigned long long>(i),
+                              restored.status().message().c_str()));
     }
     e.ref.offset = static_cast<std::int64_t>(offset);
     e.ref.size = static_cast<std::int64_t>(size);
@@ -572,6 +631,7 @@ std::string EncodeCheckpointManifest(const CheckpointManifest& manifest) {
   w.WriteI64(manifest.start_tick);
   w.WriteI64(manifest.clock);
   w.WriteI64(manifest.num_cells);
+  w.WriteI64(manifest.sealed);
   return w.Release();
 }
 
@@ -597,6 +657,7 @@ Result<CheckpointManifest> DecodeCheckpointManifest(std::string_view data) {
   RC_ASSIGN_OR_RETURN(m.start_tick, r.ReadI64());
   RC_ASSIGN_OR_RETURN(m.clock, r.ReadI64());
   RC_ASSIGN_OR_RETURN(m.num_cells, r.ReadI64());
+  RC_ASSIGN_OR_RETURN(m.sealed, r.ReadI64());
   return m;
 }
 

@@ -15,9 +15,9 @@
 
 namespace regcube {
 
-/// Names one encoded tilt-frame block inside a FrameStore file: which
-/// mapped file, where, and how many bytes. The RAM-resident half of a
-/// spilled cell — the engine keeps the ref, the payload lives on disk.
+/// Names one tilt-frame record inside a FrameStore file: which mapped
+/// file, where, and how many bytes. The RAM-resident half of a spilled
+/// cell — the engine keeps the ref, the record lives on disk.
 struct BlockRef {
   std::int32_t file = -1;
   std::int64_t offset = 0;
@@ -36,7 +36,7 @@ struct FrameStoreStats {
   std::int64_t live_blocks = 0;     // blocks currently referenced
   std::int64_t live_bytes = 0;
   std::int64_t garbage_bytes = 0;   // released blocks still occupying disk
-  std::int64_t fault_ins = 0;       // ReadFrame calls (decoded fault-ins)
+  std::int64_t fault_ins = 0;       // ReadFrame calls (copied fault-ins)
   std::int64_t fault_in_bytes = 0;
   double fault_in_p99_us = 0.0;
   std::int64_t disk_bytes = 0;      // total size of every store file
@@ -63,6 +63,9 @@ struct CheckpointManifest {
   TimeTick start_tick = 0;
   TimeTick clock = 0;
   std::int64_t num_cells = 0;
+  /// The engines' sealed watermark: frames that lag it (cold when the
+  /// checkpoint was cut) are advanced to it when a write faults them in.
+  TimeTick sealed = 0;
 };
 
 /// The mmap-backed cold tier for tilt-frame blocks — the file-resident
@@ -73,44 +76,62 @@ struct CheckpointManifest {
 ///  * spill segments ("spill-<shard>.rcs", append-only, one per shard,
 ///    created lazily in the spill directory) hold frames evicted by the
 ///    memory governor mid-run;
-///  * checkpoint shard files ("frames-<i>.rcs", header + payload blocks +
-///    cell table + footer) are attached read-only at OpenFrom, so a warm
+///  * checkpoint shard files ("frames-<i>.rcs", header + records + cell
+///    table + footer) are attached read-only at OpenFrom, so a warm
 ///    restart serves its first queries straight from the mapped files.
 ///
-/// Blocks are refcounted: AppendFrame hands back a ref the owning cell
-/// holds; Release (on fault-in, or when a cell re-spills over a new block)
-/// turns the bytes into garbage that the next checkpoint compacts away —
-/// spill segments are never rewritten in place.
+/// Every block is a TiltTimeFrame record (the frame's own block behind a
+/// 32-byte header, see TiltTimeFrame::WriteRecord), at an 8-byte aligned
+/// offset. So a spill sweep is one buffer and one write, a fault-in is one
+/// memcpy, and a read can view a block in place (ViewFrame) instead of
+/// faulting it in.
 ///
-/// Every method is thread-safe behind one store mutex; decode happens
-/// under it so a concurrent append's remap can never invalidate a view
-/// mid-read. Payloads are the bit-exact "RGF1" tilt-frame encoding
-/// (io/cube_io), so spill → fault-in is bitwise lossless.
+/// Blocks are refcounted: AppendFrames hands back refs the owning cells
+/// hold; Release (on fault-in, or when a cell re-spills over a new block)
+/// turns the bytes into garbage that compaction sheds — spill segments are
+/// never rewritten in place.
+///
+/// Each mmap of a file is its own refcounted mapping. A view holds the
+/// mapping it reads, so a segment that grows is remapped without unmapping
+/// under a live view, a compaction unmaps the old segment only after its
+/// last view drops, and a view may outlive the store itself (the file is
+/// unlinked, its pages stay readable).
+///
+/// Every method is thread-safe behind one store mutex.
 class FrameStore {
  public:
-  /// Opens a store rooted at `dir` (created if missing). An empty `dir`
-  /// yields an attach-only store: checkpoint files can be mapped and read
-  /// but AppendFrame is FailedPrecondition — the shape of an engine opened
-  /// from a checkpoint with no spill directory configured.
-  static Result<std::unique_ptr<FrameStore>> Open(const std::string& dir);
+  /// Opens a store rooted at `dir` (created if missing) for frames under
+  /// `policy`: every record it writes, reads or attaches has that layout.
+  /// An empty `dir` yields an attach-only store: checkpoint files can be
+  /// mapped and read but AppendFrames is FailedPrecondition — the shape of
+  /// an engine opened from a checkpoint with no spill directory configured.
+  static Result<std::unique_ptr<FrameStore>> Open(
+      const std::string& dir, std::shared_ptr<const TiltPolicy> policy);
 
   ~FrameStore();
 
   FrameStore(const FrameStore&) = delete;
   FrameStore& operator=(const FrameStore&) = delete;
 
-  /// Encodes `state` and appends it to `shard`'s spill segment. The
-  /// returned ref starts with one reference (the caller's cell).
-  Result<BlockRef> AppendFrame(int shard, const TiltFrameState& state);
+  /// Appends the records of `frames` to `shard`'s spill segment with one
+  /// write and returns one ref per frame, in order, each starting with one
+  /// reference (the caller's cell). All or nothing: on error no ref exists.
+  Result<std::vector<BlockRef>> AppendFrames(
+      int shard, const std::vector<const TiltTimeFrame*>& frames);
 
-  /// Fault-in: decodes the block behind `ref` from the mapping. Typed
-  /// errors on a stale/corrupt ref (InvalidArgument) or a truncated file
-  /// (OutOfRange); counted into the fault-in stats.
-  Result<TiltFrameState> ReadFrame(const BlockRef& ref);
+  /// Fault-in: restores the frame behind `ref` with one memcpy from the
+  /// mapping. Typed errors on a stale/corrupt ref (InvalidArgument) or a
+  /// truncated file (OutOfRange); counted into the fault-in stats.
+  Result<TiltTimeFrame> ReadFrame(const BlockRef& ref);
 
-  /// The raw encoded payload behind `ref` — checkpoint writing copies
-  /// spilled cells without a decode/encode round trip. Not counted as a
-  /// fault-in.
+  /// A read-only frame viewing the block behind `ref` in place (no copy,
+  /// not a fault-in). The view holds the mapping it reads, so it stays
+  /// valid after the ref is released, the segment compacted or the store
+  /// destroyed. Consults FaultOp::kRead like a fault-in.
+  Result<std::shared_ptr<const TiltTimeFrame>> ViewFrame(const BlockRef& ref);
+
+  /// The raw record behind `ref` — checkpoint writing copies spilled cells
+  /// without restoring them. Not counted as a fault-in.
   Result<std::string> ReadRawBlock(const BlockRef& ref) const;
 
   /// Drops the cell's reference; the block's bytes become garbage.
@@ -131,18 +152,15 @@ class FrameStore {
 
   /// Rewrites `shard`'s spill segment without its garbage: live blocks
   /// are copied into "<segment>.tmp", the tmp file is renamed over the
-  /// original, and the old mapping is retired (stale refs keep failing
-  /// typed, never alias the new file). Returns the relocation map the
-  /// caller applies to its BlockRefs under the same lock that guards its
-  /// reads. An empty vector means there was nothing to compact. On
-  /// failure the old segment is untouched — callers keep their refs and
-  /// the disk simply stays fat until a later attempt succeeds.
+  /// original, and the old file is retired (stale refs keep failing typed,
+  /// never alias the new file). Returns the relocation map the caller
+  /// applies to its BlockRefs under the same lock that guards its reads.
+  /// An empty vector means there was nothing to compact. On failure the
+  /// old segment is untouched — callers keep their refs and the disk
+  /// simply stays fat until a later attempt succeeds.
   ///
-  /// Lock-free readers are safe by construction: a shard's *published*
-  /// generation holds materialized frame blocks, never BlockRefs, so
-  /// re-pointing only ever touches the mutable per-cell spill state the
-  /// shard mutex already guards — a concurrent publish-pointer gather
-  /// cannot observe a ref into a retired segment.
+  /// Views into the old segment stay valid: each holds the old mapping,
+  /// which is unmapped when the last of them drops.
   Result<std::vector<Relocation>> CompactShardSegment(int shard);
 
   /// True when `shard`'s segment holds at least `min_bytes` of garbage
@@ -163,8 +181,9 @@ class FrameStore {
   /// Maps a "frames-<i>.rcs" checkpoint file read-only into this store's
   /// ref space and returns its cell table (each entry holding one
   /// reference). Validates structure up front — header and footer magics,
-  /// table bounds, every block range and its payload magic — so a corrupt
-  /// or truncated file fails here with a typed error, not mid-query.
+  /// table bounds, every record's range, checksum and header against the
+  /// store's policy — so a corrupt or truncated file, or one written under
+  /// another layout, fails here with a typed error, not mid-query.
   Result<std::vector<CheckpointEntry>> AttachCheckpointFile(
       const std::string& path);
 
@@ -175,11 +194,19 @@ class FrameStore {
   std::int64_t DiskBytes() const;
 
  private:
-  explicit FrameStore(std::string dir) : dir_(std::move(dir)) {}
+  FrameStore(std::string dir, std::shared_ptr<const TiltPolicy> policy);
 
   struct BlockMeta {
     std::int32_t count = 0;  // references held by cells
-    std::int64_t size = 0;   // payload bytes (compaction re-reads these)
+    std::int64_t size = 0;   // record bytes (compaction re-reads these)
+  };
+
+  /// One read-only mmap of a file; munmapped when the last holder (the
+  /// file's record, a view) drops it.
+  struct Mapping {
+    const char* data = nullptr;
+    std::size_t size = 0;
+    ~Mapping();
   };
 
   struct MappedFile {
@@ -188,8 +215,7 @@ class FrameStore {
     bool writable = false;
     bool retired = false;         // replaced by a compacted successor
     std::int64_t file_size = 0;   // bytes written / on disk
-    void* map = nullptr;          // nullptr until first read
-    std::size_t map_size = 0;     // bytes currently mapped
+    std::shared_ptr<const Mapping> map;  // null until first read
     std::unordered_map<std::int64_t, BlockMeta> refs;  // offset -> meta
     std::int64_t live_bytes = 0;
     std::int64_t garbage_bytes = 0;
@@ -199,13 +225,14 @@ class FrameStore {
   /// with the store header on first use. Returns its file id.
   Result<std::int32_t> SegmentForLocked(int shard);
 
-  /// Ensures file `id`'s mapping covers `[0, need)` bytes, remapping if
-  /// the file grew past the current view.
+  /// Ensures file `id`'s mapping covers `[0, need)` bytes. A file that
+  /// grew past its mapping gets a new, larger one (reserving headroom so
+  /// an appending segment remaps O(log size) times); the old mapping
+  /// lives on in any view that holds it.
   Status EnsureMappedLocked(std::int32_t id, std::int64_t need);
 
-  /// Bounds-checks `ref` against its file and returns a view of the
-  /// payload bytes through the mapping. View is valid only under mu_.
-  Result<std::string_view> ViewLocked(const BlockRef& ref);
+  /// Bounds-checks `ref` against its file and maps it; returns the file.
+  Result<const MappedFile*> CheckRefLocked(const BlockRef& ref);
 
   void RecordFaultInLocked(std::int64_t ns);
   double FaultInP99Locked() const;
@@ -214,6 +241,8 @@ class FrameStore {
   Status CheckFaultLocked(FaultOp op) const;
 
   const std::string dir_;
+  const std::shared_ptr<const TiltPolicy> policy_;
+  const std::int64_t record_bytes_;  // every record's size under policy_
 
   mutable std::mutex mu_;
   FaultInjector* injector_ = nullptr;
@@ -232,7 +261,8 @@ class FrameStore {
 };
 
 /// Builds the bytes of one checkpoint shard file: "RCS1" header, the
-/// cells' encoded frame payloads back to back, the cell table, and a
+/// cells' tilt-frame records back to back (each a multiple of 8 bytes, so
+/// every record stays 8-byte aligned for views), the cell table, and a
 /// fixed-size footer pointing at the table. Written atomically with
 /// WriteFile; AttachCheckpointFile is the reader.
 std::string EncodeCheckpointShardFile(

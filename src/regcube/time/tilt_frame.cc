@@ -4,6 +4,8 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 #include "regcube/common/logging.h"
 #include "regcube/common/str.h"
@@ -11,21 +13,55 @@
 
 namespace regcube {
 
+namespace {
+
+// "RFB1": a tilt-frame block record (see TiltTimeFrame::WriteRecord).
+constexpr std::uint32_t kRecordMagic = 0x31424652;
+
+/// The header in front of a record's block. Read and written with memcpy,
+/// so a record needs no alignment to be restored (a view does).
+struct RecordHeader {
+  std::uint32_t magic;
+  std::uint32_t num_levels;
+  std::uint64_t fingerprint;
+  TimeTick start_tick;
+  TimeTick next_tick;
+};
+static_assert(sizeof(RecordHeader) == TiltTimeFrame::kRecordHeaderBytes);
+static_assert(std::is_trivially_copyable_v<RecordHeader>);
+
+constexpr size_t RoundUp8(size_t n) { return (n + 7) & ~size_t{7}; }
+
+std::int32_t TotalCapacityOf(const TiltPolicy& policy) {
+  std::int32_t total = 0;
+  for (int li = 0; li < policy.num_levels(); ++li) {
+    RC_CHECK_GT(policy.level(li).capacity, 0);
+    total += policy.level(li).capacity;
+  }
+  return total;
+}
+
+}  // namespace
+
+TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
+                             TimeTick start_tick, TimeTick next_tick,
+                             std::byte* block, bool owns_block)
+    : policy_(std::move(policy)), block_(block), start_tick_(start_tick),
+      next_tick_(next_tick), owns_block_(owns_block) {
+  RC_CHECK(policy_ != nullptr);
+  RC_CHECK(policy_->num_levels() <= INT16_MAX);
+  num_levels_ = static_cast<std::int16_t>(policy_->num_levels());
+  total_capacity_ = TotalCapacityOf(*policy_);
+}
+
 TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
                              TimeTick start_tick)
-    : policy_(std::move(policy)), start_tick_(start_tick),
-      next_tick_(start_tick) {
-  RC_CHECK(policy_ != nullptr);
-  num_levels_ = policy_->num_levels();
-  total_capacity_ = 0;
-  for (int li = 0; li < num_levels_; ++li) {
-    RC_CHECK_GT(policy_->level(li).capacity, 0);
-    total_capacity_ += policy_->level(li).capacity;
-  }
+    : TiltTimeFrame(std::move(policy), start_tick, start_tick, nullptr,
+                    /*owns_block=*/true) {
   // Zero-filled first, so padding too is initialized before any copy
   // memcpys it; then the headers and ring slots are created in place.
-  block_ = std::make_unique<std::byte[]>(BlockBytes());
-  std::byte* at = block_.get();
+  block_ = new std::byte[BlockBytes()]();
+  std::byte* at = block_;
   std::int32_t offset = 0;
   for (int li = 0; li < num_levels_; ++li, at += sizeof(LevelHeader)) {
     LevelHeader* level = new (at) LevelHeader();
@@ -40,27 +76,56 @@ TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
 
 TiltTimeFrame::TiltTimeFrame(const TiltTimeFrame& other)
     : policy_(other.policy_),
-      block_(
-          std::make_unique_for_overwrite<std::byte[]>(other.BlockBytes())),
+      block_(new std::byte[other.BlockBytes()]),
       start_tick_(other.start_tick_),
       next_tick_(other.next_tick_),
+      total_capacity_(other.total_capacity_),
       num_levels_(other.num_levels_),
-      total_capacity_(other.total_capacity_) {
-  std::memcpy(block_.get(), other.block_.get(), BlockBytes());
+      owns_block_(true) {
+  std::memcpy(block_, other.block_, BlockBytes());
 }
 
 TiltTimeFrame& TiltTimeFrame::operator=(const TiltTimeFrame& other) {
   if (this == &other) return *this;
-  if (block_ == nullptr || BlockBytes() != other.BlockBytes()) {
-    block_ = std::make_unique_for_overwrite<std::byte[]>(other.BlockBytes());
+  if (!owns_block_ || block_ == nullptr ||
+      BlockBytes() != other.BlockBytes()) {
+    if (owns_block_) delete[] block_;
+    block_ = new std::byte[other.BlockBytes()];
+    owns_block_ = true;
   }
   policy_ = other.policy_;
   start_tick_ = other.start_tick_;
   next_tick_ = other.next_tick_;
   num_levels_ = other.num_levels_;
   total_capacity_ = other.total_capacity_;
-  std::memcpy(block_.get(), other.block_.get(), BlockBytes());
+  std::memcpy(block_, other.block_, BlockBytes());
   return *this;
+}
+
+TiltTimeFrame::TiltTimeFrame(TiltTimeFrame&& other) noexcept
+    : policy_(std::move(other.policy_)),
+      block_(std::exchange(other.block_, nullptr)),
+      start_tick_(other.start_tick_),
+      next_tick_(other.next_tick_),
+      total_capacity_(other.total_capacity_),
+      num_levels_(other.num_levels_),
+      owns_block_(std::exchange(other.owns_block_, false)) {}
+
+TiltTimeFrame& TiltTimeFrame::operator=(TiltTimeFrame&& other) noexcept {
+  if (this == &other) return *this;
+  if (owns_block_) delete[] block_;
+  policy_ = std::move(other.policy_);
+  block_ = std::exchange(other.block_, nullptr);
+  owns_block_ = std::exchange(other.owns_block_, false);
+  start_tick_ = other.start_tick_;
+  next_tick_ = other.next_tick_;
+  num_levels_ = other.num_levels_;
+  total_capacity_ = other.total_capacity_;
+  return *this;
+}
+
+TiltTimeFrame::~TiltTimeFrame() {
+  if (owns_block_) delete[] block_;
 }
 
 void TiltTimeFrame::Accumulate(TimeTick t, double z) {
@@ -242,55 +307,167 @@ Status TiltTimeFrame::MergeStandardDim(const TiltTimeFrame& other) {
   return Status::OK();
 }
 
-TiltFrameState TiltTimeFrame::Snapshot() const {
-  TiltFrameState state;
-  state.start_tick = start_tick_;
-  state.next_tick = next_tick_;
-  state.levels.reserve(static_cast<size_t>(num_levels_));
-  for (int li = 0; li < num_levels_; ++li) {
-    const LevelHeader& level = headers()[li];
-    const SlotView slots = RawSlots(li);
-    TiltFrameState::Level out;
-    out.slots.assign(slots.begin(), slots.end());
-    out.pending = level.pending;
-    out.pending_active = level.pending_active;
-    out.pending_start = level.pending_start;
-    state.levels.push_back(std::move(out));
+std::uint64_t TiltTimeFrame::LayoutFingerprint(const TiltPolicy& policy) {
+  // FNV-1a over the layout's defining numbers, 32 bits each.
+  std::uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i, v >>= 8) {
+      hash ^= v & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<std::uint32_t>(policy.num_levels()));
+  for (int li = 0; li < policy.num_levels(); ++li) {
+    mix(static_cast<std::uint32_t>(policy.level(li).capacity));
   }
-  return state;
+  mix(static_cast<std::uint32_t>(sizeof(LevelHeader)));
+  mix(static_cast<std::uint32_t>(sizeof(MomentSums)));
+  return hash;
 }
 
-Result<TiltTimeFrame> TiltTimeFrame::FromSnapshot(
-    std::shared_ptr<const TiltPolicy> policy, const TiltFrameState& state) {
-  RC_CHECK(policy != nullptr);
-  if (static_cast<int>(state.levels.size()) != policy->num_levels()) {
+size_t TiltTimeFrame::RecordBytesFor(const TiltPolicy& policy) {
+  return RoundUp8(kRecordHeaderBytes +
+                  static_cast<size_t>(policy.num_levels()) *
+                      sizeof(LevelHeader) +
+                  static_cast<size_t>(TotalCapacityOf(policy)) *
+                      sizeof(MomentSums));
+}
+
+size_t TiltTimeFrame::RecordBytes() const {
+  return RoundUp8(kRecordHeaderBytes + BlockBytes());
+}
+
+void TiltTimeFrame::WriteRecord(std::byte* out) const {
+  RecordHeader header;
+  header.magic = kRecordMagic;
+  header.num_levels = static_cast<std::uint32_t>(num_levels_);
+  header.fingerprint = LayoutFingerprint(*policy_);
+  header.start_tick = start_tick_;
+  header.next_tick = next_tick_;
+  std::memcpy(out, &header, sizeof(header));
+  std::memcpy(out + kRecordHeaderBytes, block_, BlockBytes());
+  const size_t used = kRecordHeaderBytes + BlockBytes();
+  std::memset(out + used, 0, RecordBytes() - used);
+}
+
+Status TiltTimeFrame::CheckRecordHeader(const TiltPolicy& policy,
+                                        std::string_view record,
+                                        TimeTick* start_tick,
+                                        TimeTick* next_tick) {
+  if (record.size() < kRecordHeaderBytes) {
+    return Status::OutOfRange(StrPrintf(
+        "tilt-frame record of %zu bytes is shorter than its header",
+        record.size()));
+  }
+  RecordHeader header;
+  std::memcpy(&header, record.data(), sizeof(header));
+  if (header.magic != kRecordMagic) {
     return Status::InvalidArgument(StrPrintf(
-        "snapshot has %zu levels, policy %s has %d", state.levels.size(),
-        policy->name().c_str(), policy->num_levels()));
+        "bad tilt-frame record magic 0x%08x (another host layout?)",
+        header.magic));
   }
-  if (state.next_tick < state.start_tick) {
-    return Status::InvalidArgument("snapshot clock precedes its start tick");
+  if (header.num_levels != static_cast<std::uint32_t>(policy.num_levels()) ||
+      header.fingerprint != LayoutFingerprint(policy)) {
+    return Status::InvalidArgument(StrPrintf(
+        "tilt-frame record layout (%u levels, fingerprint %016llx) does not "
+        "match policy %s (%d levels, fingerprint %016llx)",
+        header.num_levels,
+        static_cast<unsigned long long>(header.fingerprint),
+        policy.name().c_str(), policy.num_levels(),
+        static_cast<unsigned long long>(LayoutFingerprint(policy))));
   }
-  TiltTimeFrame frame(std::move(policy), state.start_tick);
-  frame.next_tick_ = state.next_tick;
-  for (size_t li = 0; li < state.levels.size(); ++li) {
-    const TiltFrameState::Level& in = state.levels[li];
-    LevelHeader& out = frame.headers()[li];
-    if (in.slots.size() > static_cast<size_t>(out.capacity)) {
+  if (record.size() != RecordBytesFor(policy)) {
+    return Status::OutOfRange(StrPrintf(
+        "tilt-frame record holds %zu bytes, the layout needs %zu",
+        record.size(), RecordBytesFor(policy)));
+  }
+  TimeTick span = 0;
+  if (header.next_tick < header.start_tick ||
+      __builtin_sub_overflow(header.next_tick, header.start_tick, &span) ||
+      span == INT64_MAX) {
+    return Status::InvalidArgument(
+        "tilt-frame record clock precedes its start tick or overflows");
+  }
+  *start_tick = header.start_tick;
+  *next_tick = header.next_tick;
+  return Status::OK();
+}
+
+Status TiltTimeFrame::CheckLevels() const {
+  const LevelHeader* levels = headers();
+  std::int32_t offset = 0;
+  for (int li = 0; li < num_levels_; ++li) {
+    const LevelHeader& level = levels[li];
+    const std::int32_t capacity = policy_->level(li).capacity;
+    if (level.ring_offset != offset || level.capacity != capacity ||
+        level.head < 0 || level.head >= capacity || level.size < 0 ||
+        level.size > capacity || level.pending_active > 1 ||
+        level.pending_start < start_tick_ ||
+        level.pending_start > next_tick_) {
       return Status::InvalidArgument(StrPrintf(
-          "snapshot level %zu holds %zu slots, capacity is %d", li,
-          in.slots.size(), out.capacity));
+          "tilt-frame record level %d header is corrupt (offset %d, "
+          "capacity %d, head %d, size %d)",
+          li, level.ring_offset, level.capacity, level.head, level.size));
     }
-    // Restored rings start unrotated: the oldest slot at ring index 0.
-    std::copy(in.slots.begin(), in.slots.end(),
-              frame.ring() + out.ring_offset);
-    out.head = 0;
-    out.size = static_cast<std::int32_t>(in.slots.size());
-    out.pending = in.pending;
-    out.pending_active = in.pending_active;
-    out.pending_start = in.pending_start;
+    // Every sealed interval lies inside [start_tick, next_tick), so no
+    // read can overflow on an interval length.
+    for (const MomentSums& slot : RawSlots(li)) {
+      if (slot.interval.tb < start_tick_ ||
+          slot.interval.tb > slot.interval.te ||
+          slot.interval.te >= next_tick_) {
+        return Status::InvalidArgument(StrPrintf(
+            "tilt-frame record level %d holds a slot outside the frame", li));
+      }
+    }
+    offset += capacity;
   }
+  return Status::OK();
+}
+
+Result<TiltTimeFrame> TiltTimeFrame::FromRecord(
+    std::shared_ptr<const TiltPolicy> policy, std::string_view record) {
+  RC_CHECK(policy != nullptr);
+  TimeTick start_tick = 0;
+  TimeTick next_tick = 0;
+  RC_RETURN_IF_ERROR(
+      CheckRecordHeader(*policy, record, &start_tick, &next_tick));
+  TiltTimeFrame frame(std::move(policy), start_tick, next_tick, nullptr,
+                      /*owns_block=*/true);
+  frame.block_ = new std::byte[frame.BlockBytes()];
+  std::memcpy(frame.block_, record.data() + kRecordHeaderBytes,
+              frame.BlockBytes());
+  RC_RETURN_IF_ERROR(frame.CheckLevels());
   return frame;
+}
+
+Result<std::shared_ptr<const TiltTimeFrame>> TiltTimeFrame::ViewRecord(
+    std::shared_ptr<const TiltPolicy> policy, std::string_view record,
+    std::shared_ptr<const void> keepalive) {
+  RC_CHECK(policy != nullptr);
+  if (reinterpret_cast<std::uintptr_t>(record.data()) % alignof(LevelHeader) !=
+      0) {
+    return Status::InvalidArgument(
+        "tilt-frame record is not 8-byte aligned; it cannot be viewed");
+  }
+  TimeTick start_tick = 0;
+  TimeTick next_tick = 0;
+  RC_RETURN_IF_ERROR(
+      CheckRecordHeader(*policy, record, &start_tick, &next_tick));
+  // The view and its keepalive share one allocation: the aliasing
+  // shared_ptr points at the frame and owns the pair.
+  struct Held {
+    TiltTimeFrame frame;
+    std::shared_ptr<const void> keepalive;
+  };
+  auto* block = const_cast<std::byte*>(
+      reinterpret_cast<const std::byte*>(record.data()) + kRecordHeaderBytes);
+  auto held = std::make_shared<Held>(
+      Held{TiltTimeFrame(std::move(policy), start_tick, next_tick, block,
+                         /*owns_block=*/false),
+           std::move(keepalive)});
+  RC_RETURN_IF_ERROR(held->frame.CheckLevels());
+  const TiltTimeFrame* frame = &held->frame;
+  return std::shared_ptr<const TiltTimeFrame>(std::move(held), frame);
 }
 
 std::string TiltTimeFrame::ToString() const {

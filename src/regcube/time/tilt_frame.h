@@ -7,6 +7,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -16,20 +17,6 @@
 #include "regcube/time/tilt_policy.h"
 
 namespace regcube {
-
-/// Serializable snapshot of a TiltTimeFrame (checkpoint/restore across
-/// process restarts; the binary encoding lives in regcube/io/cube_io.h).
-struct TiltFrameState {
-  struct Level {
-    std::vector<MomentSums> slots;  // sealed units, oldest first
-    MomentSums pending;
-    bool pending_active = false;
-    TimeTick pending_start = 0;
-  };
-  TimeTick start_tick = 0;
-  TimeTick next_tick = 0;
-  std::vector<Level> levels;
-};
 
 /// The tilt time frame (§4.1, Fig 4): a per-cell time container that keeps
 /// the most recent time at the finest granularity and progressively coarser
@@ -51,9 +38,11 @@ struct TiltFrameState {
 ///
 /// Layout: every level's header (pending unit, ring head and size) and
 /// every level's fixed-capacity ring of sealed slots live in one trivially
-/// copyable heap block sized from the policy at construction. Copying a
-/// frame — a snapshot freeze, a clock realignment — is one allocation and
-/// one memcpy (docs/DESIGN.md, "Tilt frame layout").
+/// copyable block sized from the policy at construction. Copying a frame —
+/// a snapshot freeze, a clock realignment — is one allocation and one
+/// memcpy (docs/DESIGN.md, "Tilt frame layout"). The block behind a small
+/// header is also the frame's on-disk record (spill and checkpoint), so a
+/// stored frame is restored by one memcpy or read in place as a view.
 class TiltTimeFrame {
  public:
   /// Read-only view of one level's sealed slots, oldest first. Valid until
@@ -133,11 +122,13 @@ class TiltTimeFrame {
   TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy, TimeTick start_tick);
 
   /// Deep copies: one block allocation and one memcpy. The copy is fully
-  /// independent of the original (frozen snapshot blocks rely on it).
+  /// independent of the original (frozen snapshot blocks rely on it) and
+  /// owns its block, also when the original is a view.
   TiltTimeFrame(const TiltTimeFrame& other);
   TiltTimeFrame& operator=(const TiltTimeFrame& other);
-  TiltTimeFrame(TiltTimeFrame&&) noexcept = default;
-  TiltTimeFrame& operator=(TiltTimeFrame&&) noexcept = default;
+  TiltTimeFrame(TiltTimeFrame&& other) noexcept;
+  TiltTimeFrame& operator=(TiltTimeFrame&& other) noexcept;
+  ~TiltTimeFrame();
 
   /// Adds observation z at tick `t`. Ticks must be non-decreasing and
   /// >= start_tick; a jump forward seals any completed units in between.
@@ -191,11 +182,53 @@ class TiltTimeFrame {
   /// is validated before any is merged, so on error `*this` is unchanged.
   Status MergeStandardDim(const TiltTimeFrame& other);
 
-  /// Checkpointing: captures the complete mutable state. Restoring with the
-  /// same policy yields a frame that continues exactly where this one was.
-  TiltFrameState Snapshot() const;
-  static Result<TiltTimeFrame> FromSnapshot(
-      std::shared_ptr<const TiltPolicy> policy, const TiltFrameState& state);
+  // ---- the frame record: the spill and checkpoint form -----------------
+  //
+  // A record is a 32-byte header — magic, the layout fingerprint of the
+  // policy (level count, every level's capacity, sizeof(LevelHeader),
+  // sizeof(MomentSums)), start and next tick — followed by the block
+  // exactly as it sits in memory, padded to 8 bytes. It is tied to the
+  // host's layout and byte order: a record from another layout fails the
+  // magic or fingerprint check with a typed error.
+
+  static constexpr size_t kRecordHeaderBytes = 32;
+
+  /// Bytes of the record of any frame under `policy` (a multiple of 8).
+  static size_t RecordBytesFor(const TiltPolicy& policy);
+
+  size_t RecordBytes() const;
+
+  /// Writes this frame's record into `out`, which holds RecordBytes()
+  /// bytes: the header, then one memcpy of the block.
+  void WriteRecord(std::byte* out) const;
+
+  /// Restores the frame a record holds: the header is checked against
+  /// `policy`, the block is copied with one memcpy, and every level
+  /// header is checked (ring offsets and capacities match the policy,
+  /// head and size lie inside the ring, the pending unit and every sealed
+  /// interval lie inside the frame's ticks), so no read of the result can
+  /// index or subtract out of range. The frame continues exactly where
+  /// the recorded one was. InvalidArgument on a record that fails a
+  /// check, OutOfRange on a record of the wrong length.
+  static Result<TiltTimeFrame> FromRecord(
+      std::shared_ptr<const TiltPolicy> policy, std::string_view record);
+
+  /// A read-only frame that views the block of `record` in place — no
+  /// copy. `keepalive` owns the memory the record lives in (a mapping);
+  /// the view holds it until its last reference drops. Same checks as
+  /// FromRecord, plus the record must be 8-byte aligned. Copying the view
+  /// yields a frame that owns its block.
+  static Result<std::shared_ptr<const TiltTimeFrame>> ViewRecord(
+      std::shared_ptr<const TiltPolicy> policy, std::string_view record,
+      std::shared_ptr<const void> keepalive);
+
+  /// True for a frame made by ViewRecord: its block is someone else's.
+  bool is_view() const { return !owns_block_; }
+
+  /// The RAM this frame holds that the memory tracker charges:
+  /// MemoryBytes() for a frame that owns its block, 0 for a view (its
+  /// block is page cache, reported on the cold tier's side).
+  std::int64_t OwnedBytes() const { return owns_block_ ? MemoryBytes() : 0; }
 
   std::string ToString() const;
 
@@ -211,7 +244,9 @@ class TiltTimeFrame {
     std::int32_t capacity = 0;     // policy capacity, > 0
     std::int32_t head = 0;         // ring index of the oldest sealed slot
     std::int32_t size = 0;         // sealed slots retained
-    bool pending_active = false;
+    // 0 or 1; a byte rather than a bool so any byte a record holds can be
+    // read and checked without undefined behavior.
+    std::uint8_t pending_active = 0;
   };
   static_assert(std::is_trivially_copyable_v<MomentSums>);
   static_assert(std::is_trivially_copyable_v<LevelHeader>);
@@ -219,25 +254,43 @@ class TiltTimeFrame {
                 "the ring must start aligned right after the headers");
   static_assert(alignof(LevelHeader) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
+  /// A frame over `block` (owned or not) with its ticks; the level count
+  /// and ring capacity come from the policy.
+  TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy, TimeTick start_tick,
+                TimeTick next_tick, std::byte* block, bool owns_block);
+
+  /// The layout fingerprint records under `policy` carry.
+  static std::uint64_t LayoutFingerprint(const TiltPolicy& policy);
+
+  /// Checks a record's header against `policy` and returns its ticks.
+  static Status CheckRecordHeader(const TiltPolicy& policy,
+                                  std::string_view record,
+                                  TimeTick* start_tick, TimeTick* next_tick);
+
+  /// Checks every level header of the block against the policy.
+  Status CheckLevels() const;
+
   size_t BlockBytes() const {
     return static_cast<size_t>(num_levels_) * sizeof(LevelHeader) +
            static_cast<size_t>(total_capacity_) * sizeof(MomentSums);
   }
   // The block's objects are created by placement new (constructor) or
-  // implicitly by memcpy (copies); launder hands out pointers to them.
+  // implicitly by memcpy (copies, restored records); launder hands out
+  // pointers to them. A view's block is read-only memory: views are only
+  // ever handed out as const frames, so no mutator reaches it.
   LevelHeader* headers() {
-    return std::launder(reinterpret_cast<LevelHeader*>(block_.get()));
+    return std::launder(reinterpret_cast<LevelHeader*>(block_));
   }
   const LevelHeader* headers() const {
-    return std::launder(reinterpret_cast<const LevelHeader*>(block_.get()));
+    return std::launder(reinterpret_cast<const LevelHeader*>(block_));
   }
   MomentSums* ring() {
     return std::launder(reinterpret_cast<MomentSums*>(
-        block_.get() + static_cast<size_t>(num_levels_) * sizeof(LevelHeader)));
+        block_ + static_cast<size_t>(num_levels_) * sizeof(LevelHeader)));
   }
   const MomentSums* ring() const {
     return std::launder(reinterpret_cast<const MomentSums*>(
-        block_.get() + static_cast<size_t>(num_levels_) * sizeof(LevelHeader)));
+        block_ + static_cast<size_t>(num_levels_) * sizeof(LevelHeader)));
   }
 
   /// Appends a sealed slot to `level`'s ring, evicting the oldest slot
@@ -251,16 +304,17 @@ class TiltTimeFrame {
   void Accumulate(TimeTick t, double z);
 
   std::shared_ptr<const TiltPolicy> policy_;
-  std::unique_ptr<std::byte[]> block_;  // LevelHeader[levels], then ring
+  std::byte* block_ = nullptr;  // LevelHeader[levels], then ring
   TimeTick start_tick_;
   TimeTick next_tick_;  // first tick not yet fully processed
-  std::int32_t num_levels_;
   std::int32_t total_capacity_;  // ring slots across all levels
+  std::int16_t num_levels_;
+  bool owns_block_ = true;  // false for a view (ViewRecord)
 };
 
 // Per-cell resident state: the analytic MemoryBytes formula charges this
 // header on every frame, so it must not grow.
-static_assert(sizeof(TiltTimeFrame) <= 56);
+static_assert(sizeof(TiltTimeFrame) <= 48);
 
 }  // namespace regcube
 

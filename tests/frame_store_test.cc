@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +39,7 @@ using equivalence::Key2;
 using equivalence::PairedStream;
 using equivalence::RunChurnRounds;
 using equivalence::SmallTiltPolicy;
+using testing_util::RecordOf;
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -51,87 +53,199 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-TiltFrameState MakeState(std::uint64_t seed, TimeTick ticks) {
+TiltTimeFrame MakeFrame(std::uint64_t seed, TimeTick ticks) {
   TiltTimeFrame frame(SmallTiltPolicy(), /*start_tick=*/0);
   Pcg32 rng(seed, 3);
   for (TimeTick t = 0; t < ticks; ++t) {
     EXPECT_TRUE(frame.Add(t, rng.NextDouble()).ok());
   }
-  return frame.Snapshot();
+  return frame;
 }
 
-void ExpectStatesIdentical(const TiltFrameState& a, const TiltFrameState& b) {
-  const std::string ea = EncodeTiltFrameState(a);
-  const std::string eb = EncodeTiltFrameState(b);
-  EXPECT_EQ(ea, eb);
+Result<std::unique_ptr<FrameStore>> OpenStore(const std::string& dir) {
+  return FrameStore::Open(dir, SmallTiltPolicy());
+}
+
+/// Appends one frame and returns its ref.
+Result<BlockRef> AppendOne(FrameStore& store, int shard,
+                           const TiltTimeFrame& frame) {
+  RC_ASSIGN_OR_RETURN(std::vector<BlockRef> refs,
+                      store.AppendFrames(shard, {&frame}));
+  return refs.front();
 }
 
 // ------------------------------------------------------------- store basics
 
 TEST(FrameStoreTest, AppendReadRoundTripsBitwise) {
-  auto store = FrameStore::Open(FreshDir("frame_store_roundtrip"));
+  auto store = OpenStore(FreshDir("frame_store_roundtrip"));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
-  std::vector<TiltFrameState> states;
-  std::vector<BlockRef> refs;
+  // Two sweeps per shard-ish: each AppendFrames call is one write.
+  std::vector<TiltTimeFrame> frames;
   for (int i = 0; i < 8; ++i) {
-    states.push_back(MakeState(/*seed=*/100 + i, /*ticks=*/5 + 3 * i));
-    auto ref = (*store)->AppendFrame(i % 3, states.back());
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    ASSERT_TRUE(ref->valid());
-    refs.push_back(*ref);
+    frames.push_back(MakeFrame(/*seed=*/100 + i, /*ticks=*/5 + 3 * i));
   }
-  // Read back out of order: offsets are independent.
+  std::vector<BlockRef> refs(frames.size());
+  for (int shard = 0; shard < 3; ++shard) {
+    std::vector<const TiltTimeFrame*> sweep;
+    std::vector<size_t> at;
+    for (size_t i = static_cast<size_t>(shard); i < frames.size(); i += 3) {
+      sweep.push_back(&frames[i]);
+      at.push_back(i);
+    }
+    auto got = (*store)->AppendFrames(shard, sweep);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), sweep.size());
+    for (size_t j = 0; j < at.size(); ++j) {
+      ASSERT_TRUE((*got)[j].valid());
+      EXPECT_EQ((*got)[j].offset % 8, 0);  // views need aligned records
+      refs[at[j]] = (*got)[j];
+    }
+  }
+  // Read back out of order: offsets are independent. The restored frame,
+  // the view and the raw record all equal the original bitwise.
   for (int i = 7; i >= 0; --i) {
-    auto state = (*store)->ReadFrame(refs[i]);
-    ASSERT_TRUE(state.ok()) << state.status().ToString();
-    ExpectStatesIdentical(states[i], *state);
+    const std::string want = RecordOf(frames[static_cast<size_t>(i)]);
+    auto frame = (*store)->ReadFrame(refs[i]);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(RecordOf(*frame), want);
+    auto view = (*store)->ViewFrame(refs[i]);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_TRUE((*view)->is_view());
+    EXPECT_EQ(RecordOf(**view), want);
+    auto raw = (*store)->ReadRawBlock(refs[i]);
+    ASSERT_TRUE(raw.ok());
+    EXPECT_EQ(*raw, want);
   }
   const FrameStoreStats stats = (*store)->Stats();
   EXPECT_EQ(stats.spilled_blocks, 8);
   EXPECT_EQ(stats.live_blocks, 8);
-  EXPECT_EQ(stats.fault_ins, 8);
+  EXPECT_EQ(stats.fault_ins, 8);  // views are not fault-ins
   EXPECT_EQ(stats.garbage_bytes, 0);
   EXPECT_GT(stats.disk_bytes, 0);
 }
 
 TEST(FrameStoreTest, ReleaseTurnsBytesIntoGarbage) {
-  auto store = FrameStore::Open(FreshDir("frame_store_release"));
+  auto store = OpenStore(FreshDir("frame_store_release"));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
-  auto ref = (*store)->AppendFrame(0, MakeState(7, 12));
+  const TiltTimeFrame frame = MakeFrame(7, 12);
+  auto ref = AppendOne(**store, 0, frame);
   ASSERT_TRUE(ref.ok());
+  auto view = (*store)->ViewFrame(*ref);
+  ASSERT_TRUE(view.ok());
   EXPECT_EQ((*store)->Stats().garbage_bytes, 0);
   (*store)->Release(*ref);
   const FrameStoreStats stats = (*store)->Stats();
   EXPECT_EQ(stats.live_blocks, 0);
   EXPECT_EQ(stats.garbage_bytes, stats.spilled_bytes);
-  // A released ref is stale: reading it is a typed error, not UB.
+  // A released ref is stale: reading or viewing it is a typed error, not
+  // UB...
   EXPECT_EQ((*store)->ReadFrame(*ref).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ((*store)->ViewFrame(*ref).status().code(),
+            StatusCode::kInvalidArgument);
+  // ...while a view taken before the release still reads its bytes.
+  EXPECT_EQ(RecordOf(**view), RecordOf(frame));
 }
 
 TEST(FrameStoreTest, AttachOnlyStoreRefusesAppends) {
-  auto store = FrameStore::Open("");
+  auto store = OpenStore("");
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->AppendFrame(0, MakeState(9, 6)).status().code(),
+  EXPECT_EQ(AppendOne(**store, 0, MakeFrame(9, 6)).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(FrameStoreTest, InvalidRefsAreTypedErrors) {
-  auto store = FrameStore::Open(FreshDir("frame_store_badref"));
+  auto store = OpenStore(FreshDir("frame_store_badref"));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto ref = (*store)->AppendFrame(0, MakeState(11, 10));
+  auto ref = AppendOne(**store, 0, MakeFrame(11, 10));
   ASSERT_TRUE(ref.ok());
 
   BlockRef bad_file = *ref;
   bad_file.file = 99;
   EXPECT_EQ((*store)->ReadFrame(bad_file).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ((*store)->ViewFrame(bad_file).status().code(),
+            StatusCode::kInvalidArgument);
 
   BlockRef past_end = *ref;
   past_end.offset += (*store)->DiskBytes();
   EXPECT_FALSE((*store)->ReadFrame(past_end).ok());
+  EXPECT_FALSE((*store)->ViewFrame(past_end).ok());
+}
+
+TEST(FrameStoreTest, ViewsOutliveGrowthCompactionAndTheStore) {
+  // A view holds the mapping it reads: the segment growing past it
+  // (remapped), a compaction that retires its file, and the store's own
+  // destruction (which unlinks the segment) must all leave it readable.
+  auto store = OpenStore(FreshDir("frame_store_view_lifetime"));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const TiltTimeFrame first = MakeFrame(21, 30);
+  auto ref = AppendOne(**store, 0, first);
+  ASSERT_TRUE(ref.ok());
+  auto view = (*store)->ViewFrame(*ref);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+  // Grow the segment well past its first mapping (1 MiB).
+  std::vector<TiltTimeFrame> filler;
+  for (int i = 0; i < 64; ++i) filler.push_back(MakeFrame(300 + i, 20));
+  std::vector<const TiltTimeFrame*> sweep;
+  for (const TiltTimeFrame& f : filler) sweep.push_back(&f);
+  std::vector<BlockRef> live;
+  for (int round = 0; round < 48; ++round) {
+    auto refs = (*store)->AppendFrames(0, sweep);
+    ASSERT_TRUE(refs.ok()) << refs.status().ToString();
+    for (const BlockRef& r : *refs) {
+      if (round == 0) {
+        live.push_back(r);
+      } else {
+        (*store)->Release(r);
+      }
+    }
+  }
+  ASSERT_GT((*store)->DiskBytes(), std::int64_t{1} << 20);
+  auto late = (*store)->ViewFrame(live.back());
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+
+  (*store)->Release(*ref);
+  auto relocations = (*store)->CompactShardSegment(0);
+  ASSERT_TRUE(relocations.ok()) << relocations.status().ToString();
+  EXPECT_EQ(relocations->size(), live.size());
+  EXPECT_EQ((*store)->Compactions().compactions, 1);
+
+  store->reset();  // unlinks the segment; the views keep their mappings
+  EXPECT_EQ(RecordOf(**view), RecordOf(first));
+  EXPECT_EQ(RecordOf(**late), RecordOf(filler.back()));
+}
+
+TEST(FrameStoreTest, RecordOfAnotherLayoutIsInvalidArgument) {
+  // A checkpoint file written under one tilt layout attached by a store
+  // (an engine) of another: the records' layout fingerprint disagrees, so
+  // attach fails typed before any cell is installed.
+  auto other = std::shared_ptr<const TiltPolicy>(
+      MakeUniformTiltPolicy({{"quarter", 8}, {"hour", 6}}, {4, 16}));
+  TiltTimeFrame frame(other, 0);
+  ASSERT_TRUE(frame.Add(3, 1.5).ok());
+  CellKey key(2);
+  key.set(0, 1);
+  key.set(1, 2);
+  const std::string path =
+      FreshDir("frame_store_foreign_layout") + "_frames.rcs";
+  ASSERT_TRUE(EnsureDirectory(::testing::TempDir()).ok());
+  ASSERT_TRUE(
+      WriteFile(path, EncodeCheckpointShardFile(0, {{key, RecordOf(frame)}}))
+          .ok());
+  auto store = OpenStore("");
+  ASSERT_TRUE(store.ok());
+  auto attached = (*store)->AttachCheckpointFile(path);
+  EXPECT_EQ(attached.status().code(), StatusCode::kInvalidArgument)
+      << attached.status().ToString();
+  // The same file attaches under its own layout.
+  auto own = FrameStore::Open("", other);
+  ASSERT_TRUE(own.ok());
+  EXPECT_TRUE((*own)->AttachCheckpointFile(path).ok());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------- budgeted churn equivalence
@@ -177,20 +291,22 @@ void RunBudgetedChurnEquivalence(int num_shards) {
   // gathers are reads and change nothing observable).
   RunChurnRounds(reference, gen.cells(), plan, [](int) {});
 
-  // Budget actually bit: enforcements ran, cells were spilled, fault-ins
-  // brought them back for the interleaved gathers.
+  // Budget actually bit: enforcements ran, cells were spilled, and the
+  // churn's writes to cold cells faulted them back in.
   const SpillStats spill = budgeted.SpillStats();
   EXPECT_GT(spill.enforcements, 0);
   EXPECT_GT(spill.spill_evictions, 0);
   EXPECT_GT(spill.fault_ins, 0);
   EXPECT_GT(spill.disk_bytes, 0);
 
-  // Bit-identity: the gather faults in every still-cold cell and the
-  // result matches the all-RAM reference exactly.
+  // Bit-identity: the gather views every still-cold cell in place (reads
+  // never fault a cell in) and matches the all-RAM reference exactly.
+  const std::int64_t fault_ins_before = budgeted.SpillStats().fault_ins;
   ExpectGatherMatchesReference(budgeted.GatherAlignedCells(), reference);
 
-  // After the fault-ins, a second gather is served hot and still matches.
+  // A second gather, served from the publications, still matches.
   ExpectGatherMatchesReference(budgeted.GatherAlignedCells(), reference);
+  EXPECT_EQ(budgeted.SpillStats().fault_ins, fault_ins_before);
 }
 
 TEST(FrameStoreChurnTest, BudgetedEngineMatchesOracleOneShard) {
@@ -323,11 +439,12 @@ TEST(MemoryBudgetTest, FacadeStaysUnderBudgetAndAnswersIdentically) {
   EXPECT_LE(frame_bytes, spill.budget_bytes);
   EXPECT_GT(disk_bytes, 0);
 
-  // Bit-identical answers: the snapshot faults in the cold cells and
-  // matches the all-RAM oracle cell for cell, and the cube-side drill
-  // agrees too.
+  // Bit-identical answers: the snapshot views the cold cells in place (no
+  // fault-in) and matches the all-RAM oracle cell for cell, and the
+  // cube-side drill agrees too.
+  const std::int64_t fault_ins_before = engine->SpillStats().fault_ins;
   auto snap = engine->TakeSnapshot();
-  EXPECT_GT(snap->gather_stats().fault_ins, 0);
+  EXPECT_EQ(engine->SpillStats().fault_ins, fault_ins_before);
   ASSERT_EQ(snap->num_cells(), oracle_snap->num_cells());
   auto want_window = oracle_snap->Window(0, 4);
   auto got_window = snap->Window(0, 4);
@@ -680,6 +797,98 @@ TEST(MemoryBudgetTest, ConcurrentChurnSnapshotsAndEnforcement) {
   EXPECT_EQ(snap->num_cells(), static_cast<std::int64_t>(cells.size()));
 }
 
+TEST(MemoryBudgetTest, ConcurrentCompactionAgainstLockFreeReads) {
+  // Writers fault cold cells in and re-spill them, a compactor keeps
+  // retiring spill segments, and readers take lock-free snapshots and
+  // point reads whose cells are views into those segments — under a
+  // 16 KiB budget. Runs in the TSan CI job via the "concurrency" label.
+  // Writers own disjoint cells, so the final state is interleaving-free
+  // and must equal an unbounded engine fed the same writes, bitwise.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/80, /*ticks=*/16, /*seed=*/45);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  const auto& cells = gen.cells();
+  const auto stream = gen.GenerateStream();
+
+  EngineBuilder builder;
+  builder.SetSchema(*schema)
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetShardCount(4)
+      .SetReadThreads(2);
+  auto oracle = builder.Build();
+  ASSERT_TRUE(oracle.ok());
+  auto built = builder.SetMemoryBudget(16 << 10)
+                   .SetSpillDir(FreshDir("mem_budget_concurrent_compact"))
+                   .SetCompactThreshold(0.25)
+                   .SetCompactMinBytes(1)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+  for (Engine* e : {&engine, &*oracle}) {
+    ASSERT_TRUE(e->IngestBatch(stream).ok());
+    ASSERT_TRUE(e->SealThrough(spec.series_length - 1).ok());
+  }
+
+  constexpr int kWriters = 2;
+  constexpr int kRoundsPerWriter = 24;
+  auto write = [&](Engine& target, int w, int round) {
+    const TimeTick tick = spec.series_length + round;
+    for (size_t c = static_cast<size_t>(w); c < cells.size(); c += kWriters) {
+      ASSERT_TRUE(target.Ingest({cells[c].key, tick, 1.0 + w}).ok());
+    }
+  };
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < kRoundsPerWriter; ++round) {
+        write(engine, w, round);
+      }
+    });
+  }
+  std::thread compactor([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      engine.CompactSegments();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      size_t probe = static_cast<size_t>(r);
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto snap = engine.TakeSnapshot();
+        ASSERT_TRUE(snap->Window(0, 2).ok()) << snap->status().ToString();
+        probe = (probe + 7) % cells.size();
+        auto point = engine.Query(QuerySpec::Cell(
+            engine.lattice().m_layer_id(), cells[probe].key, 0, 2));
+        ASSERT_TRUE(point.ok()) << point.status().ToString();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  compactor.join();
+  for (std::thread& r : readers) r.join();
+  for (int w = 0; w < kWriters; ++w) {
+    for (int round = 0; round < kRoundsPerWriter; ++round) {
+      write(*oracle, w, round);
+    }
+  }
+
+  EXPECT_GT(engine.SpillStats().compactions, 0);
+  auto want = oracle->TakeSnapshot()->Window(0, 2);
+  auto got = engine.TakeSnapshot()->Window(0, 2);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(want->size(), got->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ((*want)[i].key, (*got)[i].key);
+    EXPECT_EQ((*want)[i].measure, (*got)[i].measure);
+  }
+}
+
 // ------------------------------------------------------ typed error paths
 
 TEST(CheckpointTest, MissingDirectoryIsNotFound) {
@@ -779,6 +988,115 @@ TEST(CheckpointTest, SchemaMismatchIsInvalidArgument) {
   auto opened = mismatched.OpenFrom(dir);
   EXPECT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointTest, TiltLayoutMismatchIsInvalidArgument) {
+  // Same level count, other capacities: the manifest's checks pass, the
+  // records' layout fingerprint does not — OpenFrom fails typed at
+  // attach, before any cell is installed or queried.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/40, /*ticks=*/12, /*seed=*/9);
+  StreamGenerator gen(spec);
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy());
+  auto engine = builder.Build();
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->IngestBatch(gen.GenerateStream()).ok());
+  const std::string dir = FreshDir("ckpt_layout_mismatch");
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+
+  EngineBuilder other;
+  other.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(
+          MakeUniformTiltPolicy({{"quarter", 8}, {"hour", 4}}, {4, 16}));
+  auto opened = other.OpenFrom(dir);
+  EXPECT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+      << opened.status().ToString();
+  ASSERT_TRUE(builder.OpenFrom(dir).ok());  // its own layout still opens
+}
+
+TEST(CheckpointTest, VersionTwoDirectoryIsInvalidArgument) {
+  // Format version 3 changed the record; a version-2 manifest or shard
+  // file is refused with a typed error, never misread.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/40, /*ticks=*/12, /*seed=*/10);
+  StreamGenerator gen(spec);
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy());
+  auto engine = builder.Build();
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->IngestBatch(gen.GenerateStream()).ok());
+  const std::string dir = FreshDir("ckpt_version_two");
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+
+  // Both files lead with magic u32 then version u32.
+  const std::uint32_t two = 2;
+  for (const std::string& path :
+       {CheckpointManifestPath(dir), CheckpointShardFilePath(dir, 0)}) {
+    auto pristine = ReadFile(path);
+    ASSERT_TRUE(pristine.ok());
+    std::string old = *pristine;
+    std::memcpy(old.data() + 4, &two, sizeof(two));
+    ASSERT_TRUE(WriteFile(path, old).ok());
+    auto opened = builder.OpenFrom(dir);
+    EXPECT_FALSE(opened.ok()) << path;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+        << path << ": " << opened.status().ToString();
+    ASSERT_TRUE(WriteFile(path, *pristine).ok());
+  }
+  ASSERT_TRUE(builder.OpenFrom(dir).ok());
+}
+
+TEST(CheckpointTest, RestoredColdCellsRefuseTicksTheirSealCovered) {
+  // A cell spilled before a seal keeps its pre-seal record; the
+  // checkpoint copies that record and the manifest carries the sealed
+  // watermark, so after OpenFrom the cell refuses the ticks the seal
+  // covered, like the engine that wrote it — and reads fault nothing in.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/40, /*ticks=*/12, /*seed=*/11);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  const CellKey a = gen.cells()[0].key;
+  const CellKey b = gen.cells()[1].key;
+  EngineBuilder builder;
+  builder.SetSchema(*schema).SetTiltPolicy(SmallTiltPolicy()).SetShardCount(2);
+  auto built = EngineBuilder(builder)
+                   .SetMemoryBudget(1)
+                   .SetSpillDir(FreshDir("ckpt_restored_cold_spill"))
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  for (const StreamTuple& t : {StreamTuple{a, 3, 1.0}, StreamTuple{b, 3, 2.0}}) {
+    ASSERT_TRUE(engine.Ingest(t).ok());
+    ASSERT_TRUE(reference.Ingest(t).ok());
+  }
+  (void)engine.TakeSnapshot();
+  ASSERT_TRUE(engine.SealThrough(10).ok());
+  ASSERT_TRUE(reference.SealThrough(10).ok());
+  ASSERT_EQ(engine.SpillStats().spilled_cells, 2);
+  const std::string dir = FreshDir("ckpt_restored_cold");
+  ASSERT_TRUE(engine.Checkpoint(dir).ok());
+
+  auto opened = builder.OpenFrom(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto deck = opened->Query(QuerySpec::ObservationDeck(0));
+  ASSERT_TRUE(deck.ok()) << deck.status().ToString();
+  EXPECT_EQ(opened->SpillStats().fault_ins, 0);  // the first query views
+  const StreamTuple late{b, 5, 1.0};
+  EXPECT_EQ(opened->Ingest(late).code(), reference.Ingest(late).code());
+  const StreamTuple fresh{b, 11, 1.0};
+  EXPECT_EQ(opened->Ingest(fresh).code(), reference.Ingest(fresh).code());
+  auto got = opened->TakeSnapshot()->Window(0, 2);
+  auto want = SnapshotWindowOf(reference.Run(), 0, 2);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < got->size(); ++i) {
+    EXPECT_EQ((*got)[i].key, (*want)[i].key);
+    EXPECT_EQ((*got)[i].measure, (*want)[i].measure);
+  }
 }
 
 }  // namespace

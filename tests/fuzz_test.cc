@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@ using testing_util::ExpectCellMapsEqual;
 using testing_util::ExpectIsbNear;
 using testing_util::MakeSmallWorkload;
 using testing_util::MustFit;
+using testing_util::RecordOf;
 using testing_util::SmallWorkload;
 
 TEST(DecoderFuzzTest, EveryTruncationPointFailsCleanly) {
@@ -72,24 +74,82 @@ TEST(DecoderFuzzTest, RandomByteFlipsNeverCrash) {
   }
 }
 
-TEST(DecoderFuzzTest, TiltFrameStateTruncations) {
+/// Reads every slot and pending unit of `frame`: under ASan, any level
+/// header that let a ring index escape its block fails here.
+void TouchEverySlot(const TiltTimeFrame& frame) {
+  double sink = 0.0;
+  for (int li = 0; li < frame.policy().num_levels(); ++li) {
+    for (const MomentSums& m : frame.RawSlots(li)) sink += m.sum_z;
+    (void)frame.PendingSlot(li);
+  }
+  EXPECT_GE(frame.RetainedSlots(), 0);
+  (void)sink;
+}
+
+TEST(DecoderFuzzTest, TiltFrameRecordTruncationsAndFlips) {
   auto policy = std::shared_ptr<const TiltPolicy>(
       MakeUniformTiltPolicy({{"q", 4}, {"h", 6}}, {1, 4}));
   TiltTimeFrame frame(policy, 0);
   for (TimeTick t = 0; t < 30; ++t) {
     ASSERT_TRUE(frame.Add(t, static_cast<double>(t)).ok());
   }
-  const std::string encoded = EncodeTiltFrameState(frame.Snapshot());
-  for (size_t cut = 0; cut < encoded.size(); cut += 3) {
-    EXPECT_FALSE(
-        DecodeTiltFrameState(std::string_view(encoded).substr(0, cut)).ok());
+  const std::string record = RecordOf(frame);
+  // Every truncation is a typed error.
+  for (size_t cut = 0; cut < record.size(); ++cut) {
+    auto restored =
+        TiltTimeFrame::FromRecord(policy, std::string_view(record).substr(0, cut));
+    ASSERT_FALSE(restored.ok()) << "cut at " << cut;
+    const StatusCode code = restored.status().code();
+    EXPECT_TRUE(code == StatusCode::kOutOfRange ||
+                code == StatusCode::kInvalidArgument)
+        << "cut at " << cut << ": " << restored.status().ToString();
   }
+  // Random bit flips: a typed error, or a frame whose level headers
+  // validated — restored by copy and viewed in place alike.
+  Pcg32 rng(407);
+  std::vector<std::uint64_t> aligned(record.size() / 8);
+  int restored_ok = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string corrupted = record;
+    const int flips = 1 + static_cast<int>(rng.Uniform(4));
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos =
+          rng.Uniform(static_cast<std::uint32_t>(corrupted.size()));
+      corrupted[pos] =
+          static_cast<char>(corrupted[pos] ^ (1 << rng.Uniform(8)));
+    }
+    auto restored = TiltTimeFrame::FromRecord(policy, corrupted);
+    std::memcpy(aligned.data(), corrupted.data(), corrupted.size());
+    auto view = TiltTimeFrame::ViewRecord(
+        policy,
+        std::string_view(reinterpret_cast<const char*>(aligned.data()),
+                         corrupted.size()),
+        nullptr);
+    ASSERT_EQ(restored.ok(), view.ok()) << "trial " << trial;
+    if (!restored.ok()) {
+      const StatusCode code = restored.status().code();
+      EXPECT_TRUE(code == StatusCode::kOutOfRange ||
+                  code == StatusCode::kInvalidArgument)
+          << restored.status().ToString();
+      continue;
+    }
+    ++restored_ok;
+    EXPECT_EQ(RecordOf(*restored), corrupted);
+    TouchEverySlot(*restored);
+    TouchEverySlot(**view);
+    // A restored frame stays usable for writes.
+    ASSERT_TRUE(restored->AdvanceTo(restored->next_tick() + 8).ok());
+  }
+  // Flips in slot payloads restore; flips in headers fail. Both happen.
+  EXPECT_GT(restored_ok, 0);
+  EXPECT_LT(restored_ok, 2000);
 }
 
 TEST(DecoderFuzzTest, CheckpointShardFileRoundTripsRandomCells) {
   // Random cells with random frame shapes must survive the checkpoint
-  // shard-file encoding bitwise, and every truncation of the file must
-  // fail attachment cleanly (never crash, never half-attach).
+  // shard-file layout bitwise — the stored record, the restored frame and
+  // the in-place view — and every truncation of the file must fail
+  // attachment cleanly (never crash, never half-attach).
   auto policy = std::shared_ptr<const TiltPolicy>(
       MakeUniformTiltPolicy({{"q", 4}, {"h", 6}}, {1, 4}));
   Pcg32 rng(409);
@@ -104,14 +164,14 @@ TEST(DecoderFuzzTest, CheckpointShardFileRoundTripsRandomCells) {
       if (rng.Uniform(4) == 0) continue;  // gaps
       ASSERT_TRUE(frame.Add(t, rng.NextDouble() * 8.0 - 4.0).ok());
     }
-    cells.emplace_back(key, EncodeTiltFrameState(frame.Snapshot()));
+    cells.emplace_back(key, RecordOf(frame));
   }
   const std::string file = EncodeCheckpointShardFile(0, cells);
 
   const std::string path =
       ::testing::TempDir() + "/regcube_fuzz_ckpt_shard.rcs";
   ASSERT_TRUE(WriteFile(path, file).ok());
-  auto store = FrameStore::Open("");
+  auto store = FrameStore::Open("", policy);
   ASSERT_TRUE(store.ok());
   auto entries = (*store)->AttachCheckpointFile(path);
   ASSERT_TRUE(entries.ok()) << entries.status().ToString();
@@ -121,13 +181,18 @@ TEST(DecoderFuzzTest, CheckpointShardFileRoundTripsRandomCells) {
     auto raw = (*store)->ReadRawBlock((*entries)[i].ref);
     ASSERT_TRUE(raw.ok());
     EXPECT_EQ(*raw, cells[i].second);  // bitwise round trip
-    auto state = (*store)->ReadFrame((*entries)[i].ref);
-    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    auto frame = (*store)->ReadFrame((*entries)[i].ref);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(RecordOf(*frame), cells[i].second);
+    auto view = (*store)->ViewFrame((*entries)[i].ref);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_TRUE((*view)->is_view());
+    EXPECT_EQ(RecordOf(**view), cells[i].second);
   }
 
   for (size_t cut = 0; cut < file.size(); cut += 7) {
     ASSERT_TRUE(WriteFile(path, file.substr(0, cut)).ok());
-    auto broken = FrameStore::Open("");
+    auto broken = FrameStore::Open("", policy);
     ASSERT_TRUE(broken.ok());
     EXPECT_FALSE((*broken)->AttachCheckpointFile(path).ok())
         << "cut at " << cut;

@@ -1,6 +1,9 @@
 #include "regcube/io/cube_io.h"
 
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "regcube/core/mo_cubing.h"
@@ -13,6 +16,7 @@ namespace {
 using testing_util::ExpectCellMapsEqual;
 using testing_util::ExpectIsbNear;
 using testing_util::MakeSmallWorkload;
+using testing_util::RecordOf;
 using testing_util::SmallWorkload;
 
 TEST(ByteIoTest, PrimitiveRoundTrips) {
@@ -152,18 +156,19 @@ TEST(TiltFrameIoTest, CheckpointRestoreContinuesExactly) {
   auto policy = std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
       {{"quarter", 4}, {"hour", 24}}, {1, 4}));
 
-  // Drive a frame halfway, checkpoint, restore, then feed both the same
-  // remaining data: all queries must agree exactly.
+  // Drive a frame halfway, write its record, restore, then feed both the
+  // same remaining data: the two must stay bitwise identical.
   TiltTimeFrame original(policy, 0);
   for (TimeTick t = 0; t < 50; ++t) {
     ASSERT_TRUE(original.Add(t, 0.5 * static_cast<double>(t % 7)).ok());
   }
 
-  std::string encoded = EncodeTiltFrameState(original.Snapshot());
-  auto state = DecodeTiltFrameState(encoded);
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
-  auto restored = TiltTimeFrame::FromSnapshot(policy, *state);
+  const std::string record = RecordOf(original);
+  EXPECT_EQ(record.size(), TiltTimeFrame::RecordBytesFor(*policy));
+  EXPECT_EQ(record.size() % 8, 0u);
+  auto restored = TiltTimeFrame::FromRecord(policy, record);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(RecordOf(*restored), record);
 
   for (TimeTick t = 50; t < 100; ++t) {
     const double z = 1.0 + 0.1 * static_cast<double>(t % 5);
@@ -173,6 +178,7 @@ TEST(TiltFrameIoTest, CheckpointRestoreContinuesExactly) {
   ASSERT_TRUE(original.AdvanceTo(100).ok());
   ASSERT_TRUE(restored->AdvanceTo(100).ok());
 
+  EXPECT_EQ(RecordOf(original), RecordOf(*restored));
   EXPECT_EQ(original.RetainedSlots(), restored->RetainedSlots());
   for (int level = 0; level < policy->num_levels(); ++level) {
     auto a = original.Slots(level);
@@ -192,24 +198,49 @@ TEST(TiltFrameIoTest, RestoreValidatesAgainstPolicy) {
       {{"a", 4}, {"b", 4}}, {1, 4}));
   auto policy3 = std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
       {{"a", 4}, {"b", 4}, {"c", 4}}, {1, 4, 16}));
+  auto wider = std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
+      {{"a", 4}, {"b", 5}}, {1, 4}));
   TiltTimeFrame frame(policy2, 0);
   ASSERT_TRUE(frame.Add(5, 1.0).ok());
-  TiltFrameState state = frame.Snapshot();
-  // Wrong level count.
-  EXPECT_FALSE(TiltTimeFrame::FromSnapshot(policy3, state).ok());
-  // Over-capacity slots.
-  TiltFrameState bloated = state;
-  for (int i = 0; i < 10; ++i) {
-    bloated.levels[0].slots.push_back(MomentSums{{0, 0}, 1.0, 0.0});
-  }
-  EXPECT_FALSE(TiltTimeFrame::FromSnapshot(policy2, bloated).ok());
-  // Clock before start.
-  TiltFrameState warped = state;
-  warped.next_tick = warped.start_tick - 1;
-  EXPECT_FALSE(TiltTimeFrame::FromSnapshot(policy2, warped).ok());
+  const std::string record = RecordOf(frame);
+  ASSERT_TRUE(TiltTimeFrame::FromRecord(policy2, record).ok());
+  // Wrong level count, or the same count with another capacity: the
+  // layout fingerprint disagrees.
+  EXPECT_EQ(TiltTimeFrame::FromRecord(policy3, record).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TiltTimeFrame::FromRecord(wider, record).status().code(),
+            StatusCode::kInvalidArgument);
+  // Wrong length: truncated, or with trailing bytes.
+  EXPECT_EQ(TiltTimeFrame::FromRecord(
+                policy2, std::string_view(record).substr(0, record.size() - 8))
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(TiltTimeFrame::FromRecord(policy2, record + std::string(8, '\0'))
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  // Bad magic (another host's byte order reads it reversed).
+  std::string foreign = record;
+  std::swap(foreign[0], foreign[3]);
+  EXPECT_EQ(TiltTimeFrame::FromRecord(policy2, foreign).status().code(),
+            StatusCode::kInvalidArgument);
+  // Clock before start: next_tick is the header's last 8 bytes.
+  std::string warped = record;
+  const TimeTick before_start = -1;
+  std::memcpy(warped.data() + TiltTimeFrame::kRecordHeaderBytes - 8,
+              &before_start, sizeof(before_start));
+  EXPECT_EQ(TiltTimeFrame::FromRecord(policy2, warped).status().code(),
+            StatusCode::kInvalidArgument);
+  // A block of 0xFF bytes: every level header is out of range.
+  std::string garbled = record;
+  std::memset(garbled.data() + TiltTimeFrame::kRecordHeaderBytes, 0xFF,
+              garbled.size() - TiltTimeFrame::kRecordHeaderBytes);
+  EXPECT_EQ(TiltTimeFrame::FromRecord(policy2, garbled).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(TiltFrameIoTest, EncodedStateSurvivesDisk) {
+TEST(TiltFrameIoTest, RecordSurvivesDisk) {
   auto policy = std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
       {{"q", 4}}, {1}));
   TiltTimeFrame frame(policy, 10);
@@ -217,13 +248,12 @@ TEST(TiltFrameIoTest, EncodedStateSurvivesDisk) {
     ASSERT_TRUE(frame.Add(t, static_cast<double>(t)).ok());
   }
   const std::string path = ::testing::TempDir() + "/regcube_frame.bin";
-  ASSERT_TRUE(WriteFile(path, EncodeTiltFrameState(frame.Snapshot())).ok());
+  ASSERT_TRUE(WriteFile(path, RecordOf(frame)).ok());
   auto data = ReadFile(path);
   ASSERT_TRUE(data.ok());
-  auto state = DecodeTiltFrameState(*data);
-  ASSERT_TRUE(state.ok());
-  auto restored = TiltTimeFrame::FromSnapshot(policy, *state);
-  ASSERT_TRUE(restored.ok());
+  auto restored = TiltTimeFrame::FromRecord(policy, *data);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(RecordOf(*restored), RecordOf(frame));
   EXPECT_EQ(restored->next_tick(), frame.next_tick());
   std::remove(path.c_str());
 }

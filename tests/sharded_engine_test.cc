@@ -7,7 +7,9 @@
 
 #include "regcube/core/sharded_engine.h"
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,8 @@ using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
 using equivalence::ExpectCellMapsIdentical;
 using equivalence::ExpectCubesIdentical;
+using equivalence::ExpectGatherMatchesReference;
+using equivalence::PairedStream;
 
 WorkloadSpec ShardSpec(std::int64_t tuples = 60, std::int64_t ticks = 32) {
   return ChurnWorkload(tuples, ticks, /*seed=*/17, /*fanout=*/3);
@@ -289,6 +293,107 @@ TEST(ShardedEngineTest, LaggingShardAlignsToGlobalClock) {
       EXPECT_NEAR(t.measure.SeriesSum(), 8 * 3.0, 1e-9);
     }
   }
+}
+
+// ------------------------------------------------------------- late data
+
+/// One late-data case: `setup` writes and seals through a PairedStream,
+/// then `late` is offered. The engine's verdict must equal the replay
+/// reference's at every shard count, with and without a 1-byte budget
+/// (which spills every clean cell), and the stored data must match too.
+struct LateTickCase {
+  std::function<void(PairedStream&, ShardedStreamEngine&)> setup;
+  std::function<StreamTuple()> late;
+};
+
+void ExpectLateTickRefused(const std::string& name, const LateTickCase& c,
+                           int num_shards, bool budgeted) {
+  SCOPED_TRACE(name + ", " + std::to_string(num_shards) + " shards" +
+               (budgeted ? ", budget 1 byte" : ""));
+  WorkloadSpec spec = ShardSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  ShardedStreamEngine engine(*schema, ShardOptions(), num_shards);
+  if (budgeted) {
+    MemoryBudgetConfig config;
+    config.budget_bytes = 1;
+    config.spill_dir = ::testing::TempDir() + "/late_tick_" + name + "_" +
+                       std::to_string(num_shards);
+    ASSERT_TRUE(engine.ConfigureStorage(config).ok());
+  }
+  ReferenceStream reference(*schema, ShardOptions());
+  PairedStream paired{engine, reference};
+  c.setup(paired, engine);
+  if (budgeted) {
+    // Every clean cell went cold: the late write must fault one in.
+    ASSERT_EQ(engine.SpillStats().spilled_cells, engine.num_cells());
+  }
+  const Status verdict = paired.Ingest(c.late());
+  EXPECT_EQ(verdict.code(), StatusCode::kOutOfRange) << verdict.ToString();
+  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
+}
+
+TEST(LateTickTest, RefusedAlikeAtEveryShardCountAndResidency) {
+  StreamGenerator gen(ShardSpec());
+  const CellKey a = gen.cells()[0].key;
+  const CellKey b = gen.cells()[1].key;
+  // Cells at ticks 10 and 3, then SealThrough(5): the seal drives every
+  // frame to the clock (tick 10), so tick 4 is late for the second cell
+  // wherever it hashes.
+  const LateTickCase behind_the_clock{
+      [&](PairedStream& paired, ShardedStreamEngine& engine) {
+        ASSERT_TRUE(paired.Ingest({a, 10, 1.0}).ok());
+        ASSERT_TRUE(paired.Ingest({b, 3, 2.0}).ok());
+        (void)engine.GatherAlignedCells();  // cells turn clean (spillable)
+        ASSERT_TRUE(paired.SealThrough(5).ok());
+      },
+      [&] { return StreamTuple{b, 4, 1.0}; }};
+  // Two cells at tick 3, a gather, SealThrough(10), then tick 5: late for
+  // a resident frame and for a spilled one alike.
+  const LateTickCase behind_the_seal{
+      [&](PairedStream& paired, ShardedStreamEngine& engine) {
+        ASSERT_TRUE(paired.Ingest({a, 3, 1.0}).ok());
+        ASSERT_TRUE(paired.Ingest({b, 3, 2.0}).ok());
+        (void)engine.GatherAlignedCells();
+        ASSERT_TRUE(paired.SealThrough(10).ok());
+      },
+      [&] { return StreamTuple{b, 5, 1.0}; }};
+  for (bool budgeted : {false, true}) {
+    for (int shards : {1, 2, 4, 8}) {
+      ExpectLateTickRefused("behind_the_clock", behind_the_clock, shards,
+                            budgeted);
+      ExpectLateTickRefused("behind_the_seal", behind_the_seal, shards,
+                            budgeted);
+    }
+  }
+}
+
+TEST(LateTickTest, FaultedInCellAcceptsTicksFromTheWatermarkOn) {
+  // The fault-in advance goes exactly to the sealed watermark: the first
+  // tick at or past it is accepted, and the cell's data matches the
+  // reference afterwards.
+  WorkloadSpec spec = ShardSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  const CellKey a = gen.cells()[0].key;
+  const CellKey b = gen.cells()[1].key;
+  ShardedStreamEngine engine(*schema, ShardOptions(), 2);
+  MemoryBudgetConfig config;
+  config.budget_bytes = 1;
+  config.spill_dir = ::testing::TempDir() + "/late_tick_watermark";
+  ASSERT_TRUE(engine.ConfigureStorage(config).ok());
+  ReferenceStream reference(*schema, ShardOptions());
+  PairedStream paired{engine, reference};
+  ASSERT_TRUE(paired.Ingest({a, 3, 1.0}).ok());
+  ASSERT_TRUE(paired.Ingest({b, 3, 2.0}).ok());
+  (void)engine.GatherAlignedCells();
+  ASSERT_TRUE(paired.SealThrough(10).ok());
+  ASSERT_EQ(engine.SpillStats().spilled_cells, 2);
+  EXPECT_EQ(paired.Ingest({b, 10, 1.0}).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(paired.Ingest({b, 11, 1.0}).ok());
+  EXPECT_TRUE(paired.Ingest({a, 12, 4.0}).ok());
+  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -289,6 +290,71 @@ TEST(SnapshotTest, SnapshotOutlivesTheEngine) {
   ASSERT_EQ(window->size(), expected->size());
   auto top = snap->Query(QuerySpec::TopExceptions(3, 0, 8));
   EXPECT_TRUE(top.ok()) << top.status().ToString();
+}
+
+TEST(SnapshotTest, BudgetedSnapshotOfViewsOutlivesCompactionAndTheEngine) {
+  // The budgeted twin: under a 1-byte budget every cell is spilled, so the
+  // snapshot's cells are views into the spill segments. Compaction then
+  // retires the segment they read and the engine's destruction unlinks
+  // its successor; the held snapshot must still answer bitwise.
+  WorkloadSpec spec = SnapSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  const auto stream = gen.GenerateStream();
+  EngineBuilder builder;
+  builder.SetSchema(*schema)
+      .SetTiltPolicy(SmallPolicy())
+      .SetExceptionPolicy(ExceptionPolicy(0.02))
+      .SetShardCount(2);
+  auto unbounded = builder.Build();
+  ASSERT_TRUE(unbounded.ok());
+  ASSERT_TRUE(unbounded->IngestBatch(stream).ok());
+  ASSERT_TRUE(unbounded->SealThrough(spec.series_length - 1).ok());
+  auto want = unbounded->TakeSnapshot();
+
+  const std::string dir = ::testing::TempDir() + "/snapshot_views_outlive";
+  auto built = builder.SetMemoryBudget(1)
+                   .SetSpillDir(dir)
+                   .SetCompactThreshold(0.5)
+                   .SetCompactMinBytes(1)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::optional<Engine> engine(std::move(built).value());
+  ASSERT_TRUE(engine->IngestBatch(stream).ok());
+  ASSERT_TRUE(engine->SealThrough(spec.series_length - 1).ok());
+  ASSERT_EQ(engine->SpillStats().spilled_cells, engine->num_cells());
+  auto snap = engine->TakeSnapshot();
+  ASSERT_TRUE(snap->status().ok()) << snap->status().ToString();
+  EXPECT_GT(snap->gather_stats().cold_views, 0);
+  EXPECT_EQ(engine->SpillStats().fault_ins, 0);  // reads never fault in
+
+  // Rewrite every cell (each write faults its cell in and strands its old
+  // block as garbage), then compact: the snapshot's views read the
+  // segment the compaction retires.
+  for (const auto& cell : gen.cells()) {
+    ASSERT_TRUE(engine->Ingest({cell.key, spec.series_length, 1.0}).ok());
+  }
+  engine->CompactSegments();
+  EXPECT_GT(engine->SpillStats().compactions, 0);
+  engine.reset();  // the store unlinks its segments
+
+  for (int level = 0; level < 2; ++level) {
+    auto got = snap->Window(level, 2);
+    auto expected = want->Window(level, 2);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(got->size(), expected->size());
+    for (size_t i = 0; i < got->size(); ++i) {
+      EXPECT_EQ((*got)[i].key, (*expected)[i].key);
+      EXPECT_EQ((*got)[i].measure, (*expected)[i].measure);
+    }
+  }
+  auto got_cube = snap->ComputeCube(0, 8);
+  auto want_cube = want->ComputeCube(0, 8);
+  ASSERT_TRUE(got_cube.ok()) << got_cube.status().ToString();
+  ASSERT_TRUE(want_cube.ok());
+  ExpectCubesIdentical(*want_cube, *got_cube);
 }
 
 TEST(SnapshotTest, ReadsNoLongerForceSealLaggingWriters) {

@@ -2,6 +2,7 @@
 #define REGCUBE_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -12,6 +13,7 @@
 #include "regcube/htree/htree.h"
 #include "regcube/regression/linear_fit.h"
 #include "regcube/regression/time_series.h"
+#include "regcube/time/tilt_frame.h"
 
 namespace regcube {
 namespace testing_util {
@@ -91,6 +93,15 @@ inline void ExpectCellMapsEqual(const CellMap& expected, const CellMap& actual,
     ASSERT_NE(it, actual.end()) << "missing cell " << key.ToString();
     ExpectIsbNear(isb, it->second, tolerance);
   }
+}
+
+/// A frame's record (TiltTimeFrame::WriteRecord) as bytes: equal records
+/// are the bitwise-equality test of two frames, rotation of every ring
+/// included.
+inline std::string RecordOf(const TiltTimeFrame& frame) {
+  std::string record(frame.RecordBytes(), '\0');
+  frame.WriteRecord(reinterpret_cast<std::byte*>(record.data()));
+  return record;
 }
 
 }  // namespace testing_util

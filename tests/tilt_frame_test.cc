@@ -1,8 +1,11 @@
 #include "regcube/time/tilt_frame.h"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -17,6 +20,7 @@ namespace {
 
 using testing_util::ExpectIsbNear;
 using testing_util::MustFit;
+using testing_util::RecordOf;
 
 void ExpectMomentsIdentical(const MomentSums& want, const MomentSums& got) {
   EXPECT_EQ(want.interval, got.interval);
@@ -24,23 +28,24 @@ void ExpectMomentsIdentical(const MomentSums& want, const MomentSums& got) {
   EXPECT_EQ(want.sum_tz, got.sum_tz);
 }
 
-/// Bitwise equality of two captured frame states.
-void ExpectStatesIdentical(const TiltFrameState& want,
-                           const TiltFrameState& got) {
-  EXPECT_EQ(want.start_tick, got.start_tick);
-  EXPECT_EQ(want.next_tick, got.next_tick);
-  ASSERT_EQ(want.levels.size(), got.levels.size());
-  for (size_t li = 0; li < want.levels.size(); ++li) {
-    const TiltFrameState::Level& w = want.levels[li];
-    const TiltFrameState::Level& g = got.levels[li];
-    ASSERT_EQ(w.slots.size(), g.slots.size()) << "level " << li;
-    for (size_t s = 0; s < w.slots.size(); ++s) {
-      ExpectMomentsIdentical(w.slots[s], g.slots[s]);
-    }
-    ExpectMomentsIdentical(w.pending, g.pending);
-    EXPECT_EQ(w.pending_active, g.pending_active) << "level " << li;
-    EXPECT_EQ(w.pending_start, g.pending_start) << "level " << li;
-  }
+/// Bitwise equality of a frame with a captured record: ticks, every
+/// level header and every ring slot, ring rotation included.
+void ExpectFrameIs(const std::string& want_record, const TiltTimeFrame& got) {
+  EXPECT_TRUE(want_record == RecordOf(got)) << "frame records differ";
+}
+
+/// `record` copied into 8-byte aligned memory that a view can hold.
+std::shared_ptr<std::vector<std::uint64_t>> AlignedCopy(
+    const std::string& record) {
+  auto words = std::make_shared<std::vector<std::uint64_t>>(
+      (record.size() + 7) / 8);
+  std::memcpy(words->data(), record.data(), record.size());
+  return words;
+}
+
+std::string_view BytesOf(const std::vector<std::uint64_t>& words,
+                         size_t size) {
+  return std::string_view(reinterpret_cast<const char*>(words.data()), size);
 }
 
 std::shared_ptr<const TiltPolicy> QuarterHourDayPolicy() {
@@ -204,9 +209,9 @@ TEST(TiltFrameTest, MergeRejectsMisalignedFrames) {
   TiltTimeFrame a(policy, 0), b(policy, 0);
   ASSERT_TRUE(a.Add(5, 1.0).ok());
   ASSERT_TRUE(b.Add(3, 1.0).ok());
-  const TiltFrameState before = a.Snapshot();
+  const std::string before = RecordOf(a);
   EXPECT_FALSE(a.MergeStandardDim(b).ok());
-  ExpectStatesIdentical(before, a.Snapshot());
+  ExpectFrameIs(before, a);
 
   // A mismatch only in a later level: both policies are "uniform" with
   // the same level count, and level 0 agrees slot for slot, but level 1
@@ -224,18 +229,22 @@ TEST(TiltFrameTest, MergeRejectsMisalignedFrames) {
   ASSERT_TRUE(c.AdvanceTo(16).ok());
   ASSERT_TRUE(d.AdvanceTo(16).ok());
   ASSERT_EQ(c.RawSlots(0).size(), d.RawSlots(0).size());
-  const TiltFrameState c_before = c.Snapshot();
+  const std::string c_before = RecordOf(c);
   const Status merged = c.MergeStandardDim(d);
   EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
-  ExpectStatesIdentical(c_before, c.Snapshot());
+  ExpectFrameIs(c_before, c);
 
-  // Same counts everywhere, one interval off in the last level.
-  TiltFrameState shifted = c_before;
-  shifted.levels[1].slots.back().interval.tb += 1;
-  auto e = TiltTimeFrame::FromSnapshot(two_hours, shifted);
-  ASSERT_TRUE(e.ok()) << e.status().ToString();
-  EXPECT_EQ(c.MergeStandardDim(*e).code(), StatusCode::kInvalidArgument);
-  ExpectStatesIdentical(c_before, c.Snapshot());
+  // Same counts everywhere and level 0 identical, but the last level's
+  // intervals are off: its units are 2 ticks wide instead of 4.
+  auto narrow_hours = std::shared_ptr<const TiltPolicy>(
+      MakeUniformTiltPolicy({{"quarter", 4}, {"hour", 2}}, {1, 2}));
+  TiltTimeFrame e(narrow_hours, 0);
+  for (TimeTick t = 0; t < 16; ++t) ASSERT_TRUE(e.Add(t, 3.0).ok());
+  ASSERT_TRUE(e.AdvanceTo(16).ok());
+  ASSERT_EQ(c.RawSlots(1).size(), e.RawSlots(1).size());
+  ASSERT_EQ(c.RawSlots(0).front().interval, e.RawSlots(0).front().interval);
+  EXPECT_EQ(c.MergeStandardDim(e).code(), StatusCode::kInvalidArgument);
+  ExpectFrameIs(c_before, c);
 }
 
 TEST(TiltFrameTest, FoldSlotsSumsUnits) {
@@ -397,8 +406,9 @@ void ExpectMatchesModel(const DequeFrame& model, const TiltTimeFrame& frame,
 /// Drives a frame and the deque model through the same seeded stream of
 /// Adds and clock jumps until every level has sealed more than 3x its
 /// capacity (so every ring has wrapped several times), checking the two
-/// agree along the way and that a Snapshot/FromSnapshot round trip of the
-/// wrapped frame restores it exactly and continues in lockstep.
+/// agree along the way and that a record round trip (FromRecord) of the
+/// wrapped frame restores it bitwise and continues in lockstep, while a
+/// view of the same record answers like the frame it was taken from.
 void RunModelCheck(std::shared_ptr<const TiltPolicy> policy,
                    std::uint64_t seed, TimeTick max_gap) {
   Pcg32 rng(seed);
@@ -431,22 +441,21 @@ void RunModelCheck(std::shared_ptr<const TiltPolicy> policy,
         << "level " << li << " should be full after wrapping";
   }
 
-  const TiltFrameState state = frame.Snapshot();
-  for (int li = 0; li <= coarsest; ++li) {
-    const auto& want = model.slots(li);
-    ASSERT_EQ(state.levels[static_cast<size_t>(li)].slots.size(),
-              want.size());
-    for (size_t s = 0; s < want.size(); ++s) {
-      ExpectMomentsIdentical(want[s],
-                             state.levels[static_cast<size_t>(li)].slots[s]);
-    }
-  }
-  auto restored = TiltTimeFrame::FromSnapshot(policy, state);
+  const std::string record = RecordOf(frame);
+  auto restored = TiltTimeFrame::FromRecord(policy, record);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ExpectStatesIdentical(state, restored->Snapshot());
+  ExpectFrameIs(record, *restored);
   ExpectMatchesModel(model, *restored, rng);
-  // The restored (unrotated) ring and the wrapped original keep agreeing
-  // with the model as they seal on.
+  auto words = AlignedCopy(record);
+  auto view =
+      TiltTimeFrame::ViewRecord(policy, BytesOf(*words, record.size()), words);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  words.reset();  // the view holds the memory it reads
+  EXPECT_TRUE((*view)->is_view());
+  ExpectFrameIs(record, **view);
+  ExpectMatchesModel(model, **view, rng);
+  // The restored ring (rotated exactly like the original's) and the
+  // wrapped original keep agreeing with the model as they seal on.
   const TimeTick end = t + 4 * static_cast<TimeTick>(
                                    policy->NominalUnitTicks(coarsest));
   for (TimeTick u = t; u < end;
@@ -458,7 +467,7 @@ void RunModelCheck(std::shared_ptr<const TiltPolicy> policy,
   }
   ExpectMatchesModel(model, frame, rng);
   ExpectMatchesModel(model, *restored, rng);
-  ExpectStatesIdentical(frame.Snapshot(), restored->Snapshot());
+  ExpectFrameIs(RecordOf(frame), *restored);
 }
 
 TEST(TiltFrameLayoutTest, RingMatchesDequeModelOnUniformPolicy) {
@@ -483,19 +492,19 @@ TEST(TiltFrameLayoutTest, CopyIsIndependentOfOriginal) {
   for (TimeTick t = 0; t < 4 * 30 + 2; ++t) {
     ASSERT_TRUE(original.Add(t, rng.NextGaussian()).ok());
   }
-  const TiltFrameState before = original.Snapshot();
+  const std::string before = RecordOf(original);
 
   TiltTimeFrame copy(original);
-  ExpectStatesIdentical(before, copy.Snapshot());
+  ExpectFrameIs(before, copy);
   TiltTimeFrame assigned(QuarterHourDayPolicy(), 7);
   assigned = original;
-  ExpectStatesIdentical(before, assigned.Snapshot());
+  ExpectFrameIs(before, assigned);
   TiltTimeFrame other_shape(
       std::shared_ptr<const TiltPolicy>(
           MakeUniformTiltPolicy({{"tick", 2}}, {1})),
       0);
   other_shape = original;  // different block size: reallocated
-  ExpectStatesIdentical(before, other_shape.Snapshot());
+  ExpectFrameIs(before, other_shape);
 
   for (TiltTimeFrame* mutated : {&copy, &assigned, &other_shape}) {
     for (TimeTick t = 4 * 30 + 2; t < 4 * 40; ++t) {
@@ -504,14 +513,63 @@ TEST(TiltFrameLayoutTest, CopyIsIndependentOfOriginal) {
     ASSERT_TRUE(mutated->AdvanceTo(96 * 3).ok());
     EXPECT_NE(mutated->next_tick(), original.next_tick());
   }
-  ExpectStatesIdentical(before, original.Snapshot());
+  ExpectFrameIs(before, original);
 
   // And the other way round: mutating the original leaves a copy alone.
   TiltTimeFrame frozen(original);
-  const TiltFrameState frozen_before = frozen.Snapshot();
+  const std::string frozen_before = RecordOf(frozen);
   ASSERT_TRUE(original.Add(96 * 2, 1.0).ok());
   ASSERT_TRUE(original.MergeStandardDim(original).ok());
-  ExpectStatesIdentical(frozen_before, frozen.Snapshot());
+  ExpectFrameIs(frozen_before, frozen);
+}
+
+TEST(TiltFrameLayoutTest, ViewReadsInPlaceAndCopiesOwnTheirBlock) {
+  auto policy = QuarterHourDayPolicy();
+  TiltTimeFrame original(policy, 0);
+  for (TimeTick t = 0; t < 4 * 30 + 2; ++t) {
+    ASSERT_TRUE(original.Add(t, 0.25 * static_cast<double>(t % 9)).ok());
+  }
+  const std::string record = RecordOf(original);
+  auto words = AlignedCopy(record);
+  std::weak_ptr<std::vector<std::uint64_t>> watch = words;
+  auto view =
+      TiltTimeFrame::ViewRecord(policy, BytesOf(*words, record.size()), words);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  words.reset();
+  EXPECT_FALSE(watch.expired()) << "a view must hold its memory";
+  EXPECT_TRUE((*view)->is_view());
+  EXPECT_EQ((*view)->OwnedBytes(), 0);
+  EXPECT_EQ((*view)->MemoryBytes(), original.MemoryBytes());
+  ExpectFrameIs(record, **view);
+
+  // A copy of the view owns its block and evolves like the original.
+  TiltTimeFrame copy(**view);
+  EXPECT_FALSE(copy.is_view());
+  EXPECT_EQ(copy.OwnedBytes(), copy.MemoryBytes());
+  for (TiltTimeFrame* f : {&original, &copy}) {
+    ASSERT_TRUE(f->Add(4 * 30 + 5, 2.0).ok());
+    ASSERT_TRUE(f->AdvanceTo(96 * 2).ok());
+  }
+  ExpectFrameIs(RecordOf(original), copy);
+  ExpectFrameIs(record, **view);  // the view never changed
+
+  view->reset();
+  EXPECT_TRUE(watch.expired()) << "the last view releases its memory";
+
+  // A misaligned record cannot be viewed (restoring it still works).
+  std::vector<std::uint64_t> shifted(record.size() / 8 + 2);
+  char* odd = reinterpret_cast<char*>(shifted.data()) + 4;
+  std::memcpy(odd, record.data(), record.size());
+  EXPECT_EQ(TiltTimeFrame::ViewRecord(policy,
+                                      std::string_view(odd, record.size()),
+                                      nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  auto restored =
+      TiltTimeFrame::FromRecord(policy, std::string_view(odd, record.size()));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectFrameIs(record, *restored);
 }
 
 }  // namespace
