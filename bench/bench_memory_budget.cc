@@ -3,7 +3,7 @@
 // tilt-frame peak and the hot gather time. Phase 2 reruns it with the
 // budget clamped to a fraction of that peak (default 25%): ingest must be
 // lossless (zero failures), the resident tilt-frame bytes must land at or
-// under the budget once the post-gather enforcement has run, and the
+// under the budget once the post-write enforcement has run, and the
 // first snapshot after a spill pays the cold-read cost (views of the
 // spilled blocks, no fault-in) — measured directly and as a ratio against
 // the unbounded engine's hot gather.
@@ -49,9 +49,10 @@ Engine BuildEngine(const std::shared_ptr<const CubeSchema>& schema,
 }
 
 /// Ingests `stream` in `slices` tick bands with a snapshot between each
-/// band — the mixed read/write shape the budget governs (snapshots drain
-/// the dirty set, so the next gather's enforcement can spill). Returns
-/// the wall seconds; RC_CHECKs that not one tuple was refused.
+/// band — the mixed read/write shape the budget governs. Each band's
+/// ingest enforces the budget (spilling the coldest cells, dirty or
+/// clean); the snapshots only read, viewing spilled cells in place.
+/// Returns the wall seconds; RC_CHECKs that not one tuple was refused.
 double DriveSliced(Engine& engine, const std::vector<StreamTuple>& stream,
                    std::int64_t series_length, int slices) {
   std::vector<std::vector<StreamTuple>> bands(
@@ -158,7 +159,7 @@ void Run(int argc, char** argv) {
   RC_CHECK(spill.enforcements > 0) << "budget never kicked in; shrink it";
   RC_CHECK(resident <= budget)
       << "resident " << resident << " over budget " << budget
-      << " after the post-gather enforcement";
+      << " after the post-write enforcement";
   // Same stream, zero refusals on both sides: the answers must agree.
   auto budgeted_top = budgeted.Query(QuerySpec::TopExceptions(top, 0, 1));
   RC_CHECK(budgeted_top.ok()) << budgeted_top.status().ToString();

@@ -199,14 +199,14 @@ regcube::SpillStats Engine::SpillStats() const {
 Status Engine::InitStorage(const MemoryBudgetConfig& budget) {
   RC_RETURN_IF_ERROR(sharded_->ConfigureStorage(budget));
   if (MemoryGovernor* governor = sharded_->governor()) {
-    // Rung 19, between the cube memo (10) and the shard publications
-    // (21): the api snapshot cache pins the one merged run (and its
+    // Rung 30, after cold spill (20) and before the shard publications
+    // (40): the api snapshot cache pins the one merged run (and its
     // memoized cube), so dropping it both frees the run and the
     // snapshot's own memo and releases the frozen blocks the engine-side
     // rung is about to drop from being pinned alive.
     SnapshotCache* cache = cache_.get();
     MemoryTracker* tracker = tracker_.get();
-    governor->AddRung(19, "snapshot.cache",
+    governor->AddRung(30, "snapshot.cache",
                       [cache, tracker](std::int64_t /*excess*/) {
                         std::lock_guard<std::mutex> lock(cache->mu);
                         return cache->ReplaceLocked(nullptr, tracker);
@@ -217,7 +217,7 @@ Status Engine::InitStorage(const MemoryBudgetConfig& budget) {
     // without this the governor would declare victory while RAM stays
     // over budget. (While the shards also hold the blocks the bytes are
     // double-counted; that only makes enforcement earlier, never later,
-    // and rung 19 zeroes the probe.)
+    // and rung 30 zeroes the probe.)
     governor->AddUsageProbe([cache]() -> std::int64_t {
       std::lock_guard<std::mutex> lock(cache->mu);
       return cache->snapshot != nullptr ? cache->snapshot->PinnedFrameBytes()

@@ -243,10 +243,12 @@ class EngineBuilder {
 
   /// Global memory budget in bytes shared by every shard (default 0 =
   /// unbounded). When retained bytes exceed it, the engine walks a typed
-  /// eviction ladder after ingest batches: drop the cube memo, the cached
-  /// snapshot, the shard publications and frozen blocks, then — with a
-  /// spill dir — spill cold tilt frames to disk. Queries stay
-  /// bit-identical; spilled frames fault back in transparently.
+  /// eviction ladder after ingest batches and seals: drop the cube memo,
+  /// then — with a spill dir — spill the coldest tilt frames to disk,
+  /// and only if that cannot reach the budget drop the cached snapshot,
+  /// the shard publications and frozen blocks. Queries stay
+  /// bit-identical; reads view spilled frames in place and a write
+  /// faults its cell back in.
   EngineBuilder& SetMemoryBudget(std::int64_t budget_bytes);
 
   /// Directory cold frames spill to (default unset = no cold tier; the

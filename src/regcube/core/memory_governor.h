@@ -19,7 +19,7 @@ struct SpillStats {
   std::int64_t memo_evictions = 0;  // rung invocations, by rung
   std::int64_t cache_evictions = 0;
   std::int64_t spill_evictions = 0;
-  std::int64_t export_evictions = 0;  // export.dirty rung invocations
+  std::int64_t export_evictions = 0;  // always 0; the e2e harness reads it
   std::int64_t evicted_bytes = 0;   // bytes reclaimed by all rungs
   std::int64_t spilled_cells = 0;   // cells currently cold (point in time)
   std::int64_t spilled_blocks = 0;  // blocks ever written to the cold tier
@@ -44,17 +44,21 @@ struct SpillStats {
 ///
 /// Rungs are registered with a priority (lower runs first) and a reclaim
 /// callback taking the bytes still over target; the canonical ladder is
-///   drop the cube memo -> drop gather/snapshot caches -> spill cold frames
-/// so the cheapest-to-rebuild state goes first and the cold tier is the
-/// last resort.
+///   drop the cube memo -> spill cold frames -> drop the snapshot cache
+///   -> drop the shard publications and frozen copies
+/// Spill is the lever for frames: reads view a spilled block in place, so
+/// it costs a reader nothing, and any resident cell may go. The cache
+/// rungs throw away work every later read redoes, so they run only when
+/// spilling cannot reach the target (every cell is cold, the spill write
+/// keeps failing, or there is no cold tier).
 ///
-/// MaybeEnforce is called from the ingest paths (sync ingest and the owner
-/// threads' post-drain hook). It is cheap when under budget (one usage
-/// probe), and at most one thread runs the ladder at a time — contenders
-/// skip rather than queue, so ingest never stalls behind an eviction
-/// already in progress. Enforcement drains to a target slightly below the
-/// budget (budget minus 1/8) so each run buys headroom instead of
-/// thrashing at the ceiling.
+/// MaybeEnforce is called from the write paths (sync ingest, the owner
+/// threads' post-drain hook, and seals) — never from a read. It is cheap
+/// when under budget (one usage probe), and at most one thread runs the
+/// ladder at a time — contenders skip rather than queue, so ingest never
+/// stalls behind an eviction already in progress. Enforcement drains to a
+/// target slightly below the budget (budget minus 1/8) so each run buys
+/// headroom instead of thrashing at the ceiling.
 class MemoryGovernor {
  public:
   /// `excess` is the bytes still above target; returns bytes reclaimed

@@ -37,20 +37,6 @@ void MoveTracked(MemoryTracker* from, MemoryTracker* to,
   if (to != nullptr) to->Add(category, bytes);
 }
 
-// Re-entrancy guard for the export.dirty ladder rung: set while the rung
-// runs, so that if any path it takes ever reaches MaybeEnforceBudget on
-// the same thread, the enforcement skips instead of try_locking the
-// governor's enforce mutex on the thread that already holds it (undefined
-// behavior, not just a deadlock). The rung's current body (clean dirty
-// queues + spill sweep) never re-enters, so this is pure defense.
-thread_local bool tl_in_budget_rung = false;
-
-struct ScopedFlag {
-  explicit ScopedFlag(bool& flag) : flag_(flag) { flag_ = true; }
-  ~ScopedFlag() { flag_ = false; }
-  bool& flag_;
-};
-
 /// Re-materializes one frozen block iff a tilt unit ends between its
 /// freeze tick and `target` — otherwise advancing it would seal nothing
 /// and the block is shared as-is. Returns the bytes retained by the new
@@ -277,18 +263,28 @@ ShardWriter::AbsorbResult ShardedStreamEngine::AbsorbDrained(
   }
   out.absorbed = report.absorbed;
   out.status = std::move(report.status);
-  // Clock follows what actually landed: the shard engine absorbs a strict
-  // prefix of the drained batch (it stops at the first error), so max over
-  // that prefix. Same fetch-max the sync path uses.
-  TimeTick max_tick = 0;
-  for (std::int64_t j = 0; j < out.absorbed; ++j) {
-    max_tick = std::max(max_tick, batch[static_cast<size_t>(j)].tick);
+  NoteAbsorbed(batch.data(), out.absorbed, changed);
+  return out;
+}
+
+void ShardedStreamEngine::NoteAbsorbed(const StreamTuple* fed,
+                                       std::int64_t absorbed, bool changed) {
+  // The shard engine absorbs a strict prefix of what it was fed (it stops
+  // at the first error), so the clock follows the max over that prefix.
+  if (absorbed > 0) {
+    TimeTick max_tick = fed[0].tick;
+    for (std::int64_t j = 1; j < absorbed; ++j) {
+      max_tick = std::max(max_tick, fed[j].tick);
+    }
+    BumpClock(max_tick);
   }
-  if (out.absorbed > 0) BumpClock(max_tick);
+  // The shard engine's revision moves exactly when observable state did
+  // (an absorbed tuple, or a rejected one that still created its cell's
+  // frame) — mirror that, so snapshot caches are invalidated precisely
+  // when they must be and never when nothing changed.
   if (changed) {
     revision_.fetch_add(1, std::memory_order_release);
   }
-  return out;
 }
 
 IngestTicket ShardedStreamEngine::IngestAsync(
@@ -409,16 +405,7 @@ Status ShardedStreamEngine::Ingest(const StreamTuple& tuple) {
     // mutex-gather baseline the async benches compare against.
     shard.version.store(shard.engine.revision(), std::memory_order_release);
   }
-  if (status.ok()) {
-    BumpClock(tuple.tick);
-  }
-  // The shard engine's revision moves exactly when observable state did
-  // (an absorbed tuple, or a rejected one that still created its cell's
-  // frame) — mirror that, so snapshot caches are invalidated precisely
-  // when they must be and never when nothing changed.
-  if (changed) {
-    revision_.fetch_add(1, std::memory_order_release);
-  }
+  NoteAbsorbed(&tuple, status.ok() ? 1 : 0, changed);
   MaybeEnforceBudget();
   return status;
 }
@@ -445,41 +432,32 @@ IngestReport ShardedStreamEngine::IngestBatch(
     }
   }
   std::vector<std::vector<StreamTuple>> partitions(shards_.size());
-  TimeTick max_tick = clock_.load(std::memory_order_relaxed);
   for (const StreamTuple& t : tuples) {
     const CellKey key = mapper_ ? mapper_(t.key) : t.key;
     partitions[static_cast<size_t>(ShardIndex(key))].push_back(
         {key, t.tick, t.value});
-    max_tick = std::max(max_tick, t.tick);
   }
-  bool changed = false;
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (partitions[i].empty()) continue;
     Shard& shard = *shards_[i];
     IngestReport shard_report;
+    bool changed;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       const std::uint64_t before = shard.engine.revision();
       shard_report = shard.engine.IngestBatch(partitions[i]);
-      changed = changed || shard.engine.revision() != before;
+      changed = shard.engine.revision() != before;
       shard.version.store(shard.engine.revision(),
                           std::memory_order_release);
     }
+    // Earlier shards keep what they absorbed even if a later one fails,
+    // so each shard's landed prefix moves the clock and the revision.
+    NoteAbsorbed(partitions[i].data(), shard_report.absorbed, changed);
     report.absorbed += shard_report.absorbed;
     if (!shard_report.ok()) {
       report.status = std::move(shard_report.status);
       break;
     }
-  }
-  if (report.ok()) {
-    BumpClock(max_tick);
-  }
-  // Earlier shards keep their prefix even on error, so any absorbed tuple
-  // (or created cell) moved some shard's revision; mirror it globally.
-  // (The clock self-corrects in the next gather/seal, which maxes over
-  // shard clocks.)
-  if (changed) {
-    revision_.fetch_add(1, std::memory_order_release);
   }
   MaybeEnforceBudget();
   return report;
@@ -613,13 +591,6 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells() {
   out.cells = std::move(merged);
   for (const GatherStats& s : stats) out.stats.Merge(s);
   out.stats.cells = static_cast<std::int64_t>(out.cells->size());
-
-  // The publish refresh above is the moment cells turn clean (spillable):
-  // writes and slot-sealing seals re-dirty them, so post-write enforcement
-  // can find nothing to spill in a hot-everywhere stream. Enforcing here —
-  // after the dirty lists drained, outside every shard lock — is what
-  // lets a budgeted engine actually converge under ingest/read churn.
-  MaybeEnforceBudget();
   return out;
 }
 
@@ -875,35 +846,27 @@ Status ShardedStreamEngine::ConfigureStorage(const MemoryBudgetConfig& config) {
   if (config.budget_bytes > 0) {
     governor_ = std::make_unique<MemoryGovernor>(
         config.budget_bytes, [this] { return UsageBytes(); });
-    // The typed eviction ladder, cheapest-to-rebuild first. The api layer
-    // registers its snapshot cache at priority 19, between the memo and
-    // the shard publications.
+    // The typed eviction ladder. Spill is the lever for frames: reads view
+    // a spilled block in place, so it costs a reader nothing, while the
+    // cache rungs after it throw away work every later read redoes. They
+    // run only when spilling cannot reach the target. The api layer
+    // registers its snapshot cache at priority 30, before the shard
+    // publications.
     governor_->AddRung(10, "cube.memo",
                        [this](std::int64_t) { return DropCubeMemoRung(); });
-    governor_->AddRung(21, "gather.caches", [this](std::int64_t) {
-      return DropGatherCachesRung();
-    });
     if (frame_store_ != nullptr) {
-      governor_->AddRung(30, "frames.spill", [this](std::int64_t excess) {
+      governor_->AddRung(20, "frames.spill", [this](std::int64_t excess) {
         return SpillColdFramesRung(excess);
       });
-      // The last rung handles the all-dirty overshoot: cold spill only
-      // takes clean cells, so a hot-everywhere stream can leave rung 30
-      // with nothing to do. An internal export turns the dirty cells
-      // clean, then the spill sweep re-runs — the ladder converges
-      // instead of stalling one rung short of its only real lever.
-      governor_->AddRung(40, "export.dirty", [this](std::int64_t excess) {
-        return ExportDirtyRung(excess);
-      });
     }
+    governor_->AddRung(40, "gather.caches", [this](std::int64_t) {
+      return DropGatherCachesRung();
+    });
   }
   return Status::OK();
 }
 
 void ShardedStreamEngine::MaybeEnforceBudget() {
-  // Never re-enter the governor from inside one of its own rungs: the
-  // try_lock on a mutex this thread already holds would be UB.
-  if (tl_in_budget_rung) return;
   if (governor_ == nullptr) return;
   governor_->MaybeEnforce();
   // Compaction rides the enforcement heartbeat, sampled so the per-call
@@ -937,28 +900,6 @@ void ShardedStreamEngine::MaybeCompactSegments() {
 void ShardedStreamEngine::set_fault_injector(FaultInjector* injector) {
   fault_injector_ = injector;
   if (frame_store_ != nullptr) frame_store_->set_fault_injector(injector);
-}
-
-std::int64_t ShardedStreamEngine::ExportDirtyRung(std::int64_t excess) {
-  // Deliberately NOT a gather: rung 21 just retired the publications, so
-  // a gather here would be a full export — a copy of every resident cell,
-  // allocated while the engine is over budget. Cleaning the dirty queues
-  // touches only resident cells and costs no I/O.
-  ScopedFlag in_rung(tl_in_budget_rung);
-  std::int64_t cleaned = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const std::int64_t shard_cleaned = shard->engine.CleanDirtyCells();
-    // The skipped patches are lost, so the publication can no longer be
-    // the base of the next refresh: retire it (the next read re-exports
-    // in full).
-    if (shard_cleaned > 0) InstallPublicationLocked(*shard, nullptr);
-    cleaned += shard_cleaned;
-  }
-  if (cleaned == 0) return 0;  // nothing was dirty; rung 30 said it all
-  // The newly-clean cells are spillable; sweep them out now rather than
-  // waiting for the next enforcement to notice.
-  return SpillColdFramesRung(excess);
 }
 
 std::int64_t ShardedStreamEngine::UsageBytes() const {
@@ -1022,8 +963,6 @@ regcube::SpillStats ShardedStreamEngine::SpillStats() const {
         out.memo_evictions += rung.invocations;
       } else if (rung.name == "frames.spill") {
         out.spill_evictions += rung.invocations;
-      } else if (rung.name == "export.dirty") {
-        out.export_evictions += rung.invocations;
       } else {
         out.cache_evictions += rung.invocations;
       }

@@ -181,7 +181,7 @@ class ShardedStreamEngine {
 
   /// Shares frozen blocks for unchanged cells and serves clean shards
   /// from their publications — O(changed cells) frame work plus an
-  /// O(cells) pointer merge.
+  /// O(cells) pointer merge. A read: it never runs the eviction ladder.
   GatheredCells GatherAlignedCells();
 
   /// The member-only gather behind point queries: frozen views of just the
@@ -310,11 +310,12 @@ class ShardedStreamEngine {
   /// Builds the cold tier and/or governor per `config`: opens the frame
   /// store (when a spill dir is configured), attaches it to every shard,
   /// and stands up the MemoryGovernor with the core eviction ladder —
-  /// cube memo (priority 10), shard publications + frozen blocks (21),
-  /// cold spill (30); the api layer adds its snapshot cache at 19. Call
-  /// once, after set_memory_tracker and before concurrent use. Enforcement
-  /// then runs after every sync ingest and on the owner threads'
-  /// post-batch hook in async mode.
+  /// cube memo (priority 10), cold spill of any resident cell (20), shard
+  /// publications + frozen blocks (40); the api layer adds its snapshot
+  /// cache at 30. Call once, after set_memory_tracker and before
+  /// concurrent use. Enforcement then runs after every sync ingest, on
+  /// the owner threads' post-batch hook in async mode, and after every
+  /// seal; reads never enforce.
   Status ConfigureStorage(const MemoryBudgetConfig& config);
 
   /// The governor, or null when no budget is configured — the api layer
@@ -468,6 +469,13 @@ class ShardedStreamEngine {
   /// barrier mutated the engines (seal).
   void MirrorVersionsLocked();
 
+  /// The bookkeeping after a shard lock drops, shared by every write door:
+  /// `absorbed` is the prefix of `fed` the shard engine kept. Moves the
+  /// clock to the max tick of that prefix and, if the shard's revision
+  /// `changed`, the global revision.
+  void NoteAbsorbed(const StreamTuple* fed, std::int64_t absorbed,
+                    bool changed);
+
   /// Current usage the governor compares against the budget: the
   /// tracker's global total when one is attached (it covers frames,
   /// frozen blocks, caches, memo, indexes, queues), else the sum of the
@@ -478,7 +486,6 @@ class ShardedStreamEngine {
   std::int64_t DropCubeMemoRung();
   std::int64_t DropGatherCachesRung();
   std::int64_t SpillColdFramesRung(std::int64_t excess);
-  std::int64_t ExportDirtyRung(std::int64_t excess);
 
   /// Sync-ingest admission: OK, or a typed ResourceExhausted when the
   /// governor has exhausted its ladder and usage still exceeds the budget

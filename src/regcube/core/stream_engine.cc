@@ -362,13 +362,13 @@ StreamCubeEngine::SpillSweep StreamCubeEngine::SpillColdFrames(
     std::int64_t target_bytes) {
   SpillSweep sweep;
   if (store_ == nullptr || target_bytes <= 0) return sweep;
-  // Cold-first: resident cells that are clean (not queued for the next
-  // export — a dirty cell would be faulted straight back in), least
-  // recently modified first.
+  // Cold-first: every resident cell, dirty or clean, least recently
+  // modified first. A dirty cell needs no export first: the refresh that
+  // patches it views the spilled block, which holds the unexported write.
   std::vector<std::pair<const CellKey*, CellState*>> candidates;
   candidates.reserve(cells_.size());
   for (auto& [key, state] : cells_) {
-    if (state.frame == nullptr || state.queued) continue;
+    if (state.frame == nullptr) continue;
     candidates.push_back({&key, &state});
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -425,15 +425,6 @@ StreamCubeEngine::SpillSweep StreamCubeEngine::SpillColdFrames(
   sweep.bytes = freed;
   PostFrozenBytes();
   return sweep;
-}
-
-std::int64_t StreamCubeEngine::CleanDirtyCells() {
-  if (dirty_cells_.empty()) return 0;
-  const std::int64_t cleaned =
-      static_cast<std::int64_t>(dirty_cells_.size());
-  for (auto& entry : dirty_cells_) entry.second->queued = false;
-  dirty_cells_.clear();
-  return cleaned;
 }
 
 void StreamCubeEngine::RepointSpilledBlocks(

@@ -175,12 +175,12 @@ class StreamCubeEngine {
   /// returned), or null for a full export. With a base, only the cells on
   /// the dirty list are re-frozen and spliced over a pointer-copy of it;
   /// with an empty dirty list the base itself is handed back (counted as
-  /// shards_reused). A caller that consumes the dirty list elsewhere
-  /// (CleanDirtyCells) or adds cells outside it (RestoreCell) must pass
-  /// null next. Frames are frozen at their own clock; callers align to a
-  /// global clock outside the lock (sharing survives the alignment when
-  /// no tilt-unit boundary was crossed, see TiltPolicy::AnyUnitEndIn) and
-  /// must align *copies*: the returned run is immutable and shared.
+  /// shards_reused). A caller that adds cells outside the dirty list
+  /// (RestoreCell) must pass null next. Frames are frozen at their own
+  /// clock; callers align to a global clock outside the lock (sharing
+  /// survives the alignment when no tilt-unit boundary was crossed, see
+  /// TiltPolicy::AnyUnitEndIn) and must align *copies*: the returned run
+  /// is immutable and shared.
   ///
   /// On a fault-in failure (typed Unavailable from the store) nothing is
   /// consumed: the dirty list stays put, so the next refresh from the same
@@ -240,29 +240,22 @@ class StreamCubeEngine {
     std::int64_t bytes = 0;  // RAM bytes released (frames + dropped frozen)
   };
 
-  /// Evicts clean (not dirty-queued) cells to the frame store, least
+  /// Evicts resident cells, dirty or clean, to the frame store, least
   /// recently modified first, until ~`target_bytes` of RAM is released or
-  /// candidates run out: the chosen frames' records go out in one write.
-  /// The governor's last rung. A spilled cell keeps only its BlockRef and
-  /// drops its frozen copy; reads view its block in place (FrozenFor), and
-  /// the cell is queued so the next refresh swaps a view into the
-  /// published run too. Only a write faults it back in. Reads align a
-  /// lagging block on a private copy, and AdvanceTo over missing ticks is
-  /// deterministic, so queries cannot observe the spill. A failed append
+  /// every cell is cold: the chosen frames' records go out in one write.
+  /// The governor's lever for frames, right after the cube memo. A
+  /// spilled cell keeps only its BlockRef and drops its frozen copy; reads
+  /// view its block in place (FrozenFor), and the cell is queued (if a
+  /// write has not queued it already) so the next refresh swaps a view —
+  /// holding any unexported write — into the published run too. Only a
+  /// write faults it back in. Reads align a lagging block on a private
+  /// copy, and AdvanceTo over missing ticks is deterministic, so queries
+  /// cannot observe the spill. A failed append
   /// is retried a bounded number of times with a short backoff (counted
   /// in SpillRetries); if the write keeps failing the cells stay
   /// resident, the error is counted in SpillIoErrors — degradation, never
   /// data loss.
   SpillSweep SpillColdFrames(std::int64_t target_bytes);
-
-  /// Turns every dirty-queued cell clean without exporting anything: the
-  /// queue is dropped, so a run built before this call no longer has its
-  /// patches on record — the caller must retire it and refresh from null
-  /// (a full export) next. Dirty cells are resident by construction, so
-  /// this touches no spilled cell — unlike a gather, which would fault the
-  /// whole cold tier back in. The governor's all-dirty escape hatch: after
-  /// this, SpillColdFrames has candidates again. Returns the cells cleaned.
-  std::int64_t CleanDirtyCells();
 
   /// Applies a compaction's relocation map to this engine's spilled cells:
   /// every BlockRef that names a rewritten block is re-pointed at its copy

@@ -2,9 +2,11 @@
 // round-trip tilt-frame state bitwise (spill -> fault-in is lossless); an
 // engine running under a byte budget with a spill directory must stay
 // bit-identical to the all-RAM replay reference through randomized churn
-// for shard counts {1, 2, 8} while actually spilling and faulting in; the
-// export.dirty rung must retire a publication whose patches it dropped;
-// Checkpoint -> OpenFrom must reproduce identical query results (including
+// for shard counts {1, 2, 8} while actually spilling and faulting in,
+// with or without reads between the writes; spill alone must bring a
+// write-only engine back under budget; reads must never run the eviction
+// ladder; an async engine under a budget must stay bit-identical while
+// its owner threads spill and readers snapshot; Checkpoint -> OpenFrom must reproduce identical query results (including
 // after resumed ingest, and across a different shard count); and corrupt /
 // truncated checkpoint files must fail with the typed error contract
 // (InvalidArgument / OutOfRange / NotFound), never mid-query.
@@ -252,8 +254,11 @@ TEST(FrameStoreTest, RecordOfAnotherLayoutIsInvalidArgument) {
 
 /// Drives the shared churn plan through a budgeted+spilling engine and the
 /// replay reference, then compares the engine's gathers with the
-/// reference's run.
-void RunBudgetedChurnEquivalence(int num_shards) {
+/// reference's run. With `gather_mid_stream` off nothing reads until the
+/// end, so every spill takes cells with unexported writes.
+void RunBudgetedChurnEquivalence(int num_shards, bool gather_mid_stream) {
+  SCOPED_TRACE(gather_mid_stream ? "gather every other round"
+                                 : "never gather");
   WorkloadSpec spec = ChurnWorkload(/*tuples=*/150, /*ticks=*/16,
                                     /*seed=*/71);
   StreamGenerator gen(spec);
@@ -271,7 +276,8 @@ void RunBudgetedChurnEquivalence(int num_shards) {
   MemoryBudgetConfig config;
   config.budget_bytes = budgeted.MemoryBytes() / 4;
   config.spill_dir = FreshDir("frame_store_churn_" +
-                              std::to_string(num_shards));
+                              std::to_string(num_shards) +
+                              (gather_mid_stream ? "_gather" : "_blind"));
   ASSERT_TRUE(budgeted.ConfigureStorage(config).ok());
 
   ChurnPlan plan;
@@ -280,11 +286,13 @@ void RunBudgetedChurnEquivalence(int num_shards) {
   plan.advance_ticks = true;
   plan.base_tick = 16;
   plan.seal_every = 3;
-  // Gather every other round: gathers clean the dirty set (dirty cells
-  // are pinned resident), so later enforcements always find cold clean
-  // cells to spill — the steady-state read/write mix.
+  // Gather every other round (the steady-state read/write mix), or never:
+  // then the spills take dirty cells, and only the final gather exports
+  // their writes.
   RunChurnRounds(budgeted, gen.cells(), plan, [&](int round) {
-    if (round % 2 == 1) (void)budgeted.GatherAlignedCells();
+    if (gather_mid_stream && round % 2 == 1) {
+      (void)budgeted.GatherAlignedCells();
+    }
   });
   // Re-drive the identical plan into the reference (RunChurnRounds is a
   // pure function of the plan, so the write sequences are identical;
@@ -310,73 +318,18 @@ void RunBudgetedChurnEquivalence(int num_shards) {
 }
 
 TEST(FrameStoreChurnTest, BudgetedEngineMatchesOracleOneShard) {
-  RunBudgetedChurnEquivalence(1);
+  RunBudgetedChurnEquivalence(1, /*gather_mid_stream=*/true);
+  RunBudgetedChurnEquivalence(1, /*gather_mid_stream=*/false);
 }
 
 TEST(FrameStoreChurnTest, BudgetedEngineMatchesOracleTwoShards) {
-  RunBudgetedChurnEquivalence(2);
+  RunBudgetedChurnEquivalence(2, /*gather_mid_stream=*/true);
+  RunBudgetedChurnEquivalence(2, /*gather_mid_stream=*/false);
 }
 
 TEST(FrameStoreChurnTest, BudgetedEngineMatchesOracleEightShards) {
-  RunBudgetedChurnEquivalence(8);
-}
-
-// ------------------------------------------------- export.dirty retire
-
-/// The export.dirty rung (40) drops the dirty lists it cleans, so a shard
-/// publication built before it can no longer be patched forward: the rung
-/// must retire it. The window is narrow — the gather.caches rung (21)
-/// already retired every publication earlier in the same ladder run — so
-/// a rung at 25 forces it open: a helper thread gathers (republishing and
-/// consuming the dirty lists), then writes a few cells. Its own
-/// enforcement try_lock just fails while this thread runs the ladder, so
-/// nothing re-enters. Rung 40 then cleans those cells; the next gather
-/// must still see their writes. The writes land in a slot the clock has
-/// already sealed (a pacer cell ran ahead), so a stale run shows.
-TEST(MemoryBudgetTest, ExportDirtyRungRetiresThePublicationItCleans) {
-  WorkloadSpec spec = ChurnWorkload(/*tuples=*/60, /*ticks=*/16,
-                                    /*seed=*/83);
-  auto schema = MakeWorkloadSchemaPtr(spec);
-  ASSERT_TRUE(schema.ok());
-  StreamGenerator gen(spec);
-  ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 2);
-  ReferenceStream reference(*schema, ChurnEngineOptions());
-  PairedStream paired{engine, reference};
-
-  // A budget no engine can reach: every enforcement runs every rung.
-  MemoryBudgetConfig config;
-  config.budget_bytes = 1;
-  config.spill_dir = FreshDir("export_dirty_retire");
-  ASSERT_TRUE(engine.ConfigureStorage(config).ok());
-  bool armed = false;
-  int helper_runs = 0;
-  auto publish_then_write = [&](std::int64_t) -> std::int64_t {
-    if (!armed) return 0;
-    armed = false;
-    std::thread helper([&] {
-      ASSERT_TRUE(engine.GatherAlignedCells().status.ok());
-      for (size_t c = 0; c < 4; ++c) {
-        const StreamTuple late{gen.cells()[c].key, spec.series_length + 1,
-                               7.0 + static_cast<double>(c)};
-        ASSERT_TRUE(paired.Ingest(late).ok());
-      }
-      ++helper_runs;
-    });
-    helper.join();
-    return 0;
-  };
-  engine.governor()->AddRung(25, "test.publish_then_write",
-                             publish_then_write);
-
-  ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(paired.Ingest({Key2(15, 15), spec.series_length + 4, 1.0}).ok());
-  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
-
-  armed = true;
-  engine.MaybeEnforceBudget();
-  ASSERT_EQ(helper_runs, 1);
-  EXPECT_GT(engine.SpillStats().export_evictions, 0);
-  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
+  RunBudgetedChurnEquivalence(8, /*gather_mid_stream=*/true);
+  RunBudgetedChurnEquivalence(8, /*gather_mid_stream=*/false);
 }
 
 // ------------------------------------------------------- facade budget run
@@ -409,9 +362,8 @@ TEST(MemoryBudgetTest, FacadeStaysUnderBudgetAndAnswersIdentically) {
                     .SetSpillDir(FreshDir("mem_budget_facade"))
                     .Build();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  // Ingest in slices with interleaved snapshots, the steady-state shape:
-  // snapshots clean the dirty set, so enforcement points always have cold
-  // clean cells to spill. Zero ingest failures throughout.
+  // Ingest in slices with interleaved snapshots, the steady-state shape.
+  // Zero ingest failures throughout.
   const size_t slice = stream.size() / 8 + 1;
   for (size_t at = 0; at < stream.size(); at += slice) {
     const std::vector<StreamTuple> chunk(
@@ -469,12 +421,22 @@ TEST(MemoryBudgetTest, FacadeStaysUnderBudgetAndAnswersIdentically) {
 
 // ------------------------------------------------- all-dirty convergence
 
+/// The bytes the governor weighs: everything the memory tracker holds
+/// plus the frame copies the cached snapshot pins.
+std::int64_t GovernedBytes(const Engine& engine) {
+  std::int64_t bytes = engine.memory_tracker().current_bytes();
+  for (const auto& [name, value] : engine.MemoryReport()) {
+    if (name == "snapshot.pinned_frames") bytes += value;
+  }
+  return bytes;
+}
+
 /// Randomized churn with NO interleaved reads: every resident cell stays
-/// dirty-queued, so the spill rung alone has zero candidates and the
-/// ladder converges only through the export.dirty rung (clean the queues,
-/// then sweep). The engine must return to its budget within a bounded
-/// number of enforcement cycles, and compaction must keep the cold tier's
-/// footprint proportional to its live bytes despite the re-spill churn.
+/// dirty-queued, and the spill rung takes them as they are. Spill alone
+/// must return the engine to its budget within a bounded number of
+/// enforcement cycles — no cache rung runs — and compaction must keep the
+/// cold tier's footprint proportional to its live bytes despite the
+/// re-spill churn.
 void RunAllDirtyConvergence(int num_shards) {
   WorkloadSpec spec = ChurnWorkload(/*tuples=*/150, /*ticks=*/20,
                                     /*seed=*/61);
@@ -487,16 +449,21 @@ void RunAllDirtyConvergence(int num_shards) {
       .SetExceptionPolicy(ExceptionPolicy(0.02))
       .SetShardCount(num_shards);
 
-  // Measure the unbounded frame peak, then re-run under a quarter of it.
+  // Measure the unbounded engine after the stream and one snapshot, then
+  // re-run under two thirds of that. Every frame and its frozen copy is
+  // about half of it, and the rest (keys, member index, run entries, the
+  // snapshot's pinned copies) is what spill cannot free, so spill alone can
+  // reach this budget — a smaller one would leave every enforcement over
+  // budget whatever ran.
   auto oracle = builder.Build();
   ASSERT_TRUE(oracle.ok());
   ASSERT_TRUE(oracle->IngestBatch(stream).ok());
-  const std::int64_t peak =
-      oracle->memory_tracker().category_peak_bytes("stream.tilt_frames");
-  ASSERT_GT(peak, 0);
+  ASSERT_TRUE(oracle->TakeSnapshot()->status().ok());
+  const std::int64_t budget = GovernedBytes(*oracle) * 2 / 3;
+  ASSERT_GT(budget, 0);
 
   auto built =
-      builder.SetMemoryBudget(peak / 4)
+      builder.SetMemoryBudget(budget)
           .SetSpillDir(FreshDir("all_dirty_conv_" +
                                 std::to_string(num_shards)))
           .SetCompactThreshold(0.5)
@@ -506,11 +473,11 @@ void RunAllDirtyConvergence(int num_shards) {
   Engine engine = std::move(built).value();
   ASSERT_TRUE(engine.IngestBatch(stream).ok());
 
-  // One snapshot first, so every shard has a published run when the
-  // ladder starts cleaning dirty sets behind it.
+  // One snapshot first, so every shard has a published run that the
+  // spills of dirty cells must patch forward.
   ASSERT_TRUE(engine.TakeSnapshot()->status().ok());
 
-  // Randomized write-only churn: no snapshot ever cleans the dirty set.
+  // Randomized write-only churn: no snapshot ever exports the dirty set.
   // Every write is kept for the oracle replay below.
   std::vector<StreamTuple> writes;
   Pcg32 rng(613, 5);
@@ -524,29 +491,25 @@ void RunAllDirtyConvergence(int num_shards) {
     }
   }
 
-  // Convergence within N cycles: each probe write lands one enforcement;
-  // the ladder must put resident frames at/under budget almost at once
-  // (one run cleans + sweeps; the bound leaves slack for the probe's own
-  // dirtying).
+  // Convergence within N cycles: each probe write lands one enforcement
+  // point; the ladder must put the engine at/under budget almost at once
+  // (one sweep; the bound leaves slack for the probe's own fault-in).
   constexpr int kMaxCycles = 6;
-  std::int64_t frame_bytes = -1;
+  std::int64_t usage = -1;
   for (int cycle = 0; cycle < kMaxCycles; ++cycle) {
     writes.push_back({gen.cells()[0].key, spec.series_length + 10, 0.25});
     ASSERT_TRUE(engine.Ingest(writes.back()).ok());
-    frame_bytes = -1;
-    for (const auto& [name, bytes] : engine.MemoryReport()) {
-      if (name == "stream.tilt_frames") frame_bytes = bytes;
-    }
-    if (frame_bytes >= 0 && frame_bytes <= peak / 4) break;
+    usage = GovernedBytes(engine);
+    if (usage <= budget) break;
   }
-  EXPECT_GE(frame_bytes, 0);
-  EXPECT_LE(frame_bytes, peak / 4)
+  EXPECT_LE(usage, budget)
       << "still over budget after " << kMaxCycles << " cycles";
 
   const SpillStats spill = engine.SpillStats();
-  // The export.dirty rung did the converging: nothing else could, with
-  // every cell dirty.
-  EXPECT_GT(spill.export_evictions, 0);
+  // Spill did the converging, on dirty cells, without a cache rung.
+  EXPECT_GT(spill.spill_evictions, 0);
+  EXPECT_EQ(spill.cache_evictions, 0);
+  EXPECT_EQ(spill.export_evictions, 0);
   EXPECT_GT(spill.spilled_cells, 0);
 
   // Disk stays proportional to live bytes: the re-spill churn turned old
@@ -665,13 +628,13 @@ TEST(CheckpointTest, CheckpointOfSpilledEngineIsComplete) {
       .SetExceptionPolicy(ExceptionPolicy(0.02))
       .SetShardCount(2);
   // A 1-byte budget keeps the engine permanently over it, so every
-  // post-write enforcement spills whatever the last snapshot left clean.
+  // post-write enforcement spills every resident cell.
   auto budgeted = builder.SetMemoryBudget(1)
                       .SetSpillDir(FreshDir("checkpoint_spilled_spill"))
                       .Build();
   ASSERT_TRUE(budgeted.ok());
   ASSERT_TRUE(budgeted->IngestBatch(gen.GenerateStream()).ok());
-  (void)budgeted->TakeSnapshot();  // cleans the dirty set
+  (void)budgeted->TakeSnapshot();
   ASSERT_TRUE(
       budgeted->Ingest({gen.cells()[0].key, spec.series_length, 0.125}).ok());
   ASSERT_GT(budgeted->SpillStats().spilled_cells, 0);
@@ -737,9 +700,9 @@ TEST(CheckpointTest, RestoreAfterAnEmptyGatherServesEveryRestoredCell) {
 
 TEST(MemoryBudgetTest, ConcurrentChurnSnapshotsAndEnforcement) {
   // Writers churn while readers snapshot on a tightly-budgeted engine:
-  // every gather both cleans cells (arming the next spill) and faults
-  // spilled ones back in, so spill / fault-in / eviction race real reads
-  // and writes. Runs in the TSan CI job via the "concurrency" label.
+  // each write's enforcement spills cells the readers are viewing, and
+  // the next write to a cold cell faults it back in, so spill / fault-in
+  // / eviction race real reads and writes. Runs in the TSan CI job via the "concurrency" label.
   WorkloadSpec spec = ChurnWorkload(/*tuples=*/80, /*ticks=*/16, /*seed=*/44);
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
@@ -795,6 +758,157 @@ TEST(MemoryBudgetTest, ConcurrentChurnSnapshotsAndEnforcement) {
   auto final_window = snap->Window(0, 2);
   ASSERT_TRUE(final_window.ok());
   EXPECT_EQ(snap->num_cells(), static_cast<std::int64_t>(cells.size()));
+}
+
+TEST(MemoryBudgetTest, AsyncOwnersSpillWhileReadersSnapshot) {
+  // The async enforcement point is each owner thread's post-batch hook:
+  // there the spill rung takes dirty cells while a reader takes snapshots
+  // from the publications without the shard mutex. Two producers write
+  // disjoint cells (per-cell order is all that matters), first the seeded
+  // stream, then rounds of later ticks that fault spilled cells back in.
+  // Runs in the TSan CI job via the "concurrency" label.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/80, /*ticks=*/16, /*seed=*/29);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  const std::vector<StreamTuple> stream = gen.GenerateStream();
+  const auto& cells = gen.cells();
+
+  EngineBuilder builder;
+  builder.SetSchema(*schema)
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetShardCount(2)
+      .SetReadThreads(1)
+      .SetIngestMode(IngestMode::kAsync)
+      .SetQueueCapacity(16)
+      .SetBackpressure(BackpressurePolicy::kBlock)
+      .SetMemoryBudget(16 << 10)
+      .SetSpillDir(FreshDir("mem_budget_async"));
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+
+  constexpr int kProducers = 2;
+  constexpr int kRounds = 12;
+  auto owns = [](const CellKey& key, int p) {
+    return key.Hash() % kProducers == static_cast<std::uint64_t>(p);
+  };
+  std::vector<StreamTuple> writes[kProducers];
+  for (int p = 0; p < kProducers; ++p) {
+    for (const StreamTuple& t : stream) {
+      if (owns(t.key, p)) writes[p].push_back(t);
+    }
+    for (int round = 0; round < kRounds; ++round) {
+      for (const auto& cell : cells) {
+        if (!owns(cell.key, p)) continue;
+        writes[p].push_back({cell.key, spec.series_length + round,
+                             0.5 + static_cast<double>(round)});
+      }
+    }
+  }
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto snap = engine.TakeSnapshot();
+      ASSERT_TRUE(snap->status().ok()) << snap->status().ToString();
+      (void)snap->Window(0, 1);
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::vector<StreamTuple> chunk;
+      for (const StreamTuple& t : writes[p]) {
+        chunk.push_back(t);
+        if (chunk.size() == 9) {
+          ASSERT_TRUE(engine.IngestAsync(chunk).ok());
+          chunk.clear();
+        }
+      }
+      if (!chunk.empty()) {
+        ASSERT_TRUE(engine.IngestAsync(chunk).ok());
+      }
+    });
+  }
+  for (std::thread& p : producers) p.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_TRUE(engine.Flush().ok());
+  const TimeTick last = spec.series_length + kRounds - 1;
+  ASSERT_TRUE(engine.SealThrough(last).ok());
+
+  const SpillStats spill = engine.SpillStats();
+  EXPECT_GT(spill.enforcements, 0);
+  EXPECT_GT(spill.spill_evictions, 0);
+  EXPECT_GT(spill.fault_ins, 0);
+
+  ReferenceStream reference(*schema, ChurnEngineOptions());
+  for (const auto& producer_writes : writes) {
+    ASSERT_TRUE(reference.IngestBatch(producer_writes).ok());
+  }
+  ASSERT_TRUE(reference.SealThrough(last).ok());
+
+  // Every sealed slot of every cell at every level, bit for bit.
+  auto snap = engine.TakeSnapshot();
+  ASSERT_TRUE(snap->status().ok()) << snap->status().ToString();
+  EXPECT_EQ(snap->now(), reference.clock());
+  const SnapshotCells run = reference.Run();
+  ASSERT_EQ(snap->num_cells(), static_cast<std::int64_t>(run.size()));
+  const CuboidId m_layer = engine.lattice().m_layer_id();
+  for (const CellSnapshot& cell : run) {
+    for (int level = 0; level < reference.num_levels(); ++level) {
+      auto got = snap->QueryCellSeries(m_layer, cell.key, level);
+      auto want = reference.CellSeries(m_layer, cell.key, level);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_EQ(*got, *want)
+          << "cell " << cell.key.ToString() << " level " << level;
+    }
+  }
+}
+
+TEST(MemoryBudgetTest, ReadsNeverRunTheLadder) {
+  // Enforcement belongs to writes and seals. Under a 1-byte budget every
+  // enforcement point runs the ladder, so a read that enforced would show
+  // up in the count.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/60, /*ticks=*/12, /*seed=*/37);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  const CellKey probe = gen.cells()[0].key;
+
+  auto facade = EngineBuilder()
+                    .SetSchema(*schema)
+                    .SetTiltPolicy(SmallTiltPolicy())
+                    .SetShardCount(2)
+                    .SetMemoryBudget(1)
+                    .SetSpillDir(FreshDir("reads_never_enforce_facade"))
+                    .Build();
+  ASSERT_TRUE(facade.ok()) << facade.status().ToString();
+  ASSERT_TRUE(facade->IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(facade->Ingest({probe, spec.series_length, 1.0}).ok());
+  const std::int64_t facade_runs = facade->SpillStats().enforcements;
+  ASSERT_GT(facade_runs, 0);
+  ASSERT_TRUE(facade->TakeSnapshot()->status().ok());
+  ASSERT_TRUE(facade->Query(QuerySpec::Cell(facade->lattice().m_layer_id(),
+                                            probe, 0, 1))
+                  .ok());
+  EXPECT_EQ(facade->SpillStats().enforcements, facade_runs);
+
+  ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 2);
+  MemoryBudgetConfig config;
+  config.budget_bytes = 1;
+  config.spill_dir = FreshDir("reads_never_enforce_engine");
+  ASSERT_TRUE(engine.ConfigureStorage(config).ok());
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.Ingest({probe, spec.series_length, 1.0}).ok());
+  const std::int64_t engine_runs = engine.SpillStats().enforcements;
+  ASSERT_GT(engine_runs, 0);
+  ASSERT_TRUE(engine.GatherAlignedCells().status.ok());
+  ASSERT_TRUE(engine.QueryCell(engine.lattice().m_layer_id(), probe, 0, 1)
+                  .ok());
+  EXPECT_EQ(engine.SpillStats().enforcements, engine_runs);
 }
 
 TEST(MemoryBudgetTest, ConcurrentCompactionAgainstLockFreeReads) {

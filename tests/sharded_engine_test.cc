@@ -295,12 +295,49 @@ TEST(ShardedEngineTest, LaggingShardAlignsToGlobalClock) {
   }
 }
 
+TEST(ShardedEngineTest, PartiallyFailedBatchMovesTheClockOverWhatLanded) {
+  // Shards are fed in index order, and an earlier shard keeps what it
+  // absorbed when a later one refuses a tuple: the clock must follow the
+  // tuples that landed, not wait for a gather or a seal to catch up.
+  WorkloadSpec spec = ShardSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  // No key mapper: a key's shard is its hash modulo the shard count, so
+  // `a` lands on shard 0 and `b` on shard 1.
+  CellKey a, b;
+  bool found_a = false, found_b = false;
+  for (const auto& cell : gen.cells()) {
+    if (cell.key.Hash() % 2 == 0 && !found_a) {
+      a = cell.key;
+      found_a = true;
+    } else if (cell.key.Hash() % 2 == 1 && !found_b) {
+      b = cell.key;
+      found_b = true;
+    }
+  }
+  ASSERT_TRUE(found_a && found_b);
+
+  ShardedStreamEngine engine(*schema, ShardOptions(), 2);
+  ReferenceStream reference(*schema, ShardOptions());
+  PairedStream paired{engine, reference};
+  ASSERT_TRUE(paired.Ingest({b, 5, 1.0}).ok());
+  const IngestReport report = paired.IngestBatch({{a, 10, 2.0}, {b, 3, 3.0}});
+  EXPECT_EQ(report.status.code(), StatusCode::kOutOfRange)
+      << report.status.ToString();
+  EXPECT_EQ(report.absorbed, 1);
+  EXPECT_EQ(engine.now(), 10);
+  EXPECT_EQ(engine.now(), reference.clock());
+  ExpectGatherMatchesReference(engine.GatherAlignedCells(), reference);
+  EXPECT_EQ(engine.now(), 10);
+}
+
 // ------------------------------------------------------------- late data
 
 /// One late-data case: `setup` writes and seals through a PairedStream,
 /// then `late` is offered. The engine's verdict must equal the replay
 /// reference's at every shard count, with and without a 1-byte budget
-/// (which spills every clean cell), and the stored data must match too.
+/// (which spills every resident cell), and the stored data must match too.
 struct LateTickCase {
   std::function<void(PairedStream&, ShardedStreamEngine&)> setup;
   std::function<StreamTuple()> late;
@@ -325,7 +362,7 @@ void ExpectLateTickRefused(const std::string& name, const LateTickCase& c,
   PairedStream paired{engine, reference};
   c.setup(paired, engine);
   if (budgeted) {
-    // Every clean cell went cold: the late write must fault one in.
+    // Every cell went cold: the late write must fault one in.
     ASSERT_EQ(engine.SpillStats().spilled_cells, engine.num_cells());
   }
   const Status verdict = paired.Ingest(c.late());
@@ -344,7 +381,7 @@ TEST(LateTickTest, RefusedAlikeAtEveryShardCountAndResidency) {
       [&](PairedStream& paired, ShardedStreamEngine& engine) {
         ASSERT_TRUE(paired.Ingest({a, 10, 1.0}).ok());
         ASSERT_TRUE(paired.Ingest({b, 3, 2.0}).ok());
-        (void)engine.GatherAlignedCells();  // cells turn clean (spillable)
+        (void)engine.GatherAlignedCells();
         ASSERT_TRUE(paired.SealThrough(5).ok());
       },
       [&] { return StreamTuple{b, 4, 1.0}; }};
