@@ -157,8 +157,8 @@ void RunMaintained(int argc, char** argv, bench::JsonWriter& json) {
       incr_s += incr_timer.ElapsedSeconds();
 
       Stopwatch scratch_timer;
-      auto scratch = SnapshotCubeOf(*schema, *run.cells, options, level, k,
-                                    pool.get());
+      auto scratch = SnapshotCubeOf(*schema, *run.cells, run.clock, options,
+                                    level, k, pool.get());
       RC_CHECK(scratch.ok()) << scratch.status().ToString();
       scratch_s += scratch_timer.ElapsedSeconds();
 
@@ -262,8 +262,8 @@ void RunRoll(int argc, char** argv, bench::JsonWriter& json) {
     incr_s += incr_timer.ElapsedSeconds();
 
     Stopwatch scratch_timer;
-    auto scratch =
-        SnapshotCubeOf(*schema, *run.cells, options, level, k, pool.get());
+    auto scratch = SnapshotCubeOf(*schema, *run.cells, run.clock, options,
+                                  level, k, pool.get());
     RC_CHECK(scratch.ok()) << scratch.status().ToString();
     scratch_s += scratch_timer.ElapsedSeconds();
 

@@ -164,8 +164,9 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
         << " frames for " << dirty_n << " dirty cells";
 
     // Bit-identity: the delta gather is a caching strategy, not a new read.
-    auto expected_window = SnapshotWindowOf(reference.Run(), 0, 2);
-    auto delta_window = SnapshotWindowOf(*delta.cells, 0, 2);
+    auto expected_window =
+        SnapshotWindowOf(reference.Run(), reference.clock(), 0, 2);
+    auto delta_window = SnapshotWindowOf(*delta.cells, delta.clock, 0, 2);
     RC_CHECK(expected_window.ok() && delta_window.ok());
     RC_CHECK(expected_window->size() == delta_window->size());
     for (size_t i = 0; i < expected_window->size(); ++i) {
@@ -185,8 +186,8 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   const double member_s = member_timer.ElapsedSeconds();
   RC_CHECK(member_series.ok()) << member_series.status().ToString();
   auto expected_series =
-      SnapshotCellSeriesOf(run, engine.lattice(), reference.num_levels(),
-                           o_id, o_key, 0);
+      SnapshotCellSeriesOf(run, reference.clock(), engine.lattice(),
+                           reference.num_levels(), o_id, o_key, 0);
   RC_CHECK(expected_series.ok()) << expected_series.status().ToString();
   RC_CHECK(*member_series == *expected_series)
       << "member-only QueryCellSeries diverged from the reference";
@@ -217,9 +218,13 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
     const SnapshotCells expected = reference.Members(run, o_id, key);
     RC_CHECK(indexed.cells.size() == expected.size())
         << "indexed member set diverged for " << key.ToString();
+    RC_CHECK(indexed.clock == reference.clock());
+    std::vector<MomentSums> sealed;
     for (size_t i = 0; i < indexed.cells.size(); ++i) {
       RC_CHECK(indexed.cells[i].key == expected[i].key);
-      const TiltTimeFrame::SlotView a = indexed.cells[i].frame->RawSlots(0);
+      // The member's frame may lag the clock; read it as of the clock.
+      const TiltTimeFrame::SlotView a =
+          indexed.cells[i].frame->SlotsAsOf(0, indexed.clock, &sealed);
       const TiltTimeFrame::SlotView b = expected[i].frame->RawSlots(0);
       RC_CHECK(a.size() == b.size());
       for (size_t s = 0; s < a.size(); ++s) {

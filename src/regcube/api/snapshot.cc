@@ -20,26 +20,26 @@ CubeSnapshot::CubeSnapshot(std::shared_ptr<const CubeSchema> schema,
 
 Result<std::vector<MLayerTuple>> CubeSnapshot::Window(int level, int k) const {
   RC_RETURN_IF_ERROR(gathered_.status);
-  return SnapshotWindowOf(*gathered_.cells, level, k);
+  return SnapshotWindowOf(*gathered_.cells, gathered_.clock, level, k);
 }
 
 Result<RegressionCube> CubeSnapshot::ComputeCube(int level, int k) const {
   RC_RETURN_IF_ERROR(gathered_.status);
-  return SnapshotCubeOf(schema_, *gathered_.cells, options_, level, k,
-                        pool_.get());
+  return SnapshotCubeOf(schema_, *gathered_.cells, gathered_.clock, options_,
+                        level, k, pool_.get());
 }
 
 Result<CubeSnapshot::DeckSeries> CubeSnapshot::ObservationDeck(
     int level) const {
   RC_RETURN_IF_ERROR(gathered_.status);
-  return SnapshotDeckOf(*gathered_.cells, lattice_,
+  return SnapshotDeckOf(*gathered_.cells, gathered_.clock, lattice_,
                         options_.tilt_policy->num_levels(), level);
 }
 
 Result<std::vector<CubeSnapshot::TrendChange>>
 CubeSnapshot::DetectTrendChanges(int level, double threshold) const {
   RC_RETURN_IF_ERROR(gathered_.status);
-  return SnapshotTrendChangesOf(*gathered_.cells, lattice_,
+  return SnapshotTrendChangesOf(*gathered_.cells, gathered_.clock, lattice_,
                                 options_.tilt_policy->num_levels(), level,
                                 threshold);
 }
@@ -49,14 +49,15 @@ Result<Isb> CubeSnapshot::QueryCell(CuboidId cuboid, const CellKey& key,
   RC_RETURN_IF_ERROR(gathered_.status);
   RC_RETURN_IF_ERROR(ValidatePointQueryTarget(
       lattice_, cuboid, level, options_.tilt_policy->num_levels()));
-  return SnapshotCellOf(*gathered_.cells, lattice_, cuboid, key, level, k);
+  return SnapshotCellOf(*gathered_.cells, gathered_.clock, lattice_, cuboid,
+                        key, level, k);
 }
 
 Result<std::vector<Isb>> CubeSnapshot::QueryCellSeries(CuboidId cuboid,
                                                        const CellKey& key,
                                                        int level) const {
   RC_RETURN_IF_ERROR(gathered_.status);
-  return SnapshotCellSeriesOf(*gathered_.cells, lattice_,
+  return SnapshotCellSeriesOf(*gathered_.cells, gathered_.clock, lattice_,
                               options_.tilt_policy->num_levels(), cuboid, key,
                               level);
 }

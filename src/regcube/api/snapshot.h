@@ -104,7 +104,10 @@ class CubeSnapshot {
   /// to prove a snapshot's provenance.
   const GatherStats& gather_stats() const { return gathered_.stats; }
 
-  /// The tick every frozen frame is aligned to.
+  /// The clock every query of this snapshot reads its frames as of. A
+  /// frozen frame may lag it (a spilled view, a block frozen before the
+  /// last seal); queries read such a frame as advanced to this tick,
+  /// without copying it.
   TimeTick now() const { return gathered_.clock; }
 
   /// Distinct m-layer cells frozen.
@@ -150,8 +153,9 @@ class CubeSnapshot {
   ExceptionPolicy policy_;
   StreamCubeEngine::Options options_;  // algorithm/policy/tilt for cubing
   std::shared_ptr<ThreadPool> pool_;
-  // The gather this snapshot froze: cells in canonical key order, aligned
-  // to its clock, at its revision; a non-OK status poisons every query.
+  // The gather this snapshot froze: cells in canonical key order, the
+  // clock they are read as of, its revision; a non-OK status poisons
+  // every query.
   ShardedStreamEngine::GatheredCells gathered_;
   std::int64_t pinned_frame_bytes_ = 0;  // Σ frozen frame OwnedBytes()
   mutable CubeMemo memo_;  // logically immutable: a memo of the derived cube

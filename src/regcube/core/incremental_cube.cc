@@ -112,7 +112,7 @@ std::int64_t IncrementalCubeCache::MemoryBytes() const {
 }
 
 IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
-    const SnapshotCells& run, int level, int k,
+    const SnapshotCells& run, TimeTick clock, int level, int k,
     std::vector<ChangedCell>* changed, std::vector<Isb>* rolled) {
   // The memoized run and the new one are both in canonical key order, so
   // equal populations walk in lockstep; any key divergence is a structural
@@ -121,15 +121,19 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
   const SnapshotCells& base = *run_;
   if (base.size() != run.size()) return DiffVerdict::kRebuild;
   const TimeInterval& window_interval = window_.front().measure.interval;
+  // A block read at the memo's clock reads exactly as it did; read at a
+  // later clock it may have rolled, so sharing proves nothing then.
+  const bool same_clock = clock == clock_;
   for (size_t i = 0; i < run.size(); ++i) {
     if (!(base[i].key == run[i].key)) return DiffVerdict::kRebuild;
-    const bool shared = base[i].frame.get() == run[i].frame.get();
+    const bool shared =
+        same_clock && base[i].frame.get() == run[i].frame.get();
     if (!rolled->empty()) {
       // Rolling: every cell must have moved to the new interval. A shared
       // frame still regresses to the old one, and a mixed window is the
       // from-scratch kernel's error to report.
       if (shared) return DiffVerdict::kRebuild;
-      auto isb = run[i].frame->RegressLastSlots(level, k);
+      auto isb = run[i].frame->RegressLastSlots(level, k, clock);
       if (!isb.ok() || !(isb->interval == rolled->front().interval)) {
         return DiffVerdict::kRebuild;
       }
@@ -139,7 +143,7 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
     // A cell whose frozen block is shared with the memoized run cannot
     // have changed any slot — skip without touching the frame.
     if (shared) continue;
-    auto isb = run[i].frame->RegressLastSlots(level, k);
+    auto isb = run[i].frame->RegressLastSlots(level, k, clock);
     // A failing regression (or any other anomaly) falls back to the
     // from-scratch kernel, which reproduces the exact legacy error.
     if (!isb.ok()) return DiffVerdict::kRebuild;
@@ -431,9 +435,9 @@ Status IncrementalCubeCache::ApplyRollLocked(const std::vector<Isb>& rolled,
 
 Result<std::shared_ptr<const RegressionCube>>
 IncrementalCubeCache::RebuildLocked(
-    const std::shared_ptr<const SnapshotCells>& run, std::uint64_t revision,
-    int level, int k, ThreadPool* pool) {
-  auto window = SnapshotWindowOf(*run, level, k);
+    const std::shared_ptr<const SnapshotCells>& run, TimeTick clock,
+    std::uint64_t revision, int level, int k, ThreadPool* pool) {
+  auto window = SnapshotWindowOf(*run, clock, level, k);
   if (!window.ok()) return window.status();
   auto cube = ComputeCubeFromWindow(schema_, *window, options_, pool);
   if (!cube.ok()) return cube.status();
@@ -441,6 +445,7 @@ IncrementalCubeCache::RebuildLocked(
   ResetLocked();
   window_ = std::move(*window);
   run_ = run;
+  clock_ = clock;
   revision_ = revision;
   level_ = level;
   k_ = k;
@@ -458,15 +463,16 @@ bool IncrementalCubeCache::WouldEvictDifferentWindow(int level,
 }
 
 Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
-    std::shared_ptr<const SnapshotCells> run, std::uint64_t revision,
-    int level, int k, ThreadPool* pool) {
+    std::shared_ptr<const SnapshotCells> run, TimeTick clock,
+    std::uint64_t revision, int level, int k, ThreadPool* pool) {
   RC_CHECK(run != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   // A reader that gathered before the memo last advanced must not rewind
-  // the shared state (revisions are monotonic): serve its stale run from
-  // scratch without memoizing, so up-to-date readers keep their memo.
-  if (valid_ && revision < revision_) {
-    auto window = SnapshotWindowOf(*run, level, k);
+  // the shared state (revisions and clocks are monotonic): serve its
+  // stale run from scratch without memoizing, so up-to-date readers keep
+  // their memo.
+  if (valid_ && (revision < revision_ || clock < clock_)) {
+    auto window = SnapshotWindowOf(*run, clock, level, k);
     if (!window.ok()) return window.status();
     auto cube = ComputeCubeFromWindow(schema_, *window, options_, pool);
     if (!cube.ok()) return cube.status();
@@ -474,19 +480,21 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
         std::make_shared<RegressionCube>(std::move(*cube)));
   }
   if (valid_ && level == level_ && k == k_) {
-    if (revision == revision_) {
+    if (revision == revision_ && clock == clock_) {
       stats_.hits += 1;
       return std::shared_ptr<const RegressionCube>(cube_);
     }
     std::vector<ChangedCell> changed;
     std::vector<Isb> rolled;
-    const DiffVerdict verdict = DiffLocked(*run, level, k, &changed, &rolled);
+    const DiffVerdict verdict =
+        DiffLocked(*run, clock, level, k, &changed, &rolled);
     switch (verdict) {
       case DiffVerdict::kClean:
         // The writes since the memo touched only open slots; the sealed
         // windows (and therefore the cube) are untouched.
         stats_.revalidations += 1;
         revision_ = revision;
+        clock_ = clock;
         run_ = std::move(run);
         return std::shared_ptr<const RegressionCube>(cube_);
       case DiffVerdict::kPatch:
@@ -496,6 +504,7 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
                                    : ApplyPatchLocked(changed, pool);
         if (applied.ok()) {
           revision_ = revision;
+          clock_ = clock;
           run_ = std::move(run);
           AccountLocked();
           return std::shared_ptr<const RegressionCube>(cube_);
@@ -510,7 +519,7 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
         break;
     }
   }
-  return RebuildLocked(run, revision, level, k, pool);
+  return RebuildLocked(run, clock, revision, level, k, pool);
 }
 
 }  // namespace regcube

@@ -79,13 +79,14 @@ class IncrementalCubeCache {
   IncrementalCubeCache(const IncrementalCubeCache&) = delete;
   IncrementalCubeCache& operator=(const IncrementalCubeCache&) = delete;
 
-  /// The maintained cube over `run` (a canonical aligned gather at
-  /// `revision`) for the (level, k) window. Thread-safe; maintenance is
-  /// serialized, hits are a refcount copy. The returned cube is immutable:
-  /// a later patch copies-on-write if anyone still holds it.
+  /// The maintained cube over `run` (a canonical gather at `revision`,
+  /// every frame read as of `clock`) for the (level, k) window.
+  /// Thread-safe; maintenance is serialized, hits are a refcount copy.
+  /// The returned cube is immutable: a later patch copies-on-write if
+  /// anyone still holds it.
   Result<std::shared_ptr<const RegressionCube>> CubeFor(
-      std::shared_ptr<const SnapshotCells> run, std::uint64_t revision,
-      int level, int k, ThreadPool* pool);
+      std::shared_ptr<const SnapshotCells> run, TimeTick clock,
+      std::uint64_t revision, int level, int k, ThreadPool* pool);
 
   /// True iff serving (level, k) would evict a live memo of a *different*
   /// window — the signal for by-value exporters (ComputeCube) to compute
@@ -148,19 +149,21 @@ class IncrementalCubeCache {
   enum class DiffVerdict { kClean, kPatch, kRoll, kRebuild };
 
   Result<std::shared_ptr<const RegressionCube>> RebuildLocked(
-      const std::shared_ptr<const SnapshotCells>& run, std::uint64_t revision,
-      int level, int k, ThreadPool* pool);
+      const std::shared_ptr<const SnapshotCells>& run, TimeTick clock,
+      std::uint64_t revision, int level, int k, ThreadPool* pool);
 
-  /// Tandem-walks the memoized run against `run` (both canonical), using
-  /// shared frame pointers to skip unchanged cells without touching them.
+  /// Tandem-walks the memoized run against `run` (both canonical), read as
+  /// of `clock`. At the memo's own clock a shared frame pointer skips an
+  /// unchanged cell without touching it; at a later clock the same block
+  /// may read differently (its lag sealed a slot), so it is regressed.
   /// On kPatch, `changed` holds the cells whose (level, k) windows moved.
   /// On kRoll — every cell's window moved to one new common interval —
   /// `rolled` holds every cell's new window measure, in run order (each
   /// cell regressed once). kRebuild covers structural changes, mixed
   /// window intervals and regression errors alike — the from-scratch
   /// kernel then reproduces the exact legacy result or error.
-  DiffVerdict DiffLocked(const SnapshotCells& run, int level, int k,
-                         std::vector<ChangedCell>* changed,
+  DiffVerdict DiffLocked(const SnapshotCells& run, TimeTick clock, int level,
+                         int k, std::vector<ChangedCell>* changed,
                          std::vector<Isb>* rolled);
 
   /// Builds the stored-measure tree over `window_` and sizes the
@@ -192,9 +195,10 @@ class IncrementalCubeCache {
   int level_ = 0;
   int k_ = 0;
   std::uint64_t revision_ = 0;
+  TimeTick clock_ = 0;  // the clock the memoized run was read as of
   // The run the memo reflects; shared with the snapshot it was gathered
   // for, so holding it costs pointers. Frame-pointer equality against the
-  // next run is what makes the diff O(changed cells).
+  // next run at the same clock is what makes the diff O(changed cells).
   std::shared_ptr<const SnapshotCells> run_;
   // The memoized window in canonical order — the diff base (old per-cell
   // measures) and the build input for the lazy tree.

@@ -36,51 +36,6 @@ void MoveTracked(MemoryTracker* from, MemoryTracker* to,
   if (from != nullptr) from->Release(category, bytes);
   if (to != nullptr) to->Add(category, bytes);
 }
-
-/// Re-materializes one frozen block iff a tilt unit ends between its
-/// freeze tick and `target` — otherwise advancing it would seal nothing
-/// and the block is shared as-is. Returns the bytes retained by the new
-/// copy (0 when shared). The single sharing condition every realignment
-/// path goes through.
-std::int64_t RealignCellToClock(CellSnapshot& cell, TimeTick target,
-                                const TiltPolicy& policy) {
-  const TimeTick from = cell.frame->next_tick();
-  if (from >= target || !policy.AnyUnitEndIn(from, target)) return 0;
-  auto advanced = std::make_shared<TiltTimeFrame>(*cell.frame);
-  Status s = advanced->AdvanceTo(target);
-  RC_CHECK(s.ok()) << s.ToString();
-  const std::int64_t bytes = advanced->MemoryBytes();
-  cell.frame = std::move(advanced);
-  return bytes;
-}
-
-/// Aligns every block in `cells` to `target` (copy-on-write per block via
-/// RealignCellToClock). Parallel across `pool` when available — the
-/// O(all cells) half of boundary rounds.
-void AlignRunToClock(std::vector<CellSnapshot>& cells, TimeTick target,
-                     const TiltPolicy& policy, ThreadPool* pool,
-                     GatherStats* stats) {
-  std::atomic<std::int64_t> materialized{0};
-  std::atomic<std::int64_t> bytes{0};
-  auto align_one = [&](std::int64_t idx) {
-    const std::int64_t copied = RealignCellToClock(
-        cells[static_cast<size_t>(idx)], target, policy);
-    if (copied > 0) {
-      materialized.fetch_add(1, std::memory_order_relaxed);
-      bytes.fetch_add(copied, std::memory_order_relaxed);
-    }
-  };
-  const auto total = static_cast<std::int64_t>(cells.size());
-  if (pool != nullptr && total > 1) {
-    pool->ParallelFor(total, align_one);
-  } else {
-    for (std::int64_t i = 0; i < total; ++i) align_one(i);
-  }
-  if (stats != nullptr) {
-    stats->materialized += materialized.load(std::memory_order_relaxed);
-    stats->bytes_copied += bytes.load(std::memory_order_relaxed);
-  }
-}
 }  // namespace
 
 ShardedStreamEngine::ShardedStreamEngine(
@@ -561,17 +516,16 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells() {
     }
   }
 
-  TimeTick target = clock_.load(std::memory_order_acquire);
-  for (const auto& pub : pubs) target = std::max(target, pub->now);
-  out.clock = target;
-  const TiltPolicy& policy = *options_.tilt_policy;
+  // The clock every read of this run is taken as of: frames that lag it
+  // (spilled views, clean blocks frozen before a seal) are read as
+  // advanced by the kernels, never copied.
+  out.clock = clock_.load(std::memory_order_acquire);
+  for (const auto& pub : pubs) out.clock = std::max(out.clock, pub->now);
 
   // Phase 2 — fold, outside every lock. The published runs are sorted and
   // key-disjoint (cells are hash-partitioned), so a cascade of in-place
-  // merges over copies yields the canonical merged run — pointer copies
-  // only; no frame is touched here. The copies matter: alignment below
-  // swaps frame pointers per cell, and the publications stay live for
-  // concurrent point queries and later gathers.
+  // merges yields the canonical merged run — pointer copies only; no
+  // frame is touched here.
   auto merged = std::make_shared<std::vector<CellSnapshot>>();
   size_t total = 0;
   for (const auto& pub : pubs) total += pub->cells->size();
@@ -583,11 +537,6 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells() {
     std::inplace_merge(merged->begin(), merged->begin() + middle,
                        merged->end(), CellSnapshotCanonicalLess);
   }
-  // Per-block copy-on-write alignment: a block is re-materialized only if
-  // a tilt unit ends between its freeze tick and the target (see
-  // TiltPolicy::AnyUnitEndIn) — a run already at the clock shares every
-  // block and this pass copies nothing.
-  AlignRunToClock(*merged, target, policy, pool_.get(), &out.stats);
   out.cells = std::move(merged);
   for (const GatherStats& s : stats) out.stats.Merge(s);
   out.stats.cells = static_cast<std::int64_t>(out.cells->size());
@@ -639,9 +588,8 @@ ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
     }
   }
 
-  TimeTick target = clock_.load(std::memory_order_acquire);
-  for (TimeTick t : shard_now) target = std::max(target, t);
-  out.clock = target;
+  out.clock = clock_.load(std::memory_order_acquire);
+  for (TimeTick t : shard_now) out.clock = std::max(out.clock, t);
   for (std::int64_t t : totals) out.total_cells += t;
 
   size_t matches = 0;
@@ -651,8 +599,6 @@ ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
     out.cells.insert(out.cells.end(), std::make_move_iterator(slice.begin()),
                      std::make_move_iterator(slice.end()));
   }
-  AlignRunToClock(out.cells, target, *options_.tilt_policy,
-                  /*pool=*/nullptr, /*stats=*/nullptr);
   std::sort(out.cells.begin(), out.cells.end(), CellSnapshotCanonicalLess);
   return out;
 }
@@ -678,7 +624,7 @@ Result<std::vector<MLayerTuple>> ShardedStreamEngine::SnapshotWindow(int level,
                                                                      int k) {
   GatheredCells gathered = GatherAlignedCells();
   RC_RETURN_IF_ERROR(gathered.status);
-  return SnapshotWindowOf(*gathered.cells, level, k);
+  return SnapshotWindowOf(*gathered.cells, gathered.clock, level, k);
 }
 
 Result<RegressionCube> ShardedStreamEngine::ComputeCube(int level, int k) {
@@ -694,8 +640,8 @@ Result<RegressionCube> ShardedStreamEngine::ComputeCube(
   // the windows disagree, compute from scratch and leave the memo alone.
   if (cube_memo_ == nullptr ||
       cube_memo_->WouldEvictDifferentWindow(level, k)) {
-    return SnapshotCubeOf(schema_, *gathered.cells, options_, level, k,
-                          pool_.get());
+    return SnapshotCubeOf(schema_, *gathered.cells, gathered.clock, options_,
+                          level, k, pool_.get());
   }
   auto shared = ComputeCubeShared(gathered, level, k);
   if (!shared.ok()) return shared.status();
@@ -712,14 +658,14 @@ ShardedStreamEngine::ComputeCubeShared(const GatheredCells& gathered,
                                        int level, int k) {
   RC_RETURN_IF_ERROR(gathered.status);
   if (cube_memo_ == nullptr) {
-    auto cube = SnapshotCubeOf(schema_, *gathered.cells, options_, level, k,
-                               pool_.get());
+    auto cube = SnapshotCubeOf(schema_, *gathered.cells, gathered.clock,
+                               options_, level, k, pool_.get());
     if (!cube.ok()) return cube.status();
     return std::shared_ptr<const RegressionCube>(
         std::make_shared<RegressionCube>(std::move(*cube)));
   }
-  return cube_memo_->CubeFor(gathered.cells, gathered.revision, level, k,
-                             pool_.get());
+  return cube_memo_->CubeFor(gathered.cells, gathered.clock,
+                             gathered.revision, level, k, pool_.get());
 }
 
 IncrementalCubeCache::Stats ShardedStreamEngine::cube_memo_stats() const {
@@ -735,7 +681,7 @@ Result<ShardedStreamEngine::DeckSeries> ShardedStreamEngine::ObservationDeck(
     int level) {
   GatheredCells gathered = GatherAlignedCells();
   RC_RETURN_IF_ERROR(gathered.status);
-  return SnapshotDeckOf(*gathered.cells, lattice_,
+  return SnapshotDeckOf(*gathered.cells, gathered.clock, lattice_,
                         options_.tilt_policy->num_levels(), level);
 }
 
@@ -743,7 +689,7 @@ Result<std::vector<ShardedStreamEngine::TrendChange>>
 ShardedStreamEngine::DetectTrendChanges(int level, double threshold) {
   GatheredCells gathered = GatherAlignedCells();
   RC_RETURN_IF_ERROR(gathered.status);
-  return SnapshotTrendChangesOf(*gathered.cells, lattice_,
+  return SnapshotTrendChangesOf(*gathered.cells, gathered.clock, lattice_,
                                 options_.tilt_policy->num_levels(), level,
                                 threshold);
 }
@@ -759,7 +705,8 @@ Result<Isb> ShardedStreamEngine::QueryCell(CuboidId cuboid, const CellKey& key,
   if (gathered.cells.empty()) {
     return SnapshotNoMembersError(lattice_, cuboid, key);
   }
-  return SnapshotCellOf(gathered.cells, lattice_, cuboid, key, level, k);
+  return SnapshotCellOf(gathered.cells, gathered.clock, lattice_, cuboid, key,
+                        level, k);
 }
 
 Result<std::vector<Isb>> ShardedStreamEngine::QueryCellSeries(
@@ -774,7 +721,7 @@ Result<std::vector<Isb>> ShardedStreamEngine::QueryCellSeries(
   if (gathered.cells.empty()) {
     return SnapshotNoMembersError(lattice_, cuboid, key);
   }
-  return SnapshotCellSeriesOf(gathered.cells, lattice_,
+  return SnapshotCellSeriesOf(gathered.cells, gathered.clock, lattice_,
                               options_.tilt_policy->num_levels(), cuboid, key,
                               level);
 }

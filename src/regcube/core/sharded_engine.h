@@ -63,10 +63,10 @@ struct MemoryBudgetConfig {
 /// absorb/ingest, seal (SealThrough), and compaction re-pointing. Every
 /// gather folds the publications afresh — the engine keeps no merged run;
 /// the facade's revision-keyed snapshot is the one merged-run cache.
-/// Alignment to the global clock happens on copies outside every lock; a
-/// block is re-materialized only when the clock crossed a tilt-unit
-/// boundary since it froze (otherwise advancing is observationally a
-/// no-op and the block is shared as-is). Every read is a pure function of
+/// A gather carries the global clock, and every read takes each frame as
+/// of it: a block frozen before the clock moved (or a spilled view) is
+/// read as advanced, in place — no gather copies a frame; only a freeze
+/// at publish time does. Every read is a pure function of
 /// the stream's tilt frames, which is what the test suite's replay
 /// reference (tests/reference_stream.h) checks bit for bit.
 ///
@@ -160,15 +160,15 @@ class ShardedStreamEngine {
   // ---- read side (gather briefly under per-shard locks, then lock-free) -
 
   /// The gather phase shared by every full read: frozen views of all
-  /// cells, aligned to one clock, in canonical key order. Each shard's
-  /// lock is held only while a stale shard republishes; alignment and
-  /// merging happen outside. The run is behind a shared_ptr so snapshot
+  /// cells in canonical key order, and the one clock every read of them
+  /// is taken as of. Each shard's lock is held only while a stale shard
+  /// republishes; merging happens outside. The run is behind a shared_ptr so snapshot
   /// installs are refcount copies, never cell-by-cell copies. The result
   /// is immutable and self-contained — the api layer wraps it as a
   /// CubeSnapshot.
   struct GatheredCells {
-    std::shared_ptr<const SnapshotCells> cells;  // canonical order, aligned
-    TimeTick clock = 0;          // tick the cells are aligned to
+    std::shared_ptr<const SnapshotCells> cells;  // canonical order
+    TimeTick clock = 0;          // tick the cells are read as of
     std::uint64_t revision = 0;  // engine revision when gathering began
     GatherStats stats;           // what this gather paid
     /// Non-OK when a shard's publish failed (a spilled cell's block could
@@ -185,8 +185,8 @@ class ShardedStreamEngine {
   GatheredCells GatherAlignedCells();
 
   /// The member-only gather behind point queries: frozen views of just the
-  /// m-layer cells that roll up into `key` of `cuboid`, aligned to the
-  /// global clock, in canonical key order. Each shard hash-probes its
+  /// m-layer cells that roll up into `key` of `cuboid`, in canonical key
+  /// order, read as of the global clock. Each shard hash-probes its
   /// ingest-maintained per-cuboid roll-up index under its lock —
   /// O(matching members), no cell scan — and the members are resolved
   /// against its published run outside the lock. `total_cells`

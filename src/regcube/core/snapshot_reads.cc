@@ -42,12 +42,13 @@ Status ValidatePointQueryTarget(const CuboidLattice& lattice, CuboidId cuboid,
 }
 
 Result<std::vector<MLayerTuple>> SnapshotWindowOf(const SnapshotCells& cells,
-                                                  int level, int k) {
+                                                  TimeTick clock, int level,
+                                                  int k) {
   if (cells.empty()) return SnapshotNoDataError();
   std::vector<MLayerTuple> merged;
   merged.reserve(cells.size());
   for (const CellSnapshot& cell : cells) {
-    auto isb = cell.frame->RegressLastSlots(level, k);
+    auto isb = cell.frame->RegressLastSlots(level, k, clock);
     if (!isb.ok()) return isb.status();
     merged.push_back(MLayerTuple{cell.key, *isb});
   }
@@ -55,11 +56,12 @@ Result<std::vector<MLayerTuple>> SnapshotWindowOf(const SnapshotCells& cells,
 }
 
 Result<StreamCubeEngine::DeckSeries> SnapshotDeckOf(
-    const SnapshotCells& cells, const CuboidLattice& lattice, int num_levels,
-    int level) {
+    const SnapshotCells& cells, TimeTick clock, const CuboidLattice& lattice,
+    int num_levels, int level) {
   if (level < 0 || level >= num_levels) return SnapshotBadLevelError(level, num_levels);
   if (cells.empty()) return SnapshotNoDataError();
   StreamCubeEngine::DeckSeries deck;
+  std::vector<MomentSums> sealed;  // one as-of buffer for every cell
   const CuboidId o_id = lattice.o_layer_id();
   // Accumulate under the 64-bit packed projection while keys pack (one
   // word hashed and compared per cell instead of a CellKey). Accumulation
@@ -75,7 +77,8 @@ Result<StreamCubeEngine::DeckSeries> SnapshotDeckOf(
       const CellKey o_key = lattice.ProjectMLayerKey(cell.key, o_id);
       std::uint64_t packed = 0;
       if (!codec->Pack(o_key, &packed)) break;
-      const TiltTimeFrame::SlotView slots = cell.frame->RawSlots(level);
+      const TiltTimeFrame::SlotView slots =
+          cell.frame->SlotsAsOf(level, clock, &sealed);
       auto& dest = packed_deck[packed];
       if (dest.size() < slots.size()) dest.resize(slots.size());
       for (size_t i = 0; i < slots.size(); ++i) {
@@ -90,7 +93,8 @@ Result<StreamCubeEngine::DeckSeries> SnapshotDeckOf(
   for (; next < cells.size(); ++next) {
     const CellSnapshot& cell = cells[next];
     const CellKey o_key = lattice.ProjectMLayerKey(cell.key, o_id);
-    const TiltTimeFrame::SlotView slots = cell.frame->RawSlots(level);
+    const TiltTimeFrame::SlotView slots =
+        cell.frame->SlotsAsOf(level, clock, &sealed);
     auto& dest = deck[o_key];
     if (dest.size() < slots.size()) dest.resize(slots.size());
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -101,9 +105,9 @@ Result<StreamCubeEngine::DeckSeries> SnapshotDeckOf(
 }
 
 Result<std::vector<StreamCubeEngine::TrendChange>> SnapshotTrendChangesOf(
-    const SnapshotCells& cells, const CuboidLattice& lattice, int num_levels,
-    int level, double threshold) {
-  auto deck = SnapshotDeckOf(cells, lattice, num_levels, level);
+    const SnapshotCells& cells, TimeTick clock, const CuboidLattice& lattice,
+    int num_levels, int level, double threshold) {
+  auto deck = SnapshotDeckOf(cells, clock, lattice, num_levels, level);
   if (!deck.ok()) return deck.status();
   std::vector<StreamCubeEngine::TrendChange> changes;
   for (const auto& [key, series] : *deck) {
@@ -126,7 +130,7 @@ Result<std::vector<StreamCubeEngine::TrendChange>> SnapshotTrendChangesOf(
   return changes;
 }
 
-Result<Isb> SnapshotCellOf(const SnapshotCells& cells,
+Result<Isb> SnapshotCellOf(const SnapshotCells& cells, TimeTick clock,
                            const CuboidLattice& lattice, CuboidId cuboid,
                            const CellKey& key, int level, int k) {
   if (cuboid < 0 || cuboid >= lattice.num_cuboids()) {
@@ -152,7 +156,7 @@ Result<Isb> SnapshotCellOf(const SnapshotCells& cells,
   bool found = false;
   for (const CellSnapshot& cell : cells) {
     if (!matches(cell.key)) continue;
-    auto isb = cell.frame->RegressLastSlots(level, k);
+    auto isb = cell.frame->RegressLastSlots(level, k, clock);
     if (!isb.ok()) return isb.status();
     AccumulateStandardDim(acc, *isb);
     found = true;
@@ -162,6 +166,7 @@ Result<Isb> SnapshotCellOf(const SnapshotCells& cells,
 }
 
 Result<std::vector<Isb>> SnapshotCellSeriesOf(const SnapshotCells& cells,
+                                              TimeTick clock,
                                               const CuboidLattice& lattice,
                                               int num_levels, CuboidId cuboid,
                                               const CellKey& key, int level) {
@@ -181,10 +186,12 @@ Result<std::vector<Isb>> SnapshotCellSeriesOf(const SnapshotCells& cells,
     return projected == key;
   };
   std::vector<Isb> acc;
+  std::vector<MomentSums> sealed;  // one as-of buffer for every member
   bool found = false;
   for (const CellSnapshot& cell : cells) {
     if (!matches(cell.key)) continue;
-    const TiltTimeFrame::SlotView slots = cell.frame->RawSlots(level);
+    const TiltTimeFrame::SlotView slots =
+        cell.frame->SlotsAsOf(level, clock, &sealed);
     if (acc.size() < slots.size()) acc.resize(slots.size());
     for (size_t i = 0; i < slots.size(); ++i) {
       AccumulateStandardDim(acc[i], FitFromMoments(slots[i]));
@@ -197,9 +204,10 @@ Result<std::vector<Isb>> SnapshotCellSeriesOf(const SnapshotCells& cells,
 
 Result<RegressionCube> SnapshotCubeOf(std::shared_ptr<const CubeSchema> schema,
                                       const SnapshotCells& cells,
+                                      TimeTick clock,
                                       const StreamCubeEngine::Options& options,
                                       int level, int k, ThreadPool* pool) {
-  auto tuples = SnapshotWindowOf(cells, level, k);
+  auto tuples = SnapshotWindowOf(cells, clock, level, k);
   if (!tuples.ok()) return tuples.status();
   return ComputeCubeFromWindow(std::move(schema), *tuples, options, pool);
 }

@@ -12,10 +12,14 @@ namespace regcube {
 class ThreadPool;
 
 /// Lock-free aggregation over a frozen m-layer — the aggregate-outside half
-/// of every snapshot read. Inputs are CellSnapshots in canonical key order,
-/// aligned to one clock (ShardedStreamEngine::GatherAlignedCells produces
-/// exactly that); every function here is pure, so any number of threads may
-/// query one frozen cell set concurrently.
+/// of every snapshot read. Inputs are CellSnapshots in canonical key order
+/// plus the clock of their gather (ShardedStreamEngine::GatherAlignedCells
+/// produces exactly that). Frames may lag the clock — a spilled view stays
+/// at its spill tick, a clean frozen block at its freeze tick — and every
+/// kernel reads each frame as of the clock (TiltTimeFrame::SlotsAsOf)
+/// straight from the shared block, never a copy: a lagging frame already
+/// fixes every slot advancing it would seal. Every function here is pure,
+/// so any number of threads may query one frozen cell set concurrently.
 ///
 /// These functions are the single implementation behind both
 /// ShardedStreamEngine's read methods and the facade's CubeSnapshot, which
@@ -51,32 +55,35 @@ Status ValidatePointQueryTarget(const CuboidLattice& lattice, CuboidId cuboid,
                                 int level, int num_levels);
 
 /// Merged m-layer window over the most recent `k` sealed slots of tilt
-/// `level`, in canonical key order. FailedPrecondition when no cells.
+/// `level` as of `clock`, in canonical key order. FailedPrecondition when
+/// no cells.
 Result<std::vector<MLayerTuple>> SnapshotWindowOf(const SnapshotCells& cells,
-                                                  int level, int k);
+                                                  TimeTick clock, int level,
+                                                  int k);
 
 /// Observation deck (§4.2 semantics): per o-layer cell, its sealed slot
-/// series at `level`. `num_levels` bounds the level check.
+/// series at `level` as of `clock`. `num_levels` bounds the level check.
 Result<StreamCubeEngine::DeckSeries> SnapshotDeckOf(
-    const SnapshotCells& cells, const CuboidLattice& lattice, int num_levels,
-    int level);
+    const SnapshotCells& cells, TimeTick clock, const CuboidLattice& lattice,
+    int num_levels, int level);
 
 /// O-layer cells whose slope moved by >= `threshold` between the last two
 /// sealed slots of `level`, strongest change first (deterministic ties).
 Result<std::vector<StreamCubeEngine::TrendChange>> SnapshotTrendChangesOf(
-    const SnapshotCells& cells, const CuboidLattice& lattice, int num_levels,
-    int level, double threshold);
+    const SnapshotCells& cells, TimeTick clock, const CuboidLattice& lattice,
+    int num_levels, int level, double threshold);
 
 /// On-the-fly regression of one cell of any lattice cuboid, aggregated from
 /// its member m-layer cells in canonical order. Pre: `level` is a valid
 /// tilt level (the frame kernels CHECK it rather than returning; every
 /// point-query door runs ValidatePointQueryTarget first).
-Result<Isb> SnapshotCellOf(const SnapshotCells& cells,
+Result<Isb> SnapshotCellOf(const SnapshotCells& cells, TimeTick clock,
                            const CuboidLattice& lattice, CuboidId cuboid,
                            const CellKey& key, int level, int k);
 
 /// The cell's whole sealed slot series at `level`.
 Result<std::vector<Isb>> SnapshotCellSeriesOf(const SnapshotCells& cells,
+                                              TimeTick clock,
                                               const CuboidLattice& lattice,
                                               int num_levels, CuboidId cuboid,
                                               const CellKey& key, int level);
@@ -85,6 +92,7 @@ Result<std::vector<Isb>> SnapshotCellSeriesOf(const SnapshotCells& cells,
 /// algorithm; a non-null pool partitions the per-cuboid work across it.
 Result<RegressionCube> SnapshotCubeOf(std::shared_ptr<const CubeSchema> schema,
                                       const SnapshotCells& cells,
+                                      TimeTick clock,
                                       const StreamCubeEngine::Options& options,
                                       int level, int k, ThreadPool* pool);
 

@@ -102,7 +102,7 @@ Result<TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state) {
   auto frame = store_->ReadFrame(state.spill);
   if (!frame.ok()) return frame.status();
   // The seals this cell missed while cold. Reads of its view already
-  // align a copy to the clock, so the advance changes nothing a read
+  // take it as of their clock, so the advance changes nothing a read
   // sees; it makes the write below refuse what the resident frame would.
   Status advanced = frame->AdvanceTo(sealed_);
   RC_CHECK(advanced.ok()) << advanced.ToString();
@@ -280,7 +280,7 @@ Result<std::shared_ptr<const TiltTimeFrame>> StreamCubeEngine::FrozenFor(
     RC_ASSIGN_OR_RETURN(block, store_->ViewFrame(state.spill));
     if (stats != nullptr) ++stats->cold_views;
   } else {
-    block = std::make_shared<const TiltTimeFrame>(*state.frame);
+    block = state.frame->Freeze();
     if (stats != nullptr) {
       ++stats->materialized;
       stats->bytes_copied += block->MemoryBytes();

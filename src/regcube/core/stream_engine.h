@@ -59,11 +59,12 @@ struct CellSnapshot {
 };
 
 /// What one gather actually paid: how many frames had to be materialized
-/// (deep-copied) versus shared from the frozen cache, and the bytes those
-/// copies retain. The bench's delta-vs-full comparison reads these.
+/// (frozen at publish time: reads never copy a frame) versus shared from
+/// the frozen cache, and the bytes those copies retain. The bench's
+/// delta-vs-full comparison reads these.
 struct GatherStats {
   std::int64_t cells = 0;         // cells in the gather
-  std::int64_t materialized = 0;  // frames deep-copied (dirty or re-aligned)
+  std::int64_t materialized = 0;  // dirty frames frozen (copied)
   std::int64_t bytes_copied = 0;  // bytes retained by those copies
   std::int64_t shards_reused = 0; // shards served wholesale from their cache
   std::int64_t cold_views = 0;    // spilled frames viewed in place (no copy)
@@ -177,10 +178,9 @@ class StreamCubeEngine {
   /// with an empty dirty list the base itself is handed back (counted as
   /// shards_reused). A caller that adds cells outside the dirty list
   /// (RestoreCell) must pass null next. Frames are frozen at their own
-  /// clock; callers align to a global clock outside the lock (sharing
-  /// survives the alignment when no tilt-unit boundary was crossed, see
-  /// TiltPolicy::AnyUnitEndIn) and must align *copies*: the returned run
-  /// is immutable and shared.
+  /// clock and never advanced afterwards: readers take them as of the
+  /// gather's clock (TiltTimeFrame::SlotsAsOf), so the returned run is
+  /// immutable and shared as-is.
   ///
   /// On a fault-in failure (typed Unavailable from the store) nothing is
   /// consumed: the dirty list stays put, so the next refresh from the same
@@ -248,9 +248,9 @@ class StreamCubeEngine {
   /// view its block in place (FrozenFor), and the cell is queued (if a
   /// write has not queued it already) so the next refresh swaps a view —
   /// holding any unexported write — into the published run too. Only a
-  /// write faults it back in. Reads align a lagging block on a private
-  /// copy, and AdvanceTo over missing ticks is deterministic, so queries
-  /// cannot observe the spill. A failed append
+  /// write faults it back in. Reads take a lagging block as of their
+  /// clock in place, which is bitwise what AdvanceTo over the missing
+  /// ticks would give, so queries cannot observe the spill. A failed append
   /// is retried a bounded number of times with a short backoff (counted
   /// in SpillRetries); if the write keeps failing the cells stay
   /// resident, the error is counted in SpillIoErrors — degradation, never
@@ -371,7 +371,8 @@ class StreamCubeEngine {
   };
 
   /// The cell's current frozen block, refreshed if the cell changed since
-  /// the last freeze: a copy of the live frame (counted into `stats`), or
+  /// the last freeze: a one-allocation copy of the live frame
+  /// (TiltTimeFrame::Freeze, counted into `stats`), or
   /// for a spilled cell a view of its block — never a fault-in. A view
   /// that cannot be made (the store's read fails) yields a typed
   /// Unavailable.

@@ -43,10 +43,19 @@ Status ValidateTimeChildren(const std::vector<Isb>& children,
   }
   whole->tb = children.front().interval.tb;
   whole->te = children.back().interval.te;
-  std::vector<TimeInterval> parts;
-  parts.reserve(children.size());
-  for (const Isb& c : children) parts.push_back(c.interval);
-  return ValidatePartition(*whole, parts);
+  // ValidatePartition's checks, without copying the intervals out: the
+  // whole is the children's own hull, so only the parts can fail.
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (children[i].interval.empty()) {
+      return Status::InvalidArgument(StrPrintf("part %zu is empty", i));
+    }
+    if (i > 0 &&
+        children[i].interval.tb != children[i - 1].interval.te + 1) {
+      return Status::InvalidArgument(
+          StrPrintf("parts %zu and %zu are not contiguous", i - 1, i));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace

@@ -45,9 +45,9 @@ std::int32_t TotalCapacityOf(const TiltPolicy& policy) {
 
 TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
                              TimeTick start_tick, TimeTick next_tick,
-                             std::byte* block, bool owns_block)
+                             std::byte* block, BlockKind block_kind)
     : policy_(std::move(policy)), block_(block), start_tick_(start_tick),
-      next_tick_(next_tick), owns_block_(owns_block) {
+      next_tick_(next_tick), block_kind_(block_kind) {
   RC_CHECK(policy_ != nullptr);
   RC_CHECK(policy_->num_levels() <= INT16_MAX);
   num_levels_ = static_cast<std::int16_t>(policy_->num_levels());
@@ -57,7 +57,7 @@ TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
 TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
                              TimeTick start_tick)
     : TiltTimeFrame(std::move(policy), start_tick, start_tick, nullptr,
-                    /*owns_block=*/true) {
+                    BlockKind::kOwned) {
   // Zero-filled first, so padding too is initialized before any copy
   // memcpys it; then the headers and ring slots are created in place.
   block_ = new std::byte[BlockBytes()]();
@@ -81,17 +81,17 @@ TiltTimeFrame::TiltTimeFrame(const TiltTimeFrame& other)
       next_tick_(other.next_tick_),
       total_capacity_(other.total_capacity_),
       num_levels_(other.num_levels_),
-      owns_block_(true) {
+      block_kind_(BlockKind::kOwned) {
   std::memcpy(block_, other.block_, BlockBytes());
 }
 
 TiltTimeFrame& TiltTimeFrame::operator=(const TiltTimeFrame& other) {
   if (this == &other) return *this;
-  if (!owns_block_ || block_ == nullptr ||
+  if (block_kind_ != BlockKind::kOwned || block_ == nullptr ||
       BlockBytes() != other.BlockBytes()) {
-    if (owns_block_) delete[] block_;
+    if (block_kind_ == BlockKind::kOwned) delete[] block_;
     block_ = new std::byte[other.BlockBytes()];
-    owns_block_ = true;
+    block_kind_ = BlockKind::kOwned;
   }
   policy_ = other.policy_;
   start_tick_ = other.start_tick_;
@@ -109,14 +109,14 @@ TiltTimeFrame::TiltTimeFrame(TiltTimeFrame&& other) noexcept
       next_tick_(other.next_tick_),
       total_capacity_(other.total_capacity_),
       num_levels_(other.num_levels_),
-      owns_block_(std::exchange(other.owns_block_, false)) {}
+      block_kind_(std::exchange(other.block_kind_, BlockKind::kOwned)) {}
 
 TiltTimeFrame& TiltTimeFrame::operator=(TiltTimeFrame&& other) noexcept {
   if (this == &other) return *this;
-  if (owns_block_) delete[] block_;
+  if (block_kind_ == BlockKind::kOwned) delete[] block_;
   policy_ = std::move(other.policy_);
   block_ = std::exchange(other.block_, nullptr);
-  owns_block_ = std::exchange(other.owns_block_, false);
+  block_kind_ = std::exchange(other.block_kind_, BlockKind::kOwned);
   start_tick_ = other.start_tick_;
   next_tick_ = other.next_tick_;
   num_levels_ = other.num_levels_;
@@ -125,7 +125,60 @@ TiltTimeFrame& TiltTimeFrame::operator=(TiltTimeFrame&& other) noexcept {
 }
 
 TiltTimeFrame::~TiltTimeFrame() {
-  if (owns_block_) delete[] block_;
+  if (block_kind_ == BlockKind::kOwned) delete[] block_;
+}
+
+/// Over-allocates every request by `extra` bytes, aligned for the block,
+/// and reports where they start through `tail`. allocate_shared asks it
+/// for exactly one control block (which holds the frame), so the frame's
+/// block rides in the same allocation and is freed with it.
+template <typename T>
+class TiltTimeFrame::InlineBlockAllocator {
+ public:
+  using value_type = T;
+
+  InlineBlockAllocator(size_t extra, std::byte** tail)
+      : extra_(extra), tail_(tail) {}
+  template <typename U>
+  InlineBlockAllocator(const InlineBlockAllocator<U>& other)  // NOLINT
+      : extra_(other.extra_), tail_(other.tail_) {}
+
+  T* allocate(size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    constexpr size_t kAlign = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+    const size_t head = (n * sizeof(T) + kAlign - 1) / kAlign * kAlign;
+    auto* raw = static_cast<std::byte*>(::operator new(head + extra_));
+    *tail_ = raw + head;
+    return reinterpret_cast<T*>(raw);
+  }
+  void deallocate(T* p, size_t) { ::operator delete(p); }
+
+  /// A member of TiltTimeFrame, so it reaches the private constructor.
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  template <typename U>
+  bool operator==(const InlineBlockAllocator<U>& other) const {
+    return extra_ == other.extra_;
+  }
+
+ private:
+  template <typename U>
+  friend class InlineBlockAllocator;
+  size_t extra_;
+  std::byte** tail_;  // written by allocate; unused afterwards
+};
+
+std::shared_ptr<const TiltTimeFrame> TiltTimeFrame::Freeze() const {
+  std::byte* block = nullptr;
+  std::shared_ptr<TiltTimeFrame> frozen = std::allocate_shared<TiltTimeFrame>(
+      InlineBlockAllocator<TiltTimeFrame>(BlockBytes(), &block), policy_,
+      start_tick_, next_tick_, nullptr, BlockKind::kInline);
+  frozen->block_ = block;
+  std::memcpy(block, block_, BlockBytes());
+  return frozen;
 }
 
 void TiltTimeFrame::Accumulate(TimeTick t, double z) {
@@ -201,8 +254,58 @@ std::vector<Isb> TiltTimeFrame::Slots(int level) const {
 TiltTimeFrame::SlotView TiltTimeFrame::RawSlots(int level) const {
   RC_CHECK(level >= 0 && level < num_levels_);
   const LevelHeader& state = headers()[level];
-  return SlotView(ring() + state.ring_offset, state.capacity, state.head,
-                  state.size);
+  SlotView::Segments segments;
+  segments.ring = ring() + state.ring_offset;
+  segments.capacity = state.capacity;
+  segments.head = state.head;
+  segments.ring_size = state.size;
+  return SlotView(segments);
+}
+
+TiltTimeFrame::SlotView TiltTimeFrame::SlotsAsOf(
+    int level, TimeTick as_of, std::vector<MomentSums>* sealed) const {
+  const SlotView raw = RawSlots(level);
+  if (as_of <= next_tick_) return raw;
+  const LevelHeader& state = headers()[level];
+  const auto capacity = static_cast<size_t>(state.capacity);
+  // The unit ends AdvanceTo(as_of) would seal at this level, newest first.
+  // capacity + 1 of them prove the pending unit and every ring slot
+  // evicted, so the scan stops there.
+  sealed->clear();
+  for (TimeTick t = as_of - 1; t >= next_tick_ && sealed->size() <= capacity;
+       --t) {
+    if (!policy_->IsUnitEnd(level, t)) continue;
+    MomentSums slot;
+    slot.interval.tb = t;  // the unit's end; its start is set below
+    slot.interval.te = t;
+    sealed->push_back(slot);
+  }
+  if (sealed->empty()) return raw;
+  std::reverse(sealed->begin(), sealed->end());
+  // Each zero unit starts right after the one before it.
+  for (size_t i = 1; i < sealed->size(); ++i) {
+    (*sealed)[i].interval.tb = (*sealed)[i - 1].interval.te + 1;
+  }
+  size_t first = 0;
+  if (sealed->size() > capacity) {
+    first = 1;  // the oldest end only dated the next unit's start
+  } else {
+    // The first end seals the pending unit with whatever it accumulated.
+    const TimeTick end = sealed->front().interval.te;
+    sealed->front() = state.pending;
+    sealed->front().interval.tb = state.pending_start;
+    sealed->front().interval.te = end;
+  }
+  const auto tail_size = static_cast<std::int32_t>(sealed->size() - first);
+  const std::int32_t keep =
+      std::min(state.size, state.capacity - tail_size);  // newest ring slots
+  SlotView::Segments segments = raw.segments_;
+  segments.head += state.size - keep;
+  if (segments.head >= segments.capacity) segments.head -= segments.capacity;
+  segments.ring_size = keep;
+  segments.tail = sealed->data() + first;
+  segments.tail_size = tail_size;
+  return SlotView(segments);
 }
 
 Result<Isb> TiltTimeFrame::PendingSlot(int level) const {
@@ -220,14 +323,20 @@ Result<Isb> TiltTimeFrame::PendingSlot(int level) const {
 }
 
 Result<Isb> TiltTimeFrame::RegressLastSlots(int level, int k) const {
-  const SlotView slots = RawSlots(level);
+  return RegressLastSlots(level, k, next_tick_);
+}
+
+Result<Isb> TiltTimeFrame::RegressLastSlots(int level, int k,
+                                            TimeTick as_of) const {
+  thread_local std::vector<MomentSums> sealed;
+  thread_local std::vector<Isb> children;
+  const SlotView slots = SlotsAsOf(level, as_of, &sealed);
   if (k < 1 || k > static_cast<int>(slots.size())) {
     return Status::OutOfRange(
         StrPrintf("requested %d slots, level %d has %zu sealed", k, level,
                   slots.size()));
   }
-  std::vector<Isb> children;
-  children.reserve(static_cast<size_t>(k));
+  children.clear();
   for (size_t i = slots.size() - static_cast<size_t>(k); i < slots.size();
        ++i) {
     children.push_back(FitFromMoments(slots[i]));
@@ -432,7 +541,7 @@ Result<TiltTimeFrame> TiltTimeFrame::FromRecord(
   RC_RETURN_IF_ERROR(
       CheckRecordHeader(*policy, record, &start_tick, &next_tick));
   TiltTimeFrame frame(std::move(policy), start_tick, next_tick, nullptr,
-                      /*owns_block=*/true);
+                      BlockKind::kOwned);
   frame.block_ = new std::byte[frame.BlockBytes()];
   std::memcpy(frame.block_, record.data() + kRecordHeaderBytes,
               frame.BlockBytes());
@@ -463,7 +572,7 @@ Result<std::shared_ptr<const TiltTimeFrame>> TiltTimeFrame::ViewRecord(
       reinterpret_cast<const std::byte*>(record.data()) + kRecordHeaderBytes);
   auto held = std::make_shared<Held>(
       Held{TiltTimeFrame(std::move(policy), start_tick, next_tick, block,
-                         /*owns_block=*/false),
+                         BlockKind::kView),
            std::move(keepalive)});
   RC_RETURN_IF_ERROR(held->frame.CheckLevels());
   const TiltTimeFrame* frame = &held->frame;

@@ -38,16 +38,45 @@ namespace regcube {
 ///
 /// Layout: every level's header (pending unit, ring head and size) and
 /// every level's fixed-capacity ring of sealed slots live in one trivially
-/// copyable block sized from the policy at construction. Copying a frame —
-/// a snapshot freeze, a clock realignment — is one allocation and one
+/// copyable block sized from the policy at construction. A snapshot freeze
+/// (Freeze) is one allocation holding the frame and its block, plus one
 /// memcpy (docs/DESIGN.md, "Tilt frame layout"). The block behind a small
 /// header is also the frame's on-disk record (spill and checkpoint), so a
 /// stored frame is restored by one memcpy or read in place as a view.
+///
+/// Reads as of a clock: a frame that lags the clock already fixes every
+/// slot AdvanceTo would seal (its pending unit, then zeros), so readers
+/// read it as of the clock (SlotsAsOf, RegressLastSlots with `as_of`)
+/// instead of advancing a copy.
 class TiltTimeFrame {
  public:
-  /// Read-only view of one level's sealed slots, oldest first. Valid until
-  /// the frame is next modified, moved or destroyed.
+  /// Read-only view of one level's sealed slots, oldest first: a run of
+  /// the level's ring, then (for a read as of a later clock, SlotsAsOf) the
+  /// slots the missed unit ends would seal. Valid until the frame is next
+  /// modified, moved or destroyed, and until the buffer it was read into
+  /// is next written.
   class SlotView {
+    /// The ring segment (`ring_size` slots from ring index `head`) and the
+    /// tail segment that follows it.
+    struct Segments {
+      const MomentSums* ring = nullptr;
+      const MomentSums* tail = nullptr;
+      std::int32_t capacity = 0;
+      std::int32_t head = 0;
+      std::int32_t ring_size = 0;
+      std::int32_t tail_size = 0;
+
+      const MomentSums& At(size_t i) const {
+        const auto in_ring = static_cast<size_t>(ring_size);
+        if (i >= in_ring) return tail[i - in_ring];
+        size_t at = static_cast<size_t>(head) + i;
+        if (at >= static_cast<size_t>(capacity)) {
+          at -= static_cast<size_t>(capacity);
+        }
+        return ring[at];
+      }
+    };
+
    public:
     class Iterator {
      public:
@@ -58,9 +87,7 @@ class TiltTimeFrame {
       using reference = const MomentSums&;
 
       Iterator() = default;
-      reference operator*() const {
-        return At(ring_, capacity_, head_, index_);
-      }
+      reference operator*() const { return segments_.At(index_); }
       pointer operator->() const { return &**this; }
       Iterator& operator++() {
         ++index_;
@@ -77,43 +104,27 @@ class TiltTimeFrame {
 
      private:
       friend class SlotView;
-      Iterator(const SlotView& view, size_t index)
-          : ring_(view.ring_), capacity_(view.capacity_), head_(view.head_),
-            index_(index) {}
-      const MomentSums* ring_ = nullptr;
-      std::int32_t capacity_ = 0;
-      std::int32_t head_ = 0;
+      Iterator(const Segments& segments, size_t index)
+          : segments_(segments), index_(index) {}
+      Segments segments_;
       size_t index_ = 0;
     };
 
-    size_t size() const { return static_cast<size_t>(size_); }
-    bool empty() const { return size_ == 0; }
-    /// Pre: i < size().
-    const MomentSums& operator[](size_t i) const {
-      return At(ring_, capacity_, head_, i);
+    size_t size() const {
+      return static_cast<size_t>(segments_.ring_size) +
+             static_cast<size_t>(segments_.tail_size);
     }
+    bool empty() const { return size() == 0; }
+    /// Pre: i < size().
+    const MomentSums& operator[](size_t i) const { return segments_.At(i); }
     const MomentSums& front() const { return (*this)[0]; }
-    Iterator begin() const { return Iterator(*this, 0); }
-    Iterator end() const { return Iterator(*this, size()); }
+    Iterator begin() const { return Iterator(segments_, 0); }
+    Iterator end() const { return Iterator(segments_, size()); }
 
    private:
     friend class TiltTimeFrame;
-    SlotView(const MomentSums* ring, std::int32_t capacity,
-             std::int32_t head, std::int32_t size)
-        : ring_(ring), capacity_(capacity), head_(head), size_(size) {}
-    /// The i-th oldest slot of a ring whose oldest slot sits at `head`.
-    static const MomentSums& At(const MomentSums* ring, std::int32_t capacity,
-                                std::int32_t head, size_t i) {
-      size_t at = static_cast<size_t>(head) + i;
-      if (at >= static_cast<size_t>(capacity)) {
-        at -= static_cast<size_t>(capacity);
-      }
-      return ring[at];
-    }
-    const MomentSums* ring_;
-    std::int32_t capacity_;
-    std::int32_t head_;
-    std::int32_t size_;
+    explicit SlotView(const Segments& segments) : segments_(segments) {}
+    Segments segments_;
   };
 
   /// Creates a frame that starts at `start_tick` (the first tick of its
@@ -122,8 +133,8 @@ class TiltTimeFrame {
   TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy, TimeTick start_tick);
 
   /// Deep copies: one block allocation and one memcpy. The copy is fully
-  /// independent of the original (frozen snapshot blocks rely on it) and
-  /// owns its block, also when the original is a view.
+  /// independent of the original and owns its block, also when the
+  /// original is a view or frozen.
   TiltTimeFrame(const TiltTimeFrame& other);
   TiltTimeFrame& operator=(const TiltTimeFrame& other);
   TiltTimeFrame(TiltTimeFrame&& other) noexcept;
@@ -147,14 +158,32 @@ class TiltTimeFrame {
   /// form used by aggregation-heavy callers).
   SlotView RawSlots(int level) const;
 
+  /// The sealed slots of `level` as AdvanceTo(as_of) would leave them,
+  /// read without advancing or copying the frame: the kept ring slots,
+  /// then the pending unit sealed at the first unit end in
+  /// [next_tick(), as_of), then one zero slot per further unit end (a
+  /// tick without data counts zero), trimmed to the level's capacity.
+  /// Bitwise equal to RawSlots(level) of an advanced copy. A frame at the
+  /// clock, or one with no unit end of `level` before it, reads its ring
+  /// in place; otherwise the sealed tail is written into `sealed`, which
+  /// the view then points into — callers reuse one buffer across cells,
+  /// so a read allocates nothing per cell.
+  SlotView SlotsAsOf(int level, TimeTick as_of,
+                     std::vector<MomentSums>* sealed) const;
+
   /// The in-progress (partial) unit of `level`, if it has received any
   /// ticks (paper footnote 5 allows partial intervals at each granularity).
   Result<Isb> PendingSlot(int level) const;
 
   /// Regression over the most recent `k` sealed slots of `level`
   /// (time-dimension aggregation, Theorem 3.3). k must be >= 1 and <= the
-  /// number of sealed slots.
+  /// number of sealed slots (OutOfRange otherwise).
   Result<Isb> RegressLastSlots(int level, int k) const;
+
+  /// The same regression over SlotsAsOf(level, as_of): the frame read as
+  /// AdvanceTo(as_of) would leave it. Reuses per-thread scratch, so it
+  /// allocates nothing per call once warm.
+  Result<Isb> RegressLastSlots(int level, int k, TimeTick as_of) const;
 
   /// §6.2's folding aggregation over this level's sealed slots: one value
   /// per `units_per_bucket` consecutive units under `op` (SUM/AVG/LAST are
@@ -222,13 +251,19 @@ class TiltTimeFrame {
       std::shared_ptr<const TiltPolicy> policy, std::string_view record,
       std::shared_ptr<const void> keepalive);
 
+  /// An immutable copy of this frame in one heap allocation: the shared
+  /// pointer's control block, the frame and its block sit together, so a
+  /// freeze is one allocation and one memcpy, and its release one free.
+  std::shared_ptr<const TiltTimeFrame> Freeze() const;
+
   /// True for a frame made by ViewRecord: its block is someone else's.
-  bool is_view() const { return !owns_block_; }
+  bool is_view() const { return block_kind_ == BlockKind::kView; }
 
   /// The RAM this frame holds that the memory tracker charges:
-  /// MemoryBytes() for a frame that owns its block, 0 for a view (its
-  /// block is page cache, reported on the cold tier's side).
-  std::int64_t OwnedBytes() const { return owns_block_ ? MemoryBytes() : 0; }
+  /// MemoryBytes() for a frame whose block is heap memory (its own or
+  /// inline in a Freeze allocation), 0 for a view (its block is page
+  /// cache, reported on the cold tier's side).
+  std::int64_t OwnedBytes() const { return is_view() ? 0 : MemoryBytes(); }
 
   std::string ToString() const;
 
@@ -254,10 +289,20 @@ class TiltTimeFrame {
                 "the ring must start aligned right after the headers");
   static_assert(alignof(LevelHeader) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
-  /// A frame over `block` (owned or not) with its ticks; the level count
-  /// and ring capacity come from the policy.
+  /// Where the block lives: new[]-allocated and freed by the frame, a
+  /// mapped record (ViewRecord), or the tail of the frame's own Freeze
+  /// allocation (freed with it). Only views and frozen frames hold a
+  /// block they do not free, and both are only handed out const.
+  enum class BlockKind : std::uint8_t { kOwned, kView, kInline };
+
+  /// The allocator behind Freeze (defined in the .cc).
+  template <typename T>
+  class InlineBlockAllocator;
+
+  /// A frame over `block` of the given kind with its ticks; the level
+  /// count and ring capacity come from the policy.
   TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy, TimeTick start_tick,
-                TimeTick next_tick, std::byte* block, bool owns_block);
+                TimeTick next_tick, std::byte* block, BlockKind block_kind);
 
   /// The layout fingerprint records under `policy` carry.
   static std::uint64_t LayoutFingerprint(const TiltPolicy& policy);
@@ -309,7 +354,7 @@ class TiltTimeFrame {
   TimeTick next_tick_;  // first tick not yet fully processed
   std::int32_t total_capacity_;  // ring slots across all levels
   std::int16_t num_levels_;
-  bool owns_block_ = true;  // false for a view (ViewRecord)
+  BlockKind block_kind_ = BlockKind::kOwned;
 };
 
 // Per-cell resident state: the analytic MemoryBytes formula charges this

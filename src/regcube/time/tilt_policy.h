@@ -39,8 +39,8 @@ class TiltPolicy {
   /// the range TiltTimeFrame::AdvanceTo(end) seals when the frame sits at
   /// `begin`. When this is false, advancing a frame across the range is
   /// observationally a no-op (no slot sealed, no eviction), which is what
-  /// lets the snapshot gather share a frozen frame block across a clock
-  /// advance instead of re-copying it. The default scans tick by tick with
+  /// lets a seal leave a cell clean, its frozen block still published, when
+  /// the clock advance crossed no unit end. The default scans tick by tick with
   /// early exit (cost bounded by the finest unit width); fixed-width
   /// policies override with O(1) modular math.
   virtual bool AnyUnitEndIn(TimeTick begin, TimeTick end) const;

@@ -329,7 +329,7 @@ TEST(DeltaGatherTest, ConcurrentChurnAndSnapshotLoop) {
   auto snap = engine.TakeSnapshot();
   auto final_window = snap->Window(0, 2);
   ASSERT_TRUE(final_window.ok());
-  auto expected_window = SnapshotWindowOf(reference.Run(), 0, 2);
+  auto expected_window = SnapshotWindowOf(reference.Run(), reference.clock(), 0, 2);
   ASSERT_TRUE(expected_window.ok());
   ASSERT_EQ(final_window->size(), expected_window->size());
   for (size_t i = 0; i < final_window->size(); ++i) {

@@ -165,16 +165,23 @@ inline void ExpectMomentsIdentical(const MomentSums& a, const MomentSums& b) {
   EXPECT_EQ(a.sum_tz, b.sum_tz);
 }
 
-/// Bitwise equality of two frozen cell runs: same cells in the same
-/// canonical order, every sealed slot of every level identical.
-inline void ExpectCellRunsIdentical(const SnapshotCells& a,
-                                    const SnapshotCells& b, int num_levels) {
+/// Bitwise equality of two frozen cell runs, each read as of its clock
+/// (an engine run's frames may lag the gather's clock; a reference run is
+/// materialized at it): same cells in the same canonical order, every
+/// sealed slot of every level identical.
+inline void ExpectCellRunsIdentical(const SnapshotCells& a, TimeTick a_clock,
+                                    const SnapshotCells& b, TimeTick b_clock,
+                                    int num_levels) {
   ASSERT_EQ(a.size(), b.size());
+  std::vector<MomentSums> a_sealed;
+  std::vector<MomentSums> b_sealed;
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].key, b[i].key) << "row " << i;
     for (int level = 0; level < num_levels; ++level) {
-      const TiltTimeFrame::SlotView a_slots = a[i].frame->RawSlots(level);
-      const TiltTimeFrame::SlotView b_slots = b[i].frame->RawSlots(level);
+      const TiltTimeFrame::SlotView a_slots =
+          a[i].frame->SlotsAsOf(level, a_clock, &a_sealed);
+      const TiltTimeFrame::SlotView b_slots =
+          b[i].frame->SlotsAsOf(level, b_clock, &b_sealed);
       ASSERT_EQ(a_slots.size(), b_slots.size())
           << "cell " << a[i].key.ToString() << " level " << level;
       for (size_t s = 0; s < a_slots.size(); ++s) {
@@ -190,7 +197,8 @@ inline void ExpectGathersIdentical(
     const ShardedStreamEngine::GatheredCells& actual,
     const ShardedStreamEngine::GatheredCells& expected, int num_levels) {
   EXPECT_EQ(actual.clock, expected.clock);
-  ExpectCellRunsIdentical(*actual.cells, *expected.cells, num_levels);
+  ExpectCellRunsIdentical(*actual.cells, actual.clock, *expected.cells,
+                          expected.clock, num_levels);
 }
 
 /// Bitwise equality of an engine gather with the reference's run: same
@@ -200,8 +208,8 @@ inline void ExpectGatherMatchesReference(
     const ReferenceStream& reference) {
   ASSERT_TRUE(gathered.status.ok()) << gathered.status.ToString();
   EXPECT_EQ(gathered.clock, reference.clock());
-  ExpectCellRunsIdentical(*gathered.cells, reference.Run(),
-                          reference.num_levels());
+  ExpectCellRunsIdentical(*gathered.cells, gathered.clock, reference.Run(),
+                          reference.clock(), reference.num_levels());
 }
 
 /// Bitwise equality of a member-only gather with the members the
@@ -213,9 +221,9 @@ inline void ExpectMemberGatherMatchesReference(
   ASSERT_TRUE(gathered.status.ok()) << gathered.status.ToString();
   EXPECT_EQ(gathered.clock, reference.clock());
   EXPECT_EQ(gathered.total_cells, static_cast<std::int64_t>(run.size()));
-  ExpectCellRunsIdentical(gathered.cells,
+  ExpectCellRunsIdentical(gathered.cells, gathered.clock,
                           reference.Members(run, cuboid, key),
-                          reference.num_levels());
+                          reference.clock(), reference.num_levels());
 }
 
 inline void ExpectCellMapsIdentical(const CellMap& expected,

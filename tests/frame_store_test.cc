@@ -1203,7 +1203,7 @@ TEST(CheckpointTest, RestoredColdCellsRefuseTicksTheirSealCovered) {
   const StreamTuple fresh{b, 11, 1.0};
   EXPECT_EQ(opened->Ingest(fresh).code(), reference.Ingest(fresh).code());
   auto got = opened->TakeSnapshot()->Window(0, 2);
-  auto want = SnapshotWindowOf(reference.Run(), 0, 2);
+  auto want = SnapshotWindowOf(reference.Run(), reference.clock(), 0, 2);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(want.ok());
   ASSERT_EQ(got->size(), want->size());

@@ -341,7 +341,7 @@ TEST_P(EngineFuzzTest, GappyStreamsMatchBatchComputation) {
     ASSERT_NE(it, expected.end());
     ExpectIsbNear(it->second, t.measure, 1e-8);
   }
-  auto replayed = SnapshotWindowOf(replay.Run(), 0, 8);
+  auto replayed = SnapshotWindowOf(replay.Run(), replay.clock(), 0, 8);
   ASSERT_TRUE(replayed.ok());
   ASSERT_EQ(replayed->size(), window->size());
   for (size_t i = 0; i < window->size(); ++i) {

@@ -18,8 +18,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -483,7 +485,9 @@ TEST(IncrementalCubeTest, RegressionErrorDuringARollMatchesFromScratch) {
 
   IncrementalCubeCache cache(*schema, options);
   const auto before = engine.GatherAlignedCells();
-  ASSERT_TRUE(cache.CubeFor(before.cells, 1, kRollLevel, kRollK, nullptr).ok());
+  ASSERT_TRUE(cache.CubeFor(before.cells, before.clock, 1, kRollLevel, kRollK,
+                            nullptr)
+                  .ok());
 
   IngestTick(engine, gen.cells(), spec.series_length);
   ASSERT_TRUE(engine.SealThrough(spec.series_length).ok());
@@ -500,34 +504,209 @@ TEST(IncrementalCubeTest, RegressionErrorDuringARollMatchesFromScratch) {
   ASSERT_TRUE(short_frame->AdvanceTo(spec.series_length + 1).ok());
   broken->back().frame = short_frame;
 
-  auto failed = cache.CubeFor(broken, 2, kRollLevel, kRollK, nullptr);
-  auto scratch =
-      SnapshotCubeOf(*schema, *broken, options, kRollLevel, kRollK, nullptr);
+  auto failed =
+      cache.CubeFor(broken, after.clock, 2, kRollLevel, kRollK, nullptr);
+  auto scratch = SnapshotCubeOf(*schema, *broken, after.clock, options,
+                                kRollLevel, kRollK, nullptr);
   ASSERT_FALSE(scratch.ok());
   EXPECT_EQ(failed.status().code(), scratch.status().code());
   EXPECT_EQ(failed.status().message(), scratch.status().message());
   EXPECT_EQ(cache.stats().rolls, 0);
 
-  // A cell that did not move with the others (its frame is still the
-  // memoized one) makes the window mixed: the from-scratch error again.
+  // A cell whose window did not move with the others makes the window
+  // mixed: the from-scratch error again. Read as of the clock, every frame
+  // at or behind it moves with the clock, so the odd one out is a frame
+  // already advanced past it by one more roll-level unit (one tick).
   auto mixed = std::make_shared<SnapshotCells>(*after.cells);
-  mixed->back().frame = before.cells->back().frame;
-  auto mixed_failed = cache.CubeFor(mixed, 3, kRollLevel, kRollK, nullptr);
-  auto mixed_scratch =
-      SnapshotCubeOf(*schema, *mixed, options, kRollLevel, kRollK, nullptr);
+  auto ahead = std::make_shared<TiltTimeFrame>(*after.cells->back().frame);
+  ASSERT_TRUE(ahead->AdvanceTo(after.clock + 1).ok());
+  mixed->back().frame = ahead;
+  auto mixed_failed =
+      cache.CubeFor(mixed, after.clock, 3, kRollLevel, kRollK, nullptr);
+  auto mixed_scratch = SnapshotCubeOf(*schema, *mixed, after.clock, options,
+                                      kRollLevel, kRollK, nullptr);
   ASSERT_FALSE(mixed_scratch.ok());
   EXPECT_EQ(mixed_failed.status().code(), mixed_scratch.status().code());
   EXPECT_EQ(mixed_failed.status().message(),
             mixed_scratch.status().message());
 
   // Neither failure poisoned the memo: the intact run rolls.
-  auto rolled = cache.CubeFor(after.cells, 4, kRollLevel, kRollK, nullptr);
+  auto rolled = cache.CubeFor(after.cells, after.clock, 4, kRollLevel, kRollK,
+                              nullptr);
   ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
-  auto want = SnapshotCubeOf(*schema, *after.cells, options, kRollLevel,
-                             kRollK, nullptr);
+  auto want = SnapshotCubeOf(*schema, *after.cells, after.clock, options,
+                             kRollLevel, kRollK, nullptr);
   ASSERT_TRUE(want.ok());
   ExpectCubesIdentical(*want, **rolled);
   EXPECT_EQ(cache.stats().rolls, 1);
+  EXPECT_EQ(cache.stats().rebuilds, 1);
+}
+
+// ----------------------------------------------------------- lagging runs
+
+/// A spill directory with no segments left over from a previous run.
+std::string FreshSpillDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  for (int i = 0; i < 8; ++i) {
+    std::remove((dir + "/spill-" + std::to_string(i) + ".rcs").c_str());
+  }
+  return dir;
+}
+
+/// Every read door over a run whose frames lag its clock — cells left
+/// unwritten while others move the clock, and under a 1-byte budget
+/// spilled views that stay at their spill tick across seals — against the
+/// reference, whose runs are AdvanceTo copies. The rounds skip ticks and
+/// some only seal (no write at all), so the maintained cube sees the same
+/// frozen blocks at a later clock, where they read a rolled window.
+void RunLaggingRunEquivalence(int shards, bool budgeted) {
+  SCOPED_TRACE(std::to_string(shards) + " shards" +
+               (budgeted ? ", 1-byte budget" : ", unbounded"));
+  WorkloadSpec spec = LagSpec(120);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  ShardedStreamEngine engine(*schema, RollOptions(), shards,
+                             std::make_shared<ThreadPool>(2));
+  if (budgeted) {
+    MemoryBudgetConfig config;
+    config.budget_bytes = 1;
+    config.spill_dir =
+        FreshSpillDir("lagging_cube_" + std::to_string(shards));
+    ASSERT_TRUE(engine.ConfigureStorage(config).ok());
+  }
+  ReferenceStream reference(*schema, RollOptions());
+  PairedStream paired{engine, reference};
+  StreamGenerator gen(spec);
+  ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
+
+  const CuboidLattice& lattice = engine.lattice();
+  Pcg32 rng(static_cast<std::uint64_t>(shards * 2 + (budgeted ? 1 : 0)), 5);
+  TimeTick tick = spec.series_length;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    tick += 1 + static_cast<TimeTick>(rng.Uniform(3));
+    if (round % 4 != 3) {
+      // A third of the cells move to `tick`; the rest lag it.
+      std::vector<StreamTuple> batch;
+      for (const auto& cell : gen.cells()) {
+        if (rng.Uniform(3) != 0) continue;
+        batch.push_back({cell.key, tick, 0.5 + 0.01 * static_cast<double>(
+                                                      rng.Uniform(100))});
+      }
+      ASSERT_TRUE(paired.IngestBatch(batch).ok());
+    }
+    if (round % 2 == 1) {
+      ASSERT_TRUE(paired.SealThrough(tick).ok());
+    }
+
+    const auto gathered = engine.GatherAlignedCells();
+    ASSERT_NO_FATAL_FAILURE(
+        equivalence::ExpectGatherMatchesReference(gathered, reference));
+    auto maintained = engine.ComputeCubeShared(gathered, kRollLevel, kRollK);
+    ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+    ExpectCubesIdentical(ScratchCube(reference, kRollLevel, kRollK),
+                         **maintained);
+    for (int level = 0; level < reference.num_levels(); ++level) {
+      auto window = engine.SnapshotWindow(level, 1);
+      auto want_window = SnapshotWindowOf(reference.Run(), reference.clock(),
+                                          level, 1);
+      ASSERT_EQ(window.ok(), want_window.ok());
+      if (window.ok()) {
+        ASSERT_EQ(window->size(), want_window->size());
+        for (size_t i = 0; i < window->size(); ++i) {
+          EXPECT_EQ((*window)[i].key, (*want_window)[i].key);
+          EXPECT_EQ((*window)[i].measure, (*want_window)[i].measure);
+        }
+      }
+      auto deck = engine.ObservationDeck(level);
+      auto want_deck = reference.Deck(level);
+      ASSERT_TRUE(deck.ok() && want_deck.ok());
+      EXPECT_EQ(*deck, *want_deck);
+    }
+    const CellKey& m_key =
+        gen.cells()[rng.Uniform(static_cast<std::uint32_t>(
+                        gen.cells().size()))]
+            .key;
+    for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+      const CellKey key = lattice.ProjectMLayerKey(m_key, c);
+      auto cell = engine.QueryCell(c, key, kRollLevel, kRollK);
+      auto want_cell = reference.Cell(c, key, kRollLevel, kRollK);
+      ASSERT_TRUE(cell.ok() && want_cell.ok()) << key.ToString();
+      EXPECT_EQ(*cell, *want_cell) << key.ToString();
+      auto series = engine.QueryCellSeries(c, key, 1);
+      auto want_series = reference.CellSeries(c, key, 1);
+      ASSERT_TRUE(series.ok() && want_series.ok()) << key.ToString();
+      EXPECT_EQ(*series, *want_series) << key.ToString();
+    }
+  }
+  if (budgeted) {
+    // Every enforcement drops the memo (the ladder's first rung) and
+    // spills every cell, so here the reads run over cold views.
+    EXPECT_GT(engine.SpillStats().spill_evictions, 0);
+  } else {
+    // The memo was maintained over the lagging runs, not only rebuilt.
+    const auto stats = engine.cube_memo_stats();
+    EXPECT_GT(stats.rolls, 0);
+    EXPECT_GT(stats.patches + stats.revalidations, 0);
+  }
+}
+
+TEST(IncrementalCubeLaggingTest, OneShard) {
+  RunLaggingRunEquivalence(1, /*budgeted=*/false);
+  RunLaggingRunEquivalence(1, /*budgeted=*/true);
+}
+
+TEST(IncrementalCubeLaggingTest, TwoShards) {
+  RunLaggingRunEquivalence(2, /*budgeted=*/false);
+  RunLaggingRunEquivalence(2, /*budgeted=*/true);
+}
+
+TEST(IncrementalCubeLaggingTest, EightShards) {
+  RunLaggingRunEquivalence(8, /*budgeted=*/false);
+  RunLaggingRunEquivalence(8, /*budgeted=*/true);
+}
+
+TEST(IncrementalCubeLaggingTest, SameBlocksAtALaterClockRollTheMemo) {
+  // One run of frozen blocks, read at two clocks: at the later one every
+  // block seals its pending tick, so every window moves. Sharing a block
+  // with the memoized run proves nothing across clocks — a pointer-only
+  // "unchanged" rule would serve the earlier cube here.
+  WorkloadSpec spec = LagSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  const StreamCubeEngine::Options options = RollOptions();
+  ShardedStreamEngine engine(*schema, options, 2);
+  ReferenceStream reference(*schema, options);
+  PairedStream paired{engine, reference};
+  StreamGenerator gen(spec);
+  ASSERT_TRUE(paired.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(paired.SealThrough(spec.series_length - 1).ok());
+  const auto run = engine.GatherAlignedCells();
+
+  IncrementalCubeCache cache(*schema, options);
+  auto first = cache.CubeFor(run.cells, run.clock, run.revision, kRollLevel,
+                             kRollK, nullptr);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ExpectCubesIdentical(ScratchCube(reference, kRollLevel, kRollK), **first);
+
+  for (TimeTick later = run.clock + 1; later <= run.clock + 3; ++later) {
+    ASSERT_TRUE(reference.SealThrough(later - 1).ok());
+    auto rolled = cache.CubeFor(run.cells, later, run.revision, kRollLevel,
+                                kRollK, nullptr);
+    ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+    ExpectCubesIdentical(ScratchCube(reference, kRollLevel, kRollK),
+                         **rolled);
+  }
+  EXPECT_EQ(cache.stats().rolls, 3);
+  EXPECT_EQ(cache.stats().rebuilds, 1);
+
+  // A reader at an earlier clock than the memo gets its own answer and
+  // leaves the memo alone.
+  auto stale = cache.CubeFor(run.cells, run.clock, run.revision, kRollLevel,
+                             kRollK, nullptr);
+  ASSERT_TRUE(stale.ok());
+  ExpectCubesIdentical(**first, **stale);
   EXPECT_EQ(cache.stats().rebuilds, 1);
 }
 

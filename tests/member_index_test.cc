@@ -61,7 +61,8 @@ void ExpectIndexMatchesReferenceEverywhere(ShardedStreamEngine& engine,
                                          reference, run, c, key);
 
       auto member_cell = engine.QueryCell(c, key, 0, 2);
-      auto expected_cell = SnapshotCellOf(run, lattice, c, key, 0, 2);
+      auto expected_cell = SnapshotCellOf(run, reference.clock(), lattice, c, key,
+                                          0, 2);
       ASSERT_EQ(member_cell.ok(), expected_cell.ok()) << key.ToString();
       if (member_cell.ok()) {
         EXPECT_EQ(*member_cell, *expected_cell) << key.ToString();
@@ -70,7 +71,7 @@ void ExpectIndexMatchesReferenceEverywhere(ShardedStreamEngine& engine,
       }
       auto member_series = engine.QueryCellSeries(c, key, 1);
       auto expected_series = SnapshotCellSeriesOf(
-          run, lattice, reference.num_levels(), c, key, 1);
+          run, reference.clock(), lattice, reference.num_levels(), c, key, 1);
       ASSERT_EQ(member_series.ok(), expected_series.ok());
       if (member_series.ok()) {
         EXPECT_EQ(*member_series, *expected_series);
@@ -90,7 +91,8 @@ TEST(MemberIndexTest, IndexedGatherMatchesReferenceUnderRandomizedChurn) {
 
   // Advancing-tick churn with periodic seals and a brand-new mid-churn
   // cell: the index is probed every round, across unit-boundary crossings
-  // (realignment), epoch rolls (seals) and population growth.
+  // (frames read as of a later clock), epoch rolls (seals) and
+  // population growth.
   equivalence::ChurnPlan plan;
   plan.rounds = 8;
   plan.seed = 59;
@@ -185,7 +187,7 @@ TEST(MemberIndexTest, SeededNodeIndexReproducesChainScanExactly) {
   ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
 
   auto run = engine.GatherAlignedCells();
-  auto window = SnapshotWindowOf(*run.cells, 0, 2);
+  auto window = SnapshotWindowOf(*run.cells, run.clock, 0, 2);
   ASSERT_TRUE(window.ok());
 
   HTree::Options tree_options;

@@ -65,7 +65,8 @@ class ReferenceStream {
   int num_levels() const { return options_.tilt_policy->num_levels(); }
 
   /// Every cell in canonical key order, each a copy of its frame advanced
-  /// to the clock.
+  /// to the clock with AdvanceTo — materialized, so it is an independent
+  /// check of the engine's as-of reads of lagging frames.
   SnapshotCells Run() const {
     SnapshotCells run;
     run.reserve(frames_.size());
@@ -91,30 +92,30 @@ class ReferenceStream {
   }
 
   Result<RegressionCube> Cube(int level, int k) const {
-    return SnapshotCubeOf(schema_, Run(), options_, level, k, nullptr);
+    return SnapshotCubeOf(schema_, Run(), clock_, options_, level, k, nullptr);
   }
 
   Result<Isb> Cell(CuboidId cuboid, const CellKey& key, int level,
                    int k) const {
     RC_RETURN_IF_ERROR(
         ValidatePointQueryTarget(lattice_, cuboid, level, num_levels()));
-    return SnapshotCellOf(Run(), lattice_, cuboid, key, level, k);
+    return SnapshotCellOf(Run(), clock_, lattice_, cuboid, key, level, k);
   }
 
   Result<std::vector<Isb>> CellSeries(CuboidId cuboid, const CellKey& key,
                                       int level) const {
-    return SnapshotCellSeriesOf(Run(), lattice_, num_levels(), cuboid, key,
-                                level);
+    return SnapshotCellSeriesOf(Run(), clock_, lattice_, num_levels(), cuboid,
+                                key, level);
   }
 
   Result<StreamCubeEngine::DeckSeries> Deck(int level) const {
-    return SnapshotDeckOf(Run(), lattice_, num_levels(), level);
+    return SnapshotDeckOf(Run(), clock_, lattice_, num_levels(), level);
   }
 
   Result<std::vector<StreamCubeEngine::TrendChange>> TrendChanges(
       int level, double threshold) const {
-    return SnapshotTrendChangesOf(Run(), lattice_, num_levels(), level,
-                                  threshold);
+    return SnapshotTrendChangesOf(Run(), clock_, lattice_, num_levels(),
+                                  level, threshold);
   }
 
  private:

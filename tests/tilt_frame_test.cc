@@ -572,5 +572,194 @@ TEST(TiltFrameLayoutTest, ViewReadsInPlaceAndCopiesOwnTheirBlock) {
   ExpectFrameIs(record, *restored);
 }
 
+// ------------------------------------------------------------ as-of reads
+
+/// Checks that `frame` read as of `as_of` is bitwise `advanced` (a copy
+/// moved there with AdvanceTo): every level's slots through SlotsAsOf, and
+/// RegressLastSlots for every k, the OutOfRange ones (0 and one past the
+/// slots) included. One buffer serves every level, as in the kernels.
+void ExpectReadsAsAdvanced(const TiltTimeFrame& frame, TimeTick as_of,
+                           const TiltTimeFrame& advanced) {
+  std::vector<MomentSums> sealed;
+  for (int li = 0; li < frame.policy().num_levels(); ++li) {
+    SCOPED_TRACE("level " + std::to_string(li));
+    const TiltTimeFrame::SlotView want = advanced.RawSlots(li);
+    const TiltTimeFrame::SlotView got = frame.SlotsAsOf(li, as_of, &sealed);
+    ASSERT_EQ(want.size(), got.size());
+    size_t i = 0;
+    for (const MomentSums& slot : got) {  // the iterator walks both segments
+      ExpectMomentsIdentical(want[i], slot);
+      ExpectMomentsIdentical(want[i], got[i]);
+      ++i;
+    }
+    ASSERT_EQ(i, want.size());
+    for (int k = 0; k <= static_cast<int>(want.size()) + 1; ++k) {
+      auto want_fit = advanced.RegressLastSlots(li, k);
+      auto got_fit = frame.RegressLastSlots(li, k, as_of);
+      ASSERT_EQ(want_fit.ok(), got_fit.ok()) << "k " << k;
+      if (want_fit.ok()) {
+        EXPECT_EQ(*want_fit, *got_fit) << "k " << k;
+      } else {
+        EXPECT_EQ(got_fit.status().code(), StatusCode::kOutOfRange);
+        EXPECT_EQ(want_fit.status().message(), got_fit.status().message());
+      }
+    }
+  }
+}
+
+/// The lags a frame at `now` is read at: none, a clock behind it, inside
+/// and across every level's unit, across two of them, and past every
+/// level's whole capacity.
+std::vector<TimeTick> LagsToCheck(const TiltPolicy& policy, TimeTick now) {
+  std::vector<TimeTick> lags = {0, -1, 1, 2};
+  TimeTick widest_capacity = 0;
+  for (int li = 0; li < policy.num_levels(); ++li) {
+    // The first unit end of this level at or after `now`.
+    TimeTick end = now;
+    while (!policy.IsUnitEnd(li, end)) ++end;
+    const TimeTick first = end - now;
+    lags.push_back(first);      // stops short of the end: inside the unit
+    lags.push_back(first + 1);  // seals the pending unit
+    lags.push_back(first + 2 * policy.NominalUnitTicks(li) + 1);
+    widest_capacity =
+        std::max(widest_capacity, (policy.level(li).capacity + 2) *
+                                      policy.NominalUnitTicks(li));
+  }
+  lags.push_back(widest_capacity);
+  return lags;
+}
+
+/// Every lag of LagsToCheck, on the frame itself, a view of its record
+/// and a frozen copy.
+void ExpectAsOfReadsAt(std::shared_ptr<const TiltPolicy> policy,
+                       const TiltTimeFrame& frame) {
+  const std::string record = RecordOf(frame);
+  auto words = AlignedCopy(record);
+  auto view = TiltTimeFrame::ViewRecord(
+      std::move(policy), BytesOf(*words, record.size()), words);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const auto frozen = frame.Freeze();
+  for (TimeTick lag : LagsToCheck(frame.policy(), frame.next_tick())) {
+    const TimeTick as_of = frame.next_tick() + lag;
+    SCOPED_TRACE("as of " + std::to_string(as_of) + " (frame at " +
+                 std::to_string(frame.next_tick()) + ")");
+    TiltTimeFrame advanced(frame);
+    ASSERT_TRUE(advanced.AdvanceTo(as_of).ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectReadsAsAdvanced(frame, as_of, advanced));
+    ASSERT_NO_FATAL_FAILURE(ExpectReadsAsAdvanced(**view, as_of, advanced));
+    ASSERT_NO_FATAL_FAILURE(ExpectReadsAsAdvanced(*frozen, as_of, advanced));
+  }
+  ExpectFrameIs(record, frame);  // reading never moved the frame
+}
+
+/// Drives a frame through a seeded stream of Adds and clock jumps (so it
+/// is caught with and without pending data, on and off unit boundaries,
+/// with rings wrapped) and checks the as-of reads at every stop.
+void RunAsOfCheck(std::shared_ptr<const TiltPolicy> policy, TimeTick start,
+                  std::uint64_t seed, TimeTick max_gap, int stops) {
+  Pcg32 rng(seed);
+  TiltTimeFrame frame(policy, start);
+  ASSERT_NO_FATAL_FAILURE(ExpectAsOfReadsAt(policy, frame));  // no data yet
+  TimeTick t = start;
+  for (int stop = 0; stop < stops; ++stop) {
+    SCOPED_TRACE("stop " + std::to_string(stop));
+    for (int step = 0; step < 24; ++step) {
+      if (rng.Uniform(4) == 0) {
+        t += 1 + static_cast<TimeTick>(
+                     rng.Uniform(static_cast<std::uint32_t>(max_gap)));
+        ASSERT_TRUE(frame.AdvanceTo(t).ok());
+      } else {
+        t += static_cast<TimeTick>(rng.Uniform(2));
+        ASSERT_TRUE(frame.Add(t, rng.NextGaussian() * 3.0 + 1.0).ok());
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectAsOfReadsAt(policy, frame));
+  }
+}
+
+TEST(TiltFrameAsOfTest, MatchesAdvanceToOnTheBenchPolicies) {
+  // The tilt policies of the end-to-end workloads.
+  RunAsOfCheck(std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
+                   {{"tick", 8}, {"octet", 8}}, {1, 8})),
+               0, 3, 12, 12);
+  RunAsOfCheck(std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
+                   {{"tick", 4}, {"quad", 4}, {"hexa", 4}}, {1, 4, 16})),
+               5, 4, 20, 12);
+  RunAsOfCheck(QuarterHourDayPolicy(), 0, 5, 40, 8);
+}
+
+TEST(TiltFrameAsOfTest, MatchesAdvanceToOnCalendarPolicy) {
+  RunAsOfCheck(
+      std::shared_ptr<const TiltPolicy>(MakeNaturalCalendarTiltPolicy()), 0,
+      6, 2 * QuarterHourCalendar::kTicksPerDay, 4);
+}
+
+TEST(TiltFrameAsOfTest, MatchesAdvanceToOnLogarithmicPolicy) {
+  RunAsOfCheck(
+      std::shared_ptr<const TiltPolicy>(MakeLogarithmicTiltPolicy(5, 3)), 2,
+      7, 16, 12);
+}
+
+TEST(TiltFrameAsOfTest, AtOrBehindTheFrameReadsTheRingInPlace) {
+  auto policy = QuarterHourDayPolicy();
+  TiltTimeFrame frame(policy, 0);
+  for (TimeTick t = 0; t < 4 * 30 + 2; ++t) {
+    ASSERT_TRUE(frame.Add(t, 0.5 * static_cast<double>(t % 7)).ok());
+  }
+  std::vector<MomentSums> sealed;
+  for (int li = 0; li < policy->num_levels(); ++li) {
+    const TiltTimeFrame::SlotView raw = frame.RawSlots(li);
+    // At the frame's clock, behind it, and ahead of it with no unit end of
+    // this level in between (tick 121 ends no hour and no day): the ring
+    // itself.
+    for (TimeTick as_of : {frame.next_tick(), frame.next_tick() - 5,
+                           frame.next_tick() + 1}) {
+      if (as_of == frame.next_tick() + 1 && li == 0) continue;
+      const TiltTimeFrame::SlotView got = frame.SlotsAsOf(li, as_of, &sealed);
+      ASSERT_EQ(got.size(), raw.size());
+      if (!raw.empty()) {
+        EXPECT_EQ(&got.front(), &raw.front());
+      }
+    }
+  }
+  EXPECT_TRUE(sealed.empty()) << "an in-place read wrote the buffer";
+}
+
+TEST(TiltFrameLayoutTest, FreezeHoldsTheBlockInline) {
+  auto policy = QuarterHourDayPolicy();
+  TiltTimeFrame original(policy, 0);
+  for (TimeTick t = 0; t < 4 * 30 + 2; ++t) {
+    ASSERT_TRUE(original.Add(t, 0.25 * static_cast<double>(t % 9)).ok());
+  }
+  const std::string record = RecordOf(original);
+  std::shared_ptr<const TiltTimeFrame> frozen = original.Freeze();
+  ExpectFrameIs(record, *frozen);
+  EXPECT_FALSE(frozen->is_view());
+  EXPECT_EQ(frozen->OwnedBytes(), frozen->MemoryBytes());
+  // The block rides in the frame's own allocation, right behind it.
+  const auto* frame_at = reinterpret_cast<const std::byte*>(frozen.get());
+  const auto* ring_at =
+      reinterpret_cast<const std::byte*>(&frozen->RawSlots(0).front());
+  EXPECT_GT(ring_at, frame_at);
+  EXPECT_LT(ring_at - frame_at,
+            static_cast<std::ptrdiff_t>(original.RecordBytes() +
+                                        sizeof(TiltTimeFrame)));
+
+  // Independent of the original, and a copy of it owns its block.
+  ASSERT_TRUE(original.Add(4 * 30 + 5, 2.0).ok());
+  ExpectFrameIs(record, *frozen);
+  TiltTimeFrame copy(*frozen);
+  EXPECT_NE(&copy.RawSlots(0).front(), &frozen->RawSlots(0).front());
+  ASSERT_TRUE(copy.Add(4 * 30 + 5, 2.0).ok());
+  ExpectFrameIs(RecordOf(original), copy);
+  ExpectFrameIs(record, *frozen);
+
+  // Frozen twice, then released in either order: each allocation is its
+  // own (the sanitizer jobs check the frees).
+  auto again = frozen->Freeze();
+  frozen.reset();
+  ExpectFrameIs(record, *again);
+}
+
 }  // namespace
 }  // namespace regcube
